@@ -8,6 +8,7 @@ exceeded / no feasible graph, 4 internal numeric error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,10 +30,6 @@ from .matching import MonotonePath, locally_optimize, matching_cost
 from .param_space import build_cells, free_space_axes
 
 __all__ = ["main", "load_curve", "render_svg", "build_report"]
-
-_DESK = {"c_g1": 40.0, "c_radius": 62.0, "c_mesh": 8.0, "max_vertices": 1_000_000}
-_PAPERLIKE = {"c_g1": 40000.0, "c_radius": 62.0, "c_mesh": 456.0, "max_vertices": 10_000_000}
-
 
 def load_curve(path: str) -> PolygonalCurve:
     """Read a curve file; JSON and CSV ingest to identical curves."""
@@ -239,16 +236,13 @@ def _make_parser():
 
 
 def _resolve_config(args) -> GraphConfig:
-    base = dict(_PAPERLIKE if args.paper_constants else _DESK)
-    if args.c_g1 is not None:
-        base["c_g1"] = args.c_g1
-    if args.c_radius is not None:
-        base["c_radius"] = args.c_radius
-    if args.c_mesh is not None:
-        base["c_mesh"] = args.c_mesh
-    if args.max_vertices is not None:
-        base["max_vertices"] = args.max_vertices
-    return GraphConfig(epsilon=args.epsilon, mode=args.mode, **base)
+    preset = GraphConfig(args.epsilon) if args.paper_constants else GraphConfig.desk(args.epsilon)
+    overrides = {
+        name: value
+        for name in ("c_g1", "c_radius", "c_mesh", "max_vertices")
+        if (value := getattr(args, name)) is not None
+    }
+    return dataclasses.replace(preset, mode=args.mode, **overrides)
 
 
 def main(argv=None) -> int:

@@ -24,14 +24,19 @@ from .errors import (
     Disconnected,
     NoFeasibleGraph,
 )
-from .integrals import (
-    horizontal_strip_weights,
-    segment_weighted_length,
-    vertical_strip_weights,
-)
+from .integrals import segment_weighted_length
+# imported only so that perfbench's tracer finds these names here
+from .integrals import horizontal_strip_weights, vertical_strip_weights  # noqa: F401
 from .matching import MonotonePath
 from .param_space import ParameterPoint, build_cells, edge_min, free_space_axes
-from .shortest_path import dense_grid_oracle_path, dijkstra, snapped_axis
+from .shortest_path import (
+    axis_size,
+    dense_grid_oracle_path,
+    dijkstra,
+    grid_lattice,
+    lattice_dp,
+    lattice_weights,
+)
 
 __all__ = [
     "GraphConfig",
@@ -141,10 +146,8 @@ class MonotoneDigraph:
                 starts = np.flatnonzero(new_group)
                 w = np.minimum.reduceat(w, starts)
                 t, h = t[starts], h[starts]
-            # scipy's csgraph drops unstored entries, so keep genuine
-            # zero-weight edges alive with a denormal-sized stand-in
-            data = np.where(w > 0.0, w, 5e-324)
-            self._csr = csr_matrix((data, (t, h)), shape=(n, n))
+            # csgraph treats stored zeros as edges, so zero weights stay exact
+            self._csr = csr_matrix((w, (t, h)), shape=(n, n))
         return self._csr
 
 
@@ -153,40 +156,23 @@ def _g1_mesh(t1, t2, cfg) -> float:
     return cfg.epsilon * st.mu / (cfg.c_g1 * (st.len1 + st.len2))
 
 
-def _axis_count(cuts, spacing) -> int:
-    return 1 + sum(
-        max(1, int(math.ceil((hi - lo) / spacing - 1e-12)))
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    )
-
-
 def build_g1(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> MonotoneDigraph:
     """Uniform monotone grid graph with exact closed-form edge weights.
 
     The grid is snapped so every parameter line is a grid line, which
-    keeps each edge inside one cell and never widens the mesh.
+    keeps each edge inside one cell and never widens the mesh.  The search
+    in :func:`approximate_integral_frechet` sweeps the same lattice without
+    building this graph; the graph stays as the reference it is tested
+    against.
     """
-    sigma = _g1_mesh(t1, t2, cfg)
-    grid = build_cells(t1, t2)
-    nx = _axis_count(grid.x_cuts, sigma)
-    ny = _axis_count(grid.y_cuts, sigma)
-    if nx * ny > cfg.max_vertices:
-        raise BudgetExceeded(nx * ny, cfg.max_vertices)
-    xs, x_off = snapped_axis(grid.x_cuts, sigma)
-    ys, y_off = snapped_axis(grid.y_cuts, sigma)
-    assert len(xs) == nx and len(ys) == ny
-
+    lat = grid_lattice(build_cells(t1, t2), _g1_mesh(t1, t2, cfg), cfg.max_vertices)
+    xs, ys = lat.xs, lat.ys
+    nx, ny = len(xs), len(ys)
     w_right = np.empty((ny, nx - 1))
     w_up = np.empty((ny - 1, nx))
-    for i in range(grid.n_cols):
-        a, b = x_off[i], x_off[i + 1]
-        for j in range(grid.n_rows):
-            c, d = y_off[j], y_off[j + 1]
-            cell = grid.cell(i, j)
-            xi = xs[a:b + 1] - cell.x0
-            eta = ys[c:d + 1] - cell.y0
-            w_right[c:d + 1, a:b] = horizontal_strip_weights(cell, xi, eta)
-            w_up[c:d, a:b + 1] = vertical_strip_weights(cell, eta, xi)
+    for r0, right, up, _ in lattice_weights(lat, diagonal=False):
+        w_right[r0:r0 + len(right)] = right
+        w_up[r0:r0 + len(up)] = up
 
     ids = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
     right_tails = ids[:, :-1].ravel()
@@ -546,32 +532,46 @@ def _affordable_mesh(t1, t2, budget):
     l1, l2 = grid.extent
     h = math.sqrt(max(l1 * l2, 1e-30) / budget)
     for _ in range(200):
-        n = _axis_count(grid.x_cuts, h) * _axis_count(grid.y_cuts, h)
+        n = axis_size(grid.x_cuts, h) * axis_size(grid.y_cuts, h)
         if n <= budget:
             return h
         h *= 1.25
     raise BudgetExceeded(n, budget)
 
 
+def _search_g1(t1, t2, cfg):
+    """g1's shortest path by a sweep over its lattice; no graph is built."""
+    lat = grid_lattice(build_cells(t1, t2), _g1_mesh(t1, t2, cfg), cfg.max_vertices)
+    value, pts = lattice_dp(lat, diagonal=False, path=True)
+    return value, pts, lat.n_points, lat.n_edges(diagonal=False)
+
+
+def _search_g2(t1, t2, cfg):
+    g = build_g2(t1, t2, cfg)
+    res = dijkstra(g)
+    return res.distance, res.points, g.n_vertices, g.n_edges
+
+
 def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
                                  cfg: GraphConfig) -> ApproxResult:
     """Approximate the integral distance and return the realizing matching.
 
-    Builds the graphs requested by ``cfg.mode``, runs the shortest-path
-    search on each, and keeps the minimum; the value is always an upper
-    bound on the true distance because every graph path is a feasible
-    monotone matching.  ``mode='oracle'`` runs the dense lattice instead.
+    Runs the shortest-path search on each graph requested by ``cfg.mode``
+    (a lattice sweep for g1, Dijkstra on the built arrangement for g2) and
+    keeps the minimum; the value is always an upper bound on the true
+    distance because every graph path is a feasible monotone matching.
+    ``mode='oracle'`` runs the dense lattice, diagonals included, instead.
     """
     total_len = t1.length + t2.length
     graph_stats = {}
     if cfg.mode == "oracle":
         h = _affordable_mesh(t1, t2, cfg.max_vertices)
-        value, pts = dense_grid_oracle_path(t1, t2, h, max_points=cfg.max_vertices)
+        value, pts, lat = dense_grid_oracle_path(t1, t2, h, max_points=cfg.max_vertices)
         graph_stats["oracle"] = {
             "status": "ok",
             "mesh": h,
-            "vertices": len(pts),
-            "edges": 0,
+            "vertices": lat.n_points,
+            "edges": lat.n_edges(diagonal=True),
             "distance": value,
         }
         return ApproxResult(
@@ -583,12 +583,12 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
         )
 
     wanted = ("g1", "g2") if cfg.mode == "both" else (cfg.mode,)
-    builders = {"g1": build_g1, "g2": build_g2}
+    searches = {"g1": _search_g1, "g2": _search_g2}
     best = None
     saw_budget = False
     for name in wanted:
         try:
-            g = builders[name](t1, t2, cfg)
+            distance, pts, n_vertices, n_edges = searches[name](t1, t2, cfg)
         except BudgetExceeded as exc:
             graph_stats[name] = {
                 "status": "budget_exceeded",
@@ -599,16 +599,15 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
             }
             saw_budget = True
             continue
-        res = dijkstra(g)
-        entry = {
-            "status": "ok" if res.reachable else "disconnected",
-            "vertices": g.n_vertices,
-            "edges": g.n_edges,
-            "distance": res.distance if res.reachable else None,
+        reachable = math.isfinite(distance)
+        graph_stats[name] = {
+            "status": "ok" if reachable else "disconnected",
+            "vertices": n_vertices,
+            "edges": n_edges,
+            "distance": distance if reachable else None,
         }
-        graph_stats[name] = entry
-        if res.reachable and (best is None or res.distance < best[0]):
-            best = (res.distance, name, res)
+        if reachable and (best is None or distance < best[0]):
+            best = (distance, name, pts)
     if best is None:
         if saw_budget and all(
             st["status"] == "budget_exceeded" for st in graph_stats.values()
@@ -622,11 +621,11 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
                 )
             )
         raise Disconnected(f"no finite route; graph stats: {graph_stats}")
-    value, name, res = best
+    value, name, pts = best
     return ApproxResult(
         value=value,
         average=value / total_len,
         winning_mode=name,
-        path=MonotonePath.from_points(res.points),
+        path=MonotonePath.from_points(pts),
         graph_stats=graph_stats,
     )

@@ -1,14 +1,16 @@
-"""Shortest-path engine for monotone digraphs plus brute-force lattice oracles.
+"""Shortest paths: Dijkstra on monotone digraphs and one lattice dynamic program.
 
 Dijkstra runs on a CSR adjacency via scipy; the path is reconstructed
-backwards with ties broken toward the smallest vertex id.  Two independent
-oracles back the approximation graphs: a dense snapped grid over the whole
-parameter space and a per-cell staircase lattice, both dynamic programs
-over right/up/diagonal moves with exact closed-form edge weights.
+backwards with ties broken toward the smallest vertex id.  Rectangular
+lattices (the uniform grid g1, the dense snapped-grid oracle and the
+per-cell staircase oracle) share one weight generator, one row-by-row
+dynamic program over right/up(/diagonal) moves and one backtrack over its
+move table; every edge weight is an exact closed form.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
@@ -18,11 +20,11 @@ from .errors import BudgetExceeded
 from .integrals import (
     diagonal_block_weights,
     horizontal_strip_weights,
-    segment_quad_coeffs,
     vertical_strip_weights,
-    _closed_form,
 )
 from .param_space import ParameterCell, build_cells
+
+_ROW_CHUNK = 64  # lattice rows per weight block
 
 __all__ = [
     "PathResult",
@@ -116,6 +118,16 @@ def bellman_ford(graph, source: int | None = None) -> np.ndarray:
     return dist
 
 
+def _axis_steps(cuts, spacing):
+    return [max(1, int(math.ceil((hi - lo) / spacing - 1e-12)))
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def axis_size(cuts, spacing: float) -> int:
+    """Number of coordinates :func:`snapped_axis` returns, without building them."""
+    return 1 + sum(_axis_steps(cuts, spacing))
+
+
 def snapped_axis(cuts: np.ndarray, spacing: float):
     """Subdivide each interval of ``cuts`` into equal steps no wider than ``spacing``.
 
@@ -123,32 +135,139 @@ def snapped_axis(cuts: np.ndarray, spacing: float):
     the index of each cut in it.
     """
     cuts = np.asarray(cuts, dtype=float)
-    coords = []
-    offsets = [0]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        span = hi - lo
-        m = max(1, int(math.ceil(span / spacing - 1e-12)))
-        coords.append(lo + span * np.arange(m) / m)
-        offsets.append(offsets[-1] + m)
+    steps = _axis_steps(cuts, spacing)
+    coords = [lo + (hi - lo) * np.arange(m) / m
+              for lo, hi, m in zip(cuts[:-1], cuts[1:], steps)]
     coords.append(np.array([cuts[-1]]))
-    return np.concatenate(coords), np.asarray(offsets)
+    return np.concatenate(coords), np.concatenate(([0], np.cumsum(steps)))
 
 
-def _row_update(prev, w_up, w_diag, w_right):
-    """One DP row: enter from below/diagonal, then sweep right."""
-    base = prev + w_up
-    base[1:] = np.minimum(base[1:], prev[:-1] + w_diag)
-    r = np.concatenate(([0.0], np.cumsum(w_right)))
-    return r + np.minimum.accumulate(base - r)
+class Lattice(NamedTuple):
+    """Rectangular lattice over parameter space, split into cell blocks.
+
+    ``xs[x_off[i]:x_off[i + 1] + 1]`` spans cell column ``i`` (likewise
+    ``ys``/``y_off`` for rows) and ``cell_at(i, j)`` is that block's cell.
+    """
+
+    cell_at: Callable[[int, int], ParameterCell]
+    xs: np.ndarray
+    x_off: np.ndarray
+    ys: np.ndarray
+    y_off: np.ndarray
+
+    @property
+    def n_points(self) -> int:
+        return len(self.xs) * len(self.ys)
+
+    def n_edges(self, diagonal: bool) -> int:
+        nx, ny = len(self.xs), len(self.ys)
+        return ny * (nx - 1) + (ny - 1) * nx + (ny - 1) * (nx - 1) * diagonal
 
 
-def _grid_axes(grid, h, max_points):
-    xs, x_off = snapped_axis(grid.x_cuts, h)
-    ys, y_off = snapped_axis(grid.y_cuts, h)
-    n = len(xs) * len(ys)
+def grid_lattice(grid, h: float, max_points: int) -> Lattice:
+    """Snapped lattice of mesh ``h`` over the whole grid; counted before it is built."""
+    n = axis_size(grid.x_cuts, h) * axis_size(grid.y_cuts, h)
     if n > max_points:
         raise BudgetExceeded(n, max_points)
-    return xs, x_off, ys, y_off
+    xs, x_off = snapped_axis(grid.x_cuts, h)
+    ys, y_off = snapped_axis(grid.y_cuts, h)
+    return Lattice(grid.cell, xs, x_off, ys, y_off)
+
+
+def _staircase_lattice(cell: ParameterCell, a, b, k: int) -> Lattice:
+    steps = np.arange(k + 1) / k
+    ends = np.array([0, k])
+    return Lattice(lambda i, j: cell, a[0] + (b[0] - a[0]) * steps, ends,
+                   a[1] + (b[1] - a[1]) * steps, ends)
+
+
+def lattice_weights(lat: Lattice, diagonal: bool):
+    """Edge weights of the lattice, ``_ROW_CHUNK`` lattice rows at a time.
+
+    Yields ``(r0, right, up, diag)`` for the strip between rows ``r0`` and
+    ``r1 = r0 + len(up)``, all inside one cell row: ``right`` has the
+    rightward edges on rows ``r0..r1`` (``r1 - r0 + 1`` rows), ``up`` the
+    upward edges from row ``r`` to ``r + 1`` and ``diag`` (``None`` unless
+    ``diagonal``) the diagonal ones.  Every weight is an exact closed form
+    from the strip kernels of the cell holding the edge.
+    """
+    xs, x_off, ys, y_off = lat.xs, lat.x_off, lat.ys, lat.y_off
+    nx = len(xs)
+    for j in range(len(y_off) - 1):
+        for r0 in range(y_off[j], y_off[j + 1], _ROW_CHUNK):
+            r1 = min(r0 + _ROW_CHUNK, y_off[j + 1])
+            right = np.empty((r1 - r0 + 1, nx - 1))
+            up = np.empty((r1 - r0, nx))
+            diag = np.empty((r1 - r0, nx - 1)) if diagonal else None
+            for i in range(len(x_off) - 1):
+                a, b = x_off[i], x_off[i + 1]
+                cell = lat.cell_at(i, j)
+                xi = xs[a:b + 1] - cell.x0
+                eta = ys[r0:r1 + 1] - cell.y0
+                right[:, a:b] = horizontal_strip_weights(cell, xi, eta)
+                up[:, a:b + 1] = vertical_strip_weights(cell, eta, xi)
+                if diagonal:
+                    diag[:, a:b] = diagonal_block_weights(
+                        cell, xi[:-1], eta[:-1], float(xs[a + 1] - xs[a]), float(ys[r0 + 1] - ys[r0]))
+            yield r0, right, up, diag
+
+
+# move table entries: bit 0 steps left (x), bit 1 steps down (y)
+_LEFT, _UP, _DIAG = 1, 2, 3
+
+
+def _row_update(prev, up, diag, right, moves=None):
+    """One DP row: enter from below or diagonally, then sweep right.
+
+    ``moves``, when given, receives the move that reached each point;
+    ties go to the move that enters the row.
+    """
+    base = prev + up
+    if moves is not None:
+        moves[:] = _UP
+    if diag is not None:
+        via = prev[:-1] + diag
+        if moves is not None:
+            moves[1:][via < base[1:]] = _DIAG
+        base[1:] = np.minimum(base[1:], via)
+    r = np.concatenate(([0.0], np.cumsum(right)))
+    entered = base - r
+    best = np.minimum.accumulate(entered)
+    if moves is not None:
+        moves[best < entered] = _LEFT
+    return r + best
+
+
+def lattice_dp(lat: Lattice, diagonal: bool, path: bool = False):
+    """Best right/up(/diagonal) path from the first lattice point to the last: (value, points).
+
+    Streams the weights row chunk by row chunk, so memory stays linear in
+    the lattice width.  ``points`` is ``None`` unless ``path``, which adds
+    an int8 table of the moves and a backtrack over it.
+    """
+    moves = np.empty((len(lat.ys), len(lat.xs)), dtype=np.int8) if path else None
+    prev = None
+    for r0, right, up, diag in lattice_weights(lat, diagonal):
+        if prev is None:
+            prev = np.concatenate(([0.0], np.cumsum(right[0])))
+            if moves is not None:
+                moves[0] = _LEFT
+        for t in range(len(up)):
+            prev = _row_update(prev, up[t], None if diag is None else diag[t], right[t + 1],
+                               None if moves is None else moves[r0 + t + 1])
+    return float(prev[-1]), None if moves is None else _backtrack(lat, moves)
+
+
+def _backtrack(lat: Lattice, moves) -> np.ndarray:
+    r, c = moves.shape[0] - 1, moves.shape[1] - 1
+    rows, cols = [r], [c]
+    while r or c:
+        m = int(moves[r, c])
+        c -= m & 1
+        r -= m >> 1
+        rows.append(r)
+        cols.append(c)
+    return np.column_stack([lat.xs[cols[::-1]], lat.ys[rows[::-1]]])
 
 
 def dense_grid_oracle(t1: PolygonalCurve, t2: PolygonalCurve, h: float,
@@ -159,154 +278,23 @@ def dense_grid_oracle(t1: PolygonalCurve, t2: PolygonalCurve, h: float,
     lattice is refined by a vertex superset.  Streams the dynamic program
     row by row, so memory stays linear in the grid width.
     """
-    grid = build_cells(t1, t2)
-    xs, x_off, ys, y_off = _grid_axes(grid, h, max_points)
-    nx = len(xs)
-    ncols = grid.n_cols
-
-    def col_slices():
-        return [(i, x_off[i], x_off[i + 1]) for i in range(ncols)]
-
-    cols = col_slices()
-    # row 0: only rightward moves
-    w_right = np.empty(nx - 1)
-    for i, a, b in cols:
-        cell = grid.cell(i, 0)
-        w_right[a:b] = horizontal_strip_weights(cell, xs[a:b + 1] - cell.x0, np.array([0.0]))[0]
-    prev = np.concatenate(([0.0], np.cumsum(w_right)))
-
-    w_up = np.empty(nx)
-    w_diag = np.empty(nx - 1)
-    for j in range(grid.n_rows):
-        lo_r, hi_r = y_off[j], y_off[j + 1]
-        for r in range(lo_r, hi_r):
-            y0, y1 = ys[r], ys[r + 1]
-            for i, a, b in cols:
-                cell = grid.cell(i, j)
-                xi = xs[a:b + 1] - cell.x0
-                eta = np.array([y0 - cell.y0, y1 - cell.y0])
-                w_up[a:b + 1] = vertical_strip_weights(cell, eta, xi)[0]
-                w_diag[a:b] = diagonal_block_weights(
-                    cell, xi[:-1], eta[:1], float(xs[a + 1] - xs[a]) if b > a else 0.0, float(y1 - y0)
-                )[0]
-                w_right[a:b] = horizontal_strip_weights(cell, xi, eta[1:])[0]
-            prev = _row_update(prev, w_up, w_diag, w_right)
-    return float(prev[-1])
+    lat = grid_lattice(build_cells(t1, t2), h, max_points)
+    return lattice_dp(lat, diagonal=True)[0]
 
 
 def dense_grid_oracle_path(t1, t2, h, max_points: int = 8_000_000):
-    """Full-table variant returning (value, lattice path points)."""
-    grid = build_cells(t1, t2)
-    xs, x_off, ys, y_off = _grid_axes(grid, h, max_points)
-    nx, ny = len(xs), len(ys)
-    dist = np.empty((ny, nx))
-    cols = [(i, x_off[i], x_off[i + 1]) for i in range(grid.n_cols)]
-    w_right = np.empty(nx - 1)
-    for i, a, b in cols:
-        cell = grid.cell(i, 0)
-        w_right[a:b] = horizontal_strip_weights(cell, xs[a:b + 1] - cell.x0, np.array([0.0]))[0]
-    dist[0] = np.concatenate(([0.0], np.cumsum(w_right)))
-    w_up = np.empty(nx)
-    w_diag = np.empty(nx - 1)
-    row = 0
-    for j in range(grid.n_rows):
-        for r in range(y_off[j], y_off[j + 1]):
-            y0, y1 = ys[r], ys[r + 1]
-            for i, a, b in cols:
-                cell = grid.cell(i, j)
-                xi = xs[a:b + 1] - cell.x0
-                eta = np.array([y0 - cell.y0, y1 - cell.y0])
-                w_up[a:b + 1] = vertical_strip_weights(cell, eta, xi)[0]
-                w_diag[a:b] = diagonal_block_weights(
-                    cell, xi[:-1], eta[:1], float(xs[a + 1] - xs[a]) if b > a else 0.0, float(y1 - y0)
-                )[0]
-                w_right[a:b] = horizontal_strip_weights(cell, xi, eta[1:])[0]
-            row += 1
-            dist[row] = _row_update(dist[row - 1], w_up, w_diag, w_right)
-    value = float(dist[-1, -1])
-    path = _backtrack_lattice(grid, xs, ys, dist)
-    return value, path
-
-
-def _elementary_weight(grid, x0, y0, x1, y1):
-    cell = grid.cell_at((0.5 * (x0 + x1), 0.5 * (y0 + y1)), prefer_lower=True)
-    A, B, C, l1len = segment_quad_coeffs(cell, (x0, y0), (x1, y1))
-    return _closed_form(A, B, C, l1len)
-
-
-def _backtrack_lattice(grid, xs, ys, dist):
-    r, c = dist.shape[0] - 1, dist.shape[1] - 1
-    pts = [(float(xs[c]), float(ys[r]))]
-    while r > 0 or c > 0:
-        best = None
-        cands = []
-        if c > 0:
-            cands.append((r, c - 1))
-        if r > 0:
-            cands.append((r - 1, c))
-        if r > 0 and c > 0:
-            cands.append((r - 1, c - 1))
-        for rr, cc in cands:
-            w = _elementary_weight(grid, xs[cc], ys[rr], xs[c], ys[r])
-            val = dist[rr, cc] + w
-            if best is None or val < best[0] - 1e-15:
-                best = (val, rr, cc)
-        _, r, c = best
-        pts.append((float(xs[c]), float(ys[r])))
-    pts.reverse()
-    return np.asarray(pts)
-
-
-def _staircase_tables(cell: ParameterCell, a, b, k: int):
-    xs = a[0] + (b[0] - a[0]) * np.arange(k + 1) / k
-    ys = a[1] + (b[1] - a[1]) * np.arange(k + 1) / k
-    xi = xs - cell.x0
-    eta = ys - cell.y0
-    wr = horizontal_strip_weights(cell, xi, eta)           # (k+1, k)
-    wu = vertical_strip_weights(cell, eta, xi)             # (k, k+1)
-    dxi = float(xs[1] - xs[0]) if k else 0.0
-    deta = float(ys[1] - ys[0]) if k else 0.0
-    wd = diagonal_block_weights(cell, xi[:-1], eta[:-1], dxi, deta)  # (k, k)
-    return xs, ys, wr, wu, wd
+    """(value, path points, lattice) of :func:`dense_grid_oracle`."""
+    lat = grid_lattice(build_cells(t1, t2), h, max_points)
+    return (*lattice_dp(lat, diagonal=True, path=True), lat)
 
 
 def staircase_cell_oracle(cell: ParameterCell, a, b, k: int) -> float:
     """Best right/up/diagonal path over the k x k lattice spanned by a and b."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if a[0] == b[0] and a[1] == b[1]:
-        return 0.0
-    _, _, wr, wu, wd = _staircase_tables(cell, a, b, k)
-    prev = np.concatenate(([0.0], np.cumsum(wr[0])))
-    for r in range(k):
-        prev = _row_update(prev, wu[r], wd[r], wr[r + 1])
-    return float(prev[-1])
+    return lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True)[0]
 
 
 def _staircase_path(cell: ParameterCell, a, b, k: int):
-    """(value, points) over the staircase lattice; small k only."""
-    if a[0] == b[0] and a[1] == b[1]:
-        return 0.0, np.asarray([[a[0], a[1]]], dtype=float)
-    xs, ys, wr, wu, wd = _staircase_tables(cell, a, b, k)
-    dist = np.empty((k + 1, k + 1))
-    dist[0] = np.concatenate(([0.0], np.cumsum(wr[0])))
-    for r in range(k):
-        dist[r + 1] = _row_update(dist[r], wu[r], wd[r], wr[r + 1])
-    r = c = k
-    pts = [(float(xs[c]), float(ys[r]))]
-    while r > 0 or c > 0:
-        best = None
-        if c > 0:
-            best = (dist[r, c - 1] + wr[r, c - 1], r, c - 1)
-        if r > 0:
-            v = dist[r - 1, c] + wu[r - 1, c]
-            if best is None or v < best[0] - 1e-15:
-                best = (v, r - 1, c)
-        if r > 0 and c > 0:
-            v = dist[r - 1, c - 1] + wd[r - 1, c - 1]
-            if v < best[0] - 1e-15:
-                best = (v, r - 1, c - 1)
-        _, r, c = best
-        pts.append((float(xs[c]), float(ys[r])))
-    pts.reverse()
-    return float(dist[-1, -1]), np.asarray(pts)
+    """(value, points) of :func:`staircase_cell_oracle`."""
+    return lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True, path=True)

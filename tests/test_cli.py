@@ -112,6 +112,23 @@ def test_optimize_matching_flag(parallel_files, tmp_path):
     assert report["optimized"]["cost"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("paper", [False, True])
+def test_config_presets(tmp_path, paper):
+    # far-apart curves keep g2 tiny even under the worst-case constants
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"vertices": [[0, 0], [1, 0]]}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"vertices": [[0, 1000], [1, 1000]]}))
+    out = tmp_path / "report.json"
+    argv = ["compute", "--a", str(a), "--b", str(b), "--epsilon", "0.25", "--out", str(out)]
+    assert main(argv + (["--paper-constants"] if paper else [])) == 0
+    preset = ifd.GraphConfig(0.25) if paper else ifd.GraphConfig.desk(0.25)
+    assert json.loads(out.read_text())["config"] == {
+        "epsilon": 0.25, "c_g1": preset.c_g1, "c_radius": preset.c_radius,
+        "c_mesh": preset.c_mesh, "max_vertices": preset.max_vertices, "mode": "both",
+    }
+
+
 def test_oracle_mode_cli(parallel_files, tmp_path):
     a, b = parallel_files
     out = tmp_path / "report.json"

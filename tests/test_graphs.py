@@ -5,6 +5,7 @@ import pytest
 
 import ifd
 from ifd.errors import BudgetExceeded, DegenerateBall, Disconnected, NoFeasibleGraph
+from ifd.shortest_path import snapped_axis
 
 from helpers import PARALLEL, PERPENDICULAR, curve_pair, random_curve
 
@@ -189,6 +190,14 @@ def test_approximate_identical_zero():
     assert res.value <= 1e-9
 
 
+def test_identical_single_segment_exact_zero():
+    # zero-weight edges are searched as stored zeros, not as a denormal stand-in
+    t = ifd.build_curve([(0.0, 0.0), (1.0, 0.5)])
+    res = ifd.approximate_integral_frechet(t, t, ifd.GraphConfig.desk(0.25))
+    assert res.value == 0.0
+    assert res.average == 0.0
+
+
 def test_no_feasible_graph():
     t1, t2 = curve_pair(PARALLEL)
     cfg = ifd.GraphConfig(epsilon=0.25, max_vertices=10, mode="both", c_mesh=8.0, c_g1=40.0)
@@ -203,6 +212,12 @@ def test_oracle_mode():
     assert res.winning_mode == "oracle"
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert ifd.matching_cost(t1, t2, res.path) == pytest.approx(res.value, rel=1e-9)
+    # the stats describe the lattice, not the path through it
+    stats = res.graph_stats["oracle"]
+    nx = len(snapped_axis(np.array([0.0, t1.length]), stats["mesh"])[0])
+    ny = len(snapped_axis(np.array([0.0, t2.length]), stats["mesh"])[0])
+    assert stats["vertices"] == nx * ny
+    assert stats["edges"] == ny * (nx - 1) + (ny - 1) * nx + (ny - 1) * (nx - 1)
 
 
 def test_cost_consistency_of_reported_path():

@@ -7,7 +7,7 @@ import ifd
 from ifd.errors import BudgetExceeded
 from ifd.shortest_path import snapped_axis
 
-from helpers import PARALLEL, PERPENDICULAR, curve_pair, random_cell, random_curve
+from helpers import PARALLEL, PERPENDICULAR, curve_pair, lattice_oracle, random_cell, random_curve
 
 
 def _graph(tails, heads, weights, n, s=0, t=None):
@@ -51,13 +51,18 @@ def test_unreachable():
 
 
 def test_path_weights_sum_to_distance():
+    # Dijkstra on the built g1 shares no search code with the lattice sweep
+    # that approximate_integral_frechet runs for g1
     rng = np.random.default_rng(30)
-    t1 = random_curve(rng, 3)
-    t2 = random_curve(rng, 3)
-    cfg = ifd.GraphConfig.desk(epsilon=0.5, c_g1=5.0)
-    g = ifd.build_g1(t1, t2, cfg)
-    r = ifd.dijkstra(g)
-    assert r.kahan_length == pytest.approx(r.distance, rel=1e-9)
+    cfg = ifd.GraphConfig.desk(epsilon=0.5, c_g1=5.0, mode="g1")
+    for _ in range(6):
+        t1 = random_curve(rng, int(rng.integers(1, 4)))
+        t2 = random_curve(rng, int(rng.integers(1, 4)))
+        r = ifd.dijkstra(ifd.build_g1(t1, t2, cfg))
+        assert r.kahan_length == pytest.approx(r.distance, rel=1e-9)
+        sweep = ifd.approximate_integral_frechet(t1, t2, cfg)
+        assert sweep.value == pytest.approx(r.distance, rel=1e-12)
+        assert ifd.matching_cost(t1, t2, sweep.path) == pytest.approx(sweep.value, rel=1e-12)
 
 
 def test_dijkstra_matches_bellman_ford():
@@ -117,6 +122,15 @@ def test_dense_oracle_budget():
 
 
 def test_dense_oracle_beats_gridonly_graph():
+    # equal segments and k a multiple of both segment counts: the snapped
+    # lattice is the plain-loop oracle's k x k lattice
+    t1 = ifd.build_curve([(0.0, 0.0), (0.5, 0.0), (0.5 + 0.5 * math.cos(0.7), 0.5 * math.sin(0.7))])
+    t2 = ifd.build_curve([(0.1, 0.4), (0.1 + 1 / 3, 0.4), (0.1 + 1 / 3, 0.4 + 1 / 3),
+                          (0.1 + 1 / 3 + math.cos(-0.4) / 3, 0.4 + 1 / 3 + math.sin(-0.4) / 3)])
+    k = 12
+    loops = lattice_oracle(ifd.build_cells(t1, t2), (0.0, 0.0), (t1.length, t2.length), k)
+    assert ifd.dense_grid_oracle(t1, t2, 1.0 / k) == pytest.approx(loops, rel=1e-12)
+
     # same lattice without diagonal moves is exactly the grid graph
     rng = np.random.default_rng(33)
     t1 = random_curve(rng, 2)
