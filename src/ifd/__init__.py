@@ -27,13 +27,12 @@ from .graphs import (
 )
 from .integrals import (
     WeightedSegment,
+    arsinh_form,
+    piece_weights,
     quadrature_weighted_length,
     segment_weighted_length,
     split_at_parameter_lines,
     weighted_length,
-    weighted_length_axis_aligned,
-    weighted_length_general,
-    weighted_length_on_axis,
 )
 from .matching import (
     MonotonePath,
@@ -72,8 +71,7 @@ __all__ = [
     "EllipseSlice", "GridEdge", "weight", "build_cells", "free_space_axes",
     "edge_min", "ellipse_slice",
     "WeightedSegment", "split_at_parameter_lines", "weighted_length",
-    "weighted_length_axis_aligned", "weighted_length_on_axis",
-    "weighted_length_general", "quadrature_weighted_length",
+    "arsinh_form", "piece_weights", "quadrature_weighted_length",
     "segment_weighted_length",
     "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
     "partial_similarity_profile", "staircase_fallback_path",

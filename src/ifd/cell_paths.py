@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntiparallelCell, NotMonotone
-from .integrals import WeightedSegment, segment_quad_coeffs, weighted_length
+from .integrals import _A_EPS, piece_quadratics, piece_weights
 from .param_space import (
     CellGrid,
     GridEdge,
@@ -61,13 +61,8 @@ def _dedupe(points, tol=1e-15):
     return tuple(out)
 
 
-def _piece_length(cell, p, q):
-    kind = "axis_aligned" if (abs(q[0] - p[0]) <= 1e-15 or abs(q[1] - p[1]) <= 1e-15) else "general"
-    return weighted_length(WeightedSegment(a=ParameterPoint(*p), b=ParameterPoint(*q), cell=cell, kind=kind))
-
-
 def _polyline_length(cell, points):
-    return sum(_piece_length(cell, p, q) for p, q in zip(points[:-1], points[1:]))
+    return float(piece_weights(cell, points[:-1], points[1:]).sum())
 
 
 def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
@@ -163,7 +158,7 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
             # the piece along the shared edge evaluates identically in either cell
             length = (
                 _polyline_length(cell_o, _dedupe([o, c_o]))
-                + _piece_length(cell_o, c_o, c_p)
+                + _polyline_length(cell_o, [c_o, c_p])
                 + _polyline_length(cell_p, _dedupe([c_p, p]))
             )
             return CellPath(vertices=verts, branch="through_axis",
@@ -237,7 +232,7 @@ class SimilarityProfile:
             if l1len == 0.0:
                 continue
             d2 = deltas * deltas
-            if A <= 1e-14 * max(1.0, C):
+            if A <= _A_EPS * C:
                 out += np.where(C <= d2 + 1e-15, l1len, 0.0)
                 continue
             disc = B * B - 4.0 * A * (C - d2)
@@ -250,20 +245,19 @@ class SimilarityProfile:
 
 def partial_similarity_profile(cell: ParameterCell, path) -> SimilarityProfile:
     """Exact partial-similarity profile of a path that stays within one cell."""
-    vertices = getattr(path, "vertices", path)
-    pieces = []
+    vertices = np.asarray(getattr(path, "vertices", path), dtype=float)
+    A, B, C, l1len = piece_quadratics(cell, vertices[:-1], vertices[1:])
+    pieces = tuple(zip(A.tolist(), B.tolist(), C.tolist(), l1len.tolist()))
     bps = set()
     total = 0.0
-    for p, q in zip(vertices[:-1], vertices[1:]):
-        A, B, C, l1len = segment_quad_coeffs(cell, p, q)
-        pieces.append((A, B, C, l1len))
+    for A, B, C, l1len in pieces:
         total += l1len
         bps.add(math.sqrt(max(C, 0.0)))
         bps.add(math.sqrt(max(A + B + C, 0.0)))
-        if A > 1e-14 * max(1.0, C) and 0.0 < -B / (2.0 * A) < 1.0:
+        if A > _A_EPS * C and 0.0 < -B / (2.0 * A) < 1.0:
             bps.add(math.sqrt(max(C - B * B / (4.0 * A), 0.0)))
     return SimilarityProfile(
-        pieces=tuple(pieces),
+        pieces=pieces,
         breakpoints=np.array(sorted(bps)),
         total_l1=total,
     )

@@ -17,10 +17,6 @@ class AntiparallelCell(IfdError):
     """The cell's segments point in opposite directions; it has no monotone axis."""
 
 
-class NotOnAxis(IfdError):
-    """Segment endpoints deviate from the cell's monotone axis."""
-
-
 class NegativeRadicand(IfdError):
     """The quadratic under the square root dips below zero; coefficients are inconsistent."""
 

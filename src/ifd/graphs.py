@@ -11,6 +11,7 @@ and their minimum is the reported approximation.
 """
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -393,14 +394,13 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     nothing); every cell-boundary edge, outer boundary included, gets a
     grid ball at its weight minimizer; the source/sink connectors exist
     exactly when the corner cells' axes meet their cell.  All pairwise
-    intersections become vertices, every edge points right/up, and weights
-    come from the closed forms (trapezoid on the axes, arsinh form on the
-    lattice lines, the general form on connectors).
+    intersections become vertices, every edge points right/up, and all
+    edge weights come from one batched closed-form call over the embedded
+    pieces.
     """
     grid = build_cells(t1, t2)
     l1, l2 = grid.extent
-    scale = max(l1, l2, 1.0)
-    snap = 1e-12 * scale
+    snap = 1e-12 * max(l1, l2)
 
     h_raw, v_raw, diag_segs, iso = [], [], [], []
     iso.append((0.0, 0.0))
@@ -489,27 +489,29 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
 
     for pt in iso:
         vertex(pt)
-    edges = {}
+    edges = {}  # (tail, head) -> None, in insertion order; the first piece wins
+    embed = array("d")  # x, y of each edge's tail, then of its head
     for p, q in arr.pieces():
         if (q[0], q[1]) < (p[0], p[1]):
             p, q = q, p
         ia, ib = vertex(p), vertex(q)
         if ia == ib or (ia, ib) in edges:
             continue
-        edges[(ia, ib)] = segment_weighted_length(grid, p, q)
+        edges[(ia, ib)] = None
+        embed.extend((*p, *q))
         if len(vid) > cfg.max_vertices:
             raise BudgetExceeded(len(vid), cfg.max_vertices)
 
     pts = np.asarray(coords) if coords else np.empty((0, 2))
     tails = np.fromiter((k[0] for k in edges), dtype=np.int64, count=len(edges))
     heads = np.fromiter((k[1] for k in edges), dtype=np.int64, count=len(edges))
-    weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    embed = np.frombuffer(embed, dtype=float).reshape(-1, 4)
     return MonotoneDigraph(
         xs=pts[:, 0].copy(),
         ys=pts[:, 1].copy(),
         tails=tails,
         heads=heads,
-        weights=weights,
+        weights=segment_weighted_length(grid, embed[:, :2], embed[:, 2:]),
         source=vid[arr.key((0.0, 0.0))],
         sink=vid[arr.key((l1, l2))],
         label="g2",

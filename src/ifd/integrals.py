@@ -1,40 +1,48 @@
 """Exact weighted lengths of straight segments in parameter space.
 
 The weighted length of a segment is the integral of the weight against L1
-speed.  Within one cell the squared weight along a straight segment is a
+speed.  Within one cell the squared weight along a straight piece is a
 quadratic A s^2 + B s + C in the normalized parameter, so
 
     integral sqrt(A s^2 + B s + C) ds
 
-has the standard arsinh antiderivative; degenerate branches (constant
-weight, weight touching zero) use their own exact forms to avoid
-cancellation.  Segments are split at parameter lines first so one
-quadratic applies per piece.  An adaptive-Simpson quadrature over the raw
+has the standard arsinh antiderivative.  :func:`arsinh_form` is the one
+closed form for straight pieces, vectorized: :func:`piece_weights` feeds it
+in-cell pieces, and :func:`segment_weighted_length` feeds it any segments
+(two points, or two (n, 2) arrays) after cutting them all at the parameter
+lines in one pass.  The strip kernels weigh lattice rows with one
+primitive per lattice point.  An adaptive-Simpson quadrature over the raw
 curve evaluations serves as the independent cross-check.
+
+The per-case forms ``weighted_length_general``, ``weighted_length_axis_aligned``
+and ``weighted_length_on_axis``, ``WeightedSegment.kind`` and
+``errors.NotOnAxis`` are gone; :func:`weighted_length` and
+:func:`piece_weights` weigh every piece.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NegativeRadicand, NonConvergence, NotOnAxis
-from .param_space import CellGrid, ParameterCell, ParameterPoint, free_space_axes
+from .errors import NegativeRadicand, NonConvergence
+from .param_space import CellGrid, ParameterCell, ParameterPoint
 
 __all__ = [
     "WeightedSegment",
     "split_at_parameter_lines",
-    "weighted_length_axis_aligned",
-    "weighted_length_on_axis",
-    "weighted_length_general",
+    "arsinh_form",
+    "piece_quadratics",
+    "piece_weights",
     "weighted_length",
+    "segment_weighted_length",
     "quadrature_weighted_length",
 ]
 
-_A_EPS = 1e-14       # below this the leash is constant along the segment
-_H_EPS = 1e-12       # point-on-line threshold for the axis-aligned form
-_AXIS_TOL = 1e-9     # max deviation from the axis for the on-axis form
-_Q_NEG_TOL = -1e-9   # squared weight below this signals bad coefficients
+_A_EPS = 1e-14       # A below this times C: the leash is constant along the piece
+_Q_NEG_TOL = 1e-9    # w^2 below -this times the endpoint w^2 signals bad coefficients
+_BLOCK = 4096        # segments per pass, so temporaries stay small for any batch
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,6 @@ class WeightedSegment:
     a: ParameterPoint
     b: ParameterPoint
     cell: ParameterCell
-    kind: str  # 'axis_aligned' | 'on_axis' | 'general'
 
     @property
     def l1_length(self) -> float:
@@ -65,145 +72,162 @@ def _primitive(t, hsq):
     return out if out.ndim else float(out)
 
 
-def segment_quad_coeffs(cell: ParameterCell, a, b):
-    """(A, B, C, l1len) with w^2(s) = A s^2 + B s + C along a -> b, s in [0, 1]."""
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    l1len = abs(dx) + abs(dy)
-    leash_a = cell.leash(a[0], a[1])
-    vel = dy * cell.v - dx * cell.u  # leash velocity
-    A = float(np.dot(vel, vel))
-    B = 2.0 * float(np.dot(leash_a, vel))
-    C = float(np.dot(leash_a, leash_a))
-    return A, B, C, l1len
+def _unit_step(t0, hsq):
+    """integral_{t0}^{t0+1} sqrt(t^2 + hsq) dt, free of cancellation.
 
-
-def _closed_form(A, B, C, l1len):
-    if l1len == 0.0:
-        return 0.0
-    if A <= _A_EPS * max(1.0, C):
-        # constant leash velocity ~ 0, so the weight is (nearly) constant
-        return l1len * 0.5 * (math.sqrt(max(C, 0.0)) + math.sqrt(max(A + B + C, 0.0)))
-    qmin = C - B * B / (4.0 * A) if 0.0 <= -B / (2.0 * A) <= 1.0 else min(C, A + B + C)
-    if qmin < _Q_NEG_TOL:
-        raise NegativeRadicand(f"w^2 reaches {qmin:.3e} along the segment")
-    hsq = max((4.0 * A * C - B * B) / (4.0 * A * A), 0.0)
-    t0 = B / (2.0 * A)
-    return l1len * math.sqrt(A) * (_primitive(t0 + 1.0, hsq) - _primitive(t0, hsq))
-
-
-def weighted_length_general(seg: WeightedSegment) -> float:
-    """Closed-form weighted length of an arbitrary in-cell segment."""
-    A, B, C, l1len = segment_quad_coeffs(seg.cell, seg.a, seg.b)
-    return _closed_form(A, B, C, l1len)
-
-
-def weighted_length_axis_aligned(seg: WeightedSegment) -> float:
-    """Closed form for horizontal/vertical segments.
-
-    One curve point is fixed; with t the signed arc length from the foot of
-    its perpendicular onto the moving segment's supporting line and h the
-    foot distance, the weight is sqrt(t^2 + h^2) and the arsinh primitive
-    applies directly.
+    With r the root at both ends, t1 r1 - t0 r0 = ((r0 + r1) + (t0 + t1)^2 / (r0 + r1)) / 2
+    and the arsinh difference is one arsinh when t0 and t1 share a sign, a
+    sum of two positive ones when they do not; no term subtracts two
+    primitives, which would lose |t0| ulps far from the foot.
     """
-    cell = seg.cell
-    ax, ay = seg.a
-    bx, by = seg.b
-    if abs(by - ay) <= abs(bx - ax):
-        # horizontal: T2 point fixed at y, T1 moves
-        fixed = cell.b0 + (ay - cell.y0) * cell.v
-        base, d = cell.a0, cell.u
-        s0, s1 = ax - cell.x0, bx - cell.x0
-    else:
-        fixed = cell.a0 + (ax - cell.x0) * cell.u
-        base, d = cell.b0, cell.v
-        s0, s1 = ay - cell.y0, by - cell.y0
-    rel = fixed - base
-    foot = float(np.dot(rel, d))
-    perp = rel - foot * d
-    hsq = float(np.dot(perp, perp))
-    if hsq < _H_EPS * _H_EPS:
-        hsq = 0.0
-    lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
-    return float(_primitive(hi - foot, hsq) - _primitive(lo - foot, hsq))
+    t1 = t0 + 1.0
+    r0 = np.sqrt(t0 * t0 + hsq)
+    r1 = np.sqrt(t1 * t1 + hsq)
+    rs = r0 + r1
+    ts = t0 + t1
+    h = np.sqrt(hsq)
+    # |same's argument| <= 1 / h, so only the masked hsq == 0 entries overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        same = np.arcsinh(ts / (t1 * r0 + t0 * r1))
+        across = np.arcsinh(t1 / h) - np.arcsinh(t0 / h)
+        curved = hsq * np.where(t0 * t1 > 0.0, same, across)
+    return 0.25 * (rs + ts * ts / rs) + 0.5 * np.where(hsq > 0.0, curved, 0.0)
 
 
-def weighted_length_on_axis(seg: WeightedSegment) -> float:
-    """Trapezoid rule along the monotone axis, split at the axis minimum.
+def arsinh_form(A, B, C, l1len):
+    """``l1len * integral_0^1 sqrt(A s^2 + B s + C) ds``, elementwise over broadcast arrays.
 
-    The weight is exactly piecewise linear in L1 arc length along the axis
-    (single kink at the center), so the trapezoid value is exact.
+    Completing the square gives A ((s + t0)^2 + hsq) with t0 = B / 2A and
+    hsq = (4AC - B^2) / 4A^2, whose root integrates to the arsinh primitive.
+    Where A <= 1e-14 C the weight is constant to that relative precision
+    and the trapezoid rule is used instead.  Both tests are scale-free.
+    Raises :class:`NegativeRadicand` when the quadratic dips below zero on
+    [0, 1] by more than 1e-9 of its endpoint values.
     """
-    axes = free_space_axes(seg.cell)
-    k = axes.intercept
-    for p in (seg.a, seg.b):
-        if abs((p[1] - p[0]) - k) > _AXIS_TOL:
-            raise NotOnAxis(f"point {p} deviates from axis y = x + {k:.6g}")
-    ta = axes.l1_of(seg.a)
-    tb = axes.l1_of(seg.b)
-    if ta > tb:
-        ta, tb = tb, ta
-    knots = [ta, tb]
-    if ta < 0.0 < tb:
-        knots = [ta, 0.0, tb]
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        total += 0.5 * (axes.w_at(lo) + axes.w_at(hi)) * (hi - lo)
-    return total
+    A, B, C, l1len = (np.asarray(v, dtype=float) for v in (A, B, C, l1len))
+    flat = A <= _A_EPS * C
+    any_flat = bool(flat.any())
+    a_safe = np.where(flat, 1.0, A) if any_flat else A
+    t0 = B / (2.0 * a_safe)
+    hsq = (4.0 * a_safe * C - B * B) / (4.0 * a_safe * a_safe)
+    if (hsq < 0.0).any():
+        # only a negative hsq lets the quadratic's minimum on [0, 1] go below zero
+        m = np.minimum(np.maximum(-t0, 0.0), 1.0)  # argmin of (s + t0)^2 on [0, 1]
+        qmin = np.where(flat, 0.0, a_safe * ((m + t0) ** 2 + hsq))
+        if (qmin < -_Q_NEG_TOL * np.maximum(C, A + B + C)).any():
+            raise NegativeRadicand(f"w^2 reaches {float(qmin.min()):.3e} along a piece")
+        hsq = np.maximum(hsq, 0.0)
+    out = l1len * np.sqrt(a_safe) * _unit_step(t0, hsq)
+    if any_flat:
+        trap = l1len * 0.5 * (np.sqrt(np.maximum(C, 0.0)) + np.sqrt(np.maximum(A + B + C, 0.0)))
+        out = np.where(flat, trap, out)
+    return out
+
+
+def _cell_table(grid: CellGrid, i, j):
+    """The fields of cell (i[k], j[k]) that :func:`piece_quadratics` reads, one row per k."""
+    t1, t2 = grid.t1, grid.t2
+    return SimpleNamespace(x0=grid.x_cuts[i], y0=grid.y_cuts[j], a0=t1.vertices[i],
+                           u=t1.directions[i], b0=t2.vertices[j], v=t2.directions[j])
+
+
+def piece_quadratics(cell, a, b):
+    """(A, B, C, l1len) arrays with w^2(s) = A s^2 + B s + C along each piece a -> b.
+
+    ``a`` and ``b`` are (n, 2) arrays of global parameter points.  ``cell``
+    is one :class:`ParameterCell` holding every piece, or any object with
+    its fields ``x0, y0, a0, u, b0, v`` holding one row per piece.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    d = b - a
+    xi = (a[:, 0] - cell.x0)[:, None]
+    eta = (a[:, 1] - cell.y0)[:, None]
+    lead = (cell.b0 + eta * cell.v) - (cell.a0 + xi * cell.u)  # leash at a
+    vel = d[:, 1:] * cell.v - d[:, :1] * cell.u                # leash velocity
+    A = np.einsum("ij,ij->i", vel, vel)
+    B = 2.0 * np.einsum("ij,ij->i", lead, vel)
+    C = np.einsum("ij,ij->i", lead, lead)
+    return A, B, C, np.abs(d).sum(axis=1)
+
+
+def piece_weights(cell, a, b) -> np.ndarray:
+    """Exact weighted lengths of the in-cell pieces a -> b; see :func:`piece_quadratics`."""
+    return arsinh_form(*piece_quadratics(cell, a, b))
 
 
 def weighted_length(seg: WeightedSegment) -> float:
-    if seg.kind == "axis_aligned":
-        return weighted_length_axis_aligned(seg)
-    if seg.kind == "on_axis":
-        return weighted_length_on_axis(seg)
-    return weighted_length_general(seg)
+    """Exact weighted length of one in-cell piece."""
+    return float(piece_weights(seg.cell, seg.a, seg.b)[0])
 
 
-def _classify(cell: ParameterCell, a, b) -> str:
-    if abs(b[0] - a[0]) <= 1e-15 or abs(b[1] - a[1]) <= 1e-15:
-        return "axis_aligned"
-    if cell.kind != "antiparallel":
-        k = cell.axis_intercept
-        if abs((a[1] - a[0]) - k) <= _AXIS_TOL and abs((b[1] - b[0]) - k) <= _AXIS_TOL:
-            return "on_axis"
-    return "general"
+def _split(grid: CellGrid, a, b):
+    """Cut every segment a[k] -> b[k] (a point or an (n, 2) array each) at the parameter lines.
+
+    Returns ``(seg, p, q, i, j)``, one row per piece, ordered by segment and
+    along each segment: the segment index, the piece endpoints and the cell
+    indices.  A piece on a parameter line resolves to the lower/left cell.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    n = len(a)
+    d = b - a
+    ids = np.arange(n)
+    segs, params = [ids, ids], [np.zeros(n), np.ones(n)]
+    for axis, cuts in ((0, grid.x_cuts), (1, grid.y_cuts)):
+        lo = np.minimum(a[:, axis], b[:, axis])
+        hi = np.maximum(a[:, axis], b[:, axis])
+        first = np.searchsorted(cuts, lo, side="right")
+        count = np.maximum(np.searchsorted(cuts, hi, side="left") - first, 0)
+        k = np.repeat(ids, count)
+        idx = first[k] + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
+        segs.append(k)
+        params.append((cuts[idx] - a[k, axis]) / d[k, axis])
+    seg = np.concatenate(segs)
+    s = np.concatenate(params)
+    order = np.lexsort((s, seg))
+    seg, s = seg[order], s[order]
+    keep = np.ones(len(seg), dtype=bool)
+    keep[1:] = (seg[1:] != seg[:-1]) | (s[1:] != s[:-1])
+    seg, s = seg[keep], s[keep]
+    pts = a[seg] + s[:, None] * d[seg]
+    same = seg[1:] == seg[:-1]  # consecutive cut points of one segment bound a piece
+    p, q, seg = pts[:-1][same], pts[1:][same], seg[:-1][same]
+    mid = 0.5 * (p + q)
+    # counting the inner cuts below the midpoint clamps to the outer cells
+    i = np.searchsorted(grid.x_cuts[1:-1], mid[:, 0], side="left")
+    j = np.searchsorted(grid.y_cuts[1:-1], mid[:, 1], side="left")
+    return seg, p, q, i, j
 
 
 def split_at_parameter_lines(grid: CellGrid, a, b):
-    """Cut the segment a -> b at every parameter line it crosses.
+    """Cut the segment a -> b (or each of the (n, 2) segments a -> b) at every parameter line.
 
     Returns the ordered pieces as :class:`WeightedSegment`; each piece lies
     in exactly one cell (boundary pieces resolve to the lower/left cell).
     """
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    dx, dy = bx - ax, by - ay
-    params = {0.0, 1.0}
-    if abs(dx) > 0.0:
-        lo, hi = sorted((ax, bx))
-        for cut in grid.x_cuts:
-            if lo < cut < hi:
-                params.add((cut - ax) / dx)
-    if abs(dy) > 0.0:
-        lo, hi = sorted((ay, by))
-        for cut in grid.y_cuts:
-            if lo < cut < hi:
-                params.add((cut - ay) / dy)
-    svals = sorted(params)
-    pieces = []
-    for s0, s1 in zip(svals[:-1], svals[1:]):
-        p = ParameterPoint(ax + s0 * dx, ay + s0 * dy)
-        q = ParameterPoint(ax + s1 * dx, ay + s1 * dy)
-        mid = (0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
-        cell = grid.cell_at(mid, prefer_lower=True)
-        pieces.append(WeightedSegment(a=p, b=q, cell=cell, kind=_classify(cell, p, q)))
-    return pieces
+    _, p, q, i, j = _split(grid, a, b)
+    return [
+        WeightedSegment(a=ParameterPoint(*pp), b=ParameterPoint(*qq), cell=grid.cell(ii, jj))
+        for pp, qq, ii, jj in zip(p.tolist(), q.tolist(), i.tolist(), j.tolist())
+    ]
 
 
-def segment_weighted_length(grid: CellGrid, a, b) -> float:
-    """Exact weighted length of an arbitrary segment: split, then closed forms."""
-    return sum(weighted_length(seg) for seg in split_at_parameter_lines(grid, a, b))
+def segment_weighted_length(grid: CellGrid, a, b):
+    """Exact weighted length of a -> b: cut at the parameter lines, then the closed form.
+
+    Two points give a float; two (n, 2) arrays give the n lengths as an array.
+    """
+    single = np.ndim(a) == 1
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    totals = np.empty(len(a))
+    for k in range(0, len(a), _BLOCK):
+        block = slice(k, k + _BLOCK)
+        seg, p, q, i, j = _split(grid, a[block], b[block])
+        w = piece_weights(_cell_table(grid, i, j), p, q)
+        totals[block] = np.bincount(seg, weights=w, minlength=len(totals[block]))
+    return float(totals[0]) if single else totals
 
 
 # -- vectorized per-cell kernels (lattice and grid-graph construction) --------
@@ -260,18 +284,8 @@ def diagonal_block_weights(cell: ParameterCell, xi0: np.ndarray, eta0: np.ndarra
     day = d0[1] + eta0[:, None] * cell.v[1] - xi0[None, :] * cell.u[1]
     ex = deta * cell.v[0] - dxi * cell.u[0]
     ey = deta * cell.v[1] - dxi * cell.u[1]
-    A = ex * ex + ey * ey
-    B = 2.0 * (dax * ex + day * ey)
-    C = dax * dax + day * day
-    l1len = abs(dxi) + abs(deta)
-    if l1len == 0.0:
-        return np.zeros_like(C)
-    cmax = float(C.max()) if C.size else 0.0
-    if A <= _A_EPS * max(1.0, cmax):
-        return l1len * 0.5 * (np.sqrt(np.maximum(C, 0.0)) + np.sqrt(np.maximum(A + B + C, 0.0)))
-    hsq = np.maximum((4.0 * A * C - B * B) / (4.0 * A * A), 0.0)
-    t0 = B / (2.0 * A)
-    return l1len * math.sqrt(A) * (_primitive(t0 + 1.0, hsq) - _primitive(t0, hsq))
+    return arsinh_form(ex * ex + ey * ey, 2.0 * (dax * ex + day * ey),
+                       dax * dax + day * day, abs(dxi) + abs(deta))
 
 
 def _simpson(f, lo, hi, f_lo, f_mid, f_hi, tol, depth):

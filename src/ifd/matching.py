@@ -13,11 +13,7 @@ import numpy as np
 from .cell_paths import cell_shortest_path
 from .curves import PolygonalCurve
 from .errors import NotMonotone
-from .integrals import (
-    segment_weighted_length,
-    split_at_parameter_lines,
-    weighted_length,
-)
+from .integrals import piece_weights, segment_weighted_length, split_at_parameter_lines
 from .param_space import build_cells
 
 __all__ = [
@@ -74,7 +70,7 @@ def matching_cost(t1: PolygonalCurve, t2: PolygonalCurve, path) -> float:
     """Weighted length of the path: the integral cost of the induced matching."""
     p = _as_path(path)
     grid = build_cells(t1, t2)
-    return sum(segment_weighted_length(grid, a, b) for a, b in p.legs())
+    return float(segment_weighted_length(grid, p.vertices[:-1], p.vertices[1:]).sum())
 
 
 def evaluate_matching(path, t: float):
@@ -97,9 +93,7 @@ def evaluate_matching(path, t: float):
 
 def _substitute_once(grid, p: MonotonePath):
     """One substitution sweep; returns (new path, its cost)."""
-    pieces = []
-    for a, b in p.legs():
-        pieces.extend(split_at_parameter_lines(grid, a, b))
+    pieces = split_at_parameter_lines(grid, p.vertices[:-1], p.vertices[1:])
     if not pieces:
         return p, 0.0
     groups = []
@@ -116,7 +110,7 @@ def _substitute_once(grid, p: MonotonePath):
         first, last = segs[0].a, segs[-1].b
         if cell.kind == "antiparallel":
             sub = [tuple(s.a) for s in segs] + [tuple(last)]
-            cost += sum(weighted_length(s) for s in segs)
+            cost += float(piece_weights(cell, [s.a for s in segs], [s.b for s in segs]).sum())
         else:
             best = cell_shortest_path(cell, first, last)
             sub = [tuple(v) for v in best.vertices]
@@ -164,13 +158,12 @@ def max_leash(t1: PolygonalCurve, t2: PolygonalCurve, path) -> float:
     p = _as_path(path)
     grid = build_cells(t1, t2)
     best = 0.0
-    for a, b in p.legs():
-        for seg in split_at_parameter_lines(grid, a, b):
-            best = max(
-                best,
-                float(seg.cell.weight_at(seg.a.x, seg.a.y)),
-                float(seg.cell.weight_at(seg.b.x, seg.b.y)),
-            )
+    for seg in split_at_parameter_lines(grid, p.vertices[:-1], p.vertices[1:]):
+        best = max(
+            best,
+            float(seg.cell.weight_at(seg.a.x, seg.a.y)),
+            float(seg.cell.weight_at(seg.b.x, seg.b.y)),
+        )
     if len(p.vertices) == 1:
         v = p.vertices[0]
         best = float(grid.cell_at((v[0], v[1])).weight_at(v[0], v[1]))

@@ -86,7 +86,7 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
         preds = csc.indices[lo:hi]
         wts = csc.data[lo:hi]
         slack = dist[preds] + wts - dist[cur]
-        tol = 1e-12 * (1.0 + abs(dist[cur]))
+        tol = 1e-12 * abs(dist[cur])
         ok = np.flatnonzero(slack <= tol)
         if ok.size == 0:
             ok = np.array([int(np.argmin(slack))])

@@ -88,20 +88,25 @@ def lattice_oracle(grid, a, b, k):
     xs = axis(a[0], b[0], grid.x_cuts)
     ys = axis(a[1], b[1], grid.y_cuts)
     nx, ny = len(xs), len(ys)
+    gx, gy = np.meshgrid(xs, ys)
+    here = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def weights(dc, dr):
+        # weight of the step from (xs[c - dc], ys[r - dr]) to (xs[c], ys[r]), by point
+        back = np.column_stack([np.roll(gx, dc, axis=1).ravel(), np.roll(gy, dr, axis=0).ravel()])
+        return ifd.segment_weighted_length(grid, back, here).reshape(ny, nx)
+
+    right, up, diag = weights(1, 0), weights(0, 1), weights(1, 1)
     dist = np.full((ny, nx), np.inf)
     dist[0, 0] = 0.0
     for r in range(ny):
         for c in range(nx):
-            here = (xs[c], ys[r])
             if c > 0:
-                cand = dist[r, c - 1] + ifd.segment_weighted_length(grid, (xs[c - 1], ys[r]), here)
-                dist[r, c] = min(dist[r, c], cand)
+                dist[r, c] = min(dist[r, c], dist[r, c - 1] + right[r, c])
             if r > 0:
-                cand = dist[r - 1, c] + ifd.segment_weighted_length(grid, (xs[c], ys[r - 1]), here)
-                dist[r, c] = min(dist[r, c], cand)
+                dist[r, c] = min(dist[r, c], dist[r - 1, c] + up[r, c])
             if r > 0 and c > 0:
-                cand = dist[r - 1, c - 1] + ifd.segment_weighted_length(grid, (xs[c - 1], ys[r - 1]), here)
-                dist[r, c] = min(dist[r, c], cand)
+                dist[r, c] = min(dist[r, c], dist[r - 1, c - 1] + diag[r, c])
     return float(dist[-1, -1])
 
 

@@ -35,7 +35,8 @@ def _line(name, detail):
 
 def test_c1_closed_forms_match_quadrature():
     rng = np.random.default_rng(101)
-    started = time.perf_counter()
+    # CPU time of this process, so a busy machine does not fail the gate
+    started = time.process_time()
     checked = 0
     worst = 0.0
     while checked < 1000:
@@ -43,9 +44,9 @@ def test_c1_closed_forms_match_quadrature():
         segs = []
         for _ in range(4):
             a, b = random_monotone_pair(rng, cell)
-            segs.append(WeightedSegment(a, b, cell, "general"))
-            segs.append(WeightedSegment(a, (b[0], a[1]), cell, "axis_aligned"))
-            segs.append(WeightedSegment((a[0], a[1]), (a[0], b[1]), cell, "axis_aligned"))
+            segs.append(WeightedSegment(a, b, cell))
+            segs.append(WeightedSegment(a, (b[0], a[1]), cell))
+            segs.append(WeightedSegment((a[0], a[1]), (a[0], b[1]), cell))
         ax = ifd.free_space_axes(cell)
         if ax.ell is not None:
             p, q = ax.ell
@@ -53,7 +54,7 @@ def test_c1_closed_forms_match_quadrature():
                 f0, f1 = np.sort(rng.uniform(0, 1, 2))
                 aa = (p.x + f0 * (q.x - p.x), p.y + f0 * (q.y - p.y))
                 bb = (p.x + f1 * (q.x - p.x), p.y + f1 * (q.y - p.y))
-                segs.append(WeightedSegment(aa, bb, cell, "on_axis"))
+                segs.append(WeightedSegment(aa, bb, cell))
         for seg in segs:
             exact = ifd.weighted_length(seg)
             oracle = ifd.quadrature_weighted_length(grid, seg.a, seg.b, tol=1e-12)
@@ -64,7 +65,7 @@ def test_c1_closed_forms_match_quadrature():
             else:
                 assert exact <= 1e-10
             checked += 1
-    elapsed = time.perf_counter() - started
+    elapsed = time.process_time() - started
     assert elapsed < 5.0
     _line("C1 closed-form integrals",
           f"{checked} segments, worst rel err {worst:.2e}, {elapsed:.2f}s")

@@ -227,3 +227,43 @@ def test_cost_consistency_of_reported_path():
     cfg = ifd.GraphConfig.desk(epsilon=0.25, c_g1=10.0)
     res = ifd.approximate_integral_frechet(t1, t2, cfg)
     assert ifd.matching_cost(t1, t2, res.path) == pytest.approx(res.value, rel=1e-9)
+
+
+def test_build_g2_makes_one_weight_call(monkeypatch):
+    from ifd import graphs
+
+    calls = []
+    weigh = graphs.segment_weighted_length
+
+    def counted(grid, a, b):
+        calls.append(len(a))
+        return weigh(grid, a, b)
+
+    monkeypatch.setattr(graphs, "segment_weighted_length", counted)
+    t1, t2 = curve_pair(PERPENDICULAR)
+    g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25))
+    assert calls == [g.n_edges]
+    assert ifd.dijkstra(g).distance == pytest.approx(math.sqrt(2), abs=1e-9)
+
+
+# two g2-regime pairs whose tolerances were once absolute: at s = 1e-8 the
+# reported paths re-integrated 7.3% and 21% off and the second lost 81 vertices
+SCALE_PAIRS = [
+    ([(0, 0), (0.132, -0.306), (0.004, -0.614), (0.081, -0.938)],
+     [(-0.103, 2.94), (1.133, 3.344)]),
+    ([(0, 0), (1.1, -0.693)],
+     [(-0.019, 3.754), (0.214, 3.516), (0.274, 3.188), (0.229, 2.858)]),
+]
+
+
+@pytest.mark.parametrize("pair", SCALE_PAIRS)
+def test_g2_scale_invariant(pair):
+    t1, t2 = curve_pair(pair)
+    cfg = ifd.GraphConfig.desk(epsilon=0.25, mode="g2")
+    base = ifd.approximate_integral_frechet(t1, t2, cfg)
+    for s in (1e-8, 1e6):
+        s1, s2 = t1.scaled(s), t2.scaled(s)
+        res = ifd.approximate_integral_frechet(s1, s2, cfg)
+        assert res.graph_stats["g2"]["vertices"] == base.graph_stats["g2"]["vertices"]
+        assert res.value / (s * s) == pytest.approx(base.value, rel=1e-12, abs=0.0)
+        assert ifd.matching_cost(s1, s2, res.path) == pytest.approx(res.value, rel=1e-9, abs=0.0)

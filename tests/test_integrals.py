@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifd
-from ifd.errors import NegativeRadicand, NonConvergence, NotOnAxis
-from ifd.integrals import WeightedSegment, _closed_form, _simpson
+from ifd.errors import NegativeRadicand, NonConvergence
+from ifd.integrals import WeightedSegment, _simpson
 
 from helpers import PARALLEL, PERPENDICULAR, curve_pair, random_cell, random_monotone_pair
 
@@ -19,7 +19,7 @@ def test_split_single_cell():
     g = ifd.build_cells(t1, t2)
     pieces = ifd.split_at_parameter_lines(g, (0.1, 0.2), (0.9, 0.8))
     assert len(pieces) == 1
-    assert pieces[0].kind == "general"
+    assert pieces[0].cell is g.cell(0, 0)
 
 
 def test_split_on_parameter_line():
@@ -30,7 +30,7 @@ def test_split_on_parameter_line():
     assert len(pieces) == 2
     assert pieces[0].b == pieces[1].a
     assert pieces[0].b.x == pytest.approx(1.0)
-    assert all(p.kind == "axis_aligned" for p in pieces)
+    assert [(p.cell.i, p.cell.j) for p in pieces] == [(0, 0), (1, 0)]
 
 
 def test_split_diagonal_two_by_two():
@@ -47,8 +47,7 @@ def test_axis_aligned_arsinh_value():
     t1, t2 = curve_pair(PARALLEL)
     g = ifd.build_cells(t1, t2)
     seg = ifd.split_at_parameter_lines(g, (0.0, 0.0), (1.0, 0.0))[0]
-    assert seg.kind == "axis_aligned"
-    val = ifd.weighted_length_axis_aligned(seg)
+    val = ifd.weighted_length(seg)
     assert val == pytest.approx(SQRT1P, abs=1e-12)
     assert val == pytest.approx(ifd.quadrature_weighted_length(g, (0, 0), (1, 0)), abs=1e-10)
 
@@ -56,57 +55,88 @@ def test_axis_aligned_arsinh_value():
 def test_axis_aligned_degenerate_cases():
     t1, t2 = curve_pair(PERPENDICULAR)
     g = ifd.build_cells(t1, t2)
-    zero = WeightedSegment((0.3, 0.3), (0.3, 0.3), g.cell(0, 0), "axis_aligned")
-    assert ifd.weighted_length_axis_aligned(zero) == 0.0
+    zero = WeightedSegment((0.3, 0.3), (0.3, 0.3), g.cell(0, 0))
+    assert ifd.weighted_length(zero) == 0.0
     # fixed point on the moving line: integral of t
     on_line = ifd.split_at_parameter_lines(g, (0.0, 0.0), (1.0, 0.0))[0]
-    assert ifd.weighted_length_axis_aligned(on_line) == pytest.approx(0.5, abs=1e-12)
+    assert ifd.weighted_length(on_line) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_on_axis_values():
     t1, t2 = curve_pair(PARALLEL)
     g = ifd.build_cells(t1, t2)
-    seg = ifd.split_at_parameter_lines(g, (0, 0), (1, 1))[0]
-    assert seg.kind == "on_axis"
-    assert ifd.weighted_length_on_axis(seg) == pytest.approx(2.0, abs=1e-12)
+    assert ifd.segment_weighted_length(g, (0, 0), (1, 1)) == pytest.approx(2.0, abs=1e-12)
 
     t1, t2 = curve_pair(PERPENDICULAR)
     g = ifd.build_cells(t1, t2)
-    seg = ifd.split_at_parameter_lines(g, (0, 0), (1, 1))[0]
-    assert seg.kind == "on_axis"
-    assert ifd.weighted_length_on_axis(seg) == pytest.approx(math.sqrt(2), abs=1e-12)
-    # symmetric piece around the center: trapezoid equals endpoint weight x length
-    sym = WeightedSegment((0.25, 0.25), (0.75, 0.75), g.cell(0, 0), "on_axis")
+    assert ifd.segment_weighted_length(g, (0, 0), (1, 1)) == pytest.approx(math.sqrt(2), abs=1e-12)
+    # symmetric piece around the center: the weight is linear on either side
+    sym = ifd.segment_weighted_length(g, (0.25, 0.25), (0.75, 0.75))
+    assert sym == pytest.approx(0.5 * math.sqrt(2), abs=1e-12)
     direct = ifd.quadrature_weighted_length(g, (0.25, 0.25), (0.75, 0.75))
-    assert ifd.weighted_length_on_axis(sym) == pytest.approx(direct, abs=1e-10)
+    assert sym == pytest.approx(direct, abs=1e-10)
 
 
-def test_on_axis_rejects_off_axis_points():
-    t1, t2 = curve_pair(PERPENDICULAR)
-    g = ifd.build_cells(t1, t2)
-    seg = WeightedSegment((0.0, 0.2), (1.0, 1.0), g.cell(0, 0), "on_axis")
-    with pytest.raises(NotOnAxis):
-        ifd.weighted_length_on_axis(seg)
+def _axis_aligned_reference(cell, a, b):
+    """Weighted length of a horizontal a -> b from the point-to-line geometry.
+
+    The T2 point stays fixed, the T1 point runs along a line; with t the
+    arc length from the foot of the perpendicular and h the foot distance
+    the weight is sqrt(t^2 + h^2).
+    """
+    fixed = cell.b0 + (a[1] - cell.y0) * cell.v
+    rel = fixed - cell.a0
+    foot = float(np.dot(rel, cell.u))
+    hsq = float(np.dot(rel - foot * cell.u, rel - foot * cell.u))
+
+    def prim(t):
+        r = math.hypot(t, math.sqrt(hsq))
+        return 0.5 * (t * r + hsq * math.asinh(t / math.sqrt(hsq)))
+
+    return prim(b[0] - cell.x0 - foot) - prim(a[0] - cell.x0 - foot)
+
+
+def _on_axis_reference(cell, a, b):
+    """Trapezoid along the monotone axis, split at its kink; exact there."""
+    axes = ifd.free_space_axes(cell)
+    ta, tb = sorted((axes.l1_of(a), axes.l1_of(b)))
+    knots = [ta, 0.0, tb] if ta < 0.0 < tb else [ta, tb]
+    return sum(0.5 * (axes.w_at(lo) + axes.w_at(hi)) * (hi - lo)
+               for lo, hi in zip(knots[:-1], knots[1:]))
 
 
 def test_general_matches_special_forms():
+    # the one closed form reproduces the dedicated formulas it replaced
     rng = np.random.default_rng(10)
     for _ in range(40):
         grid, cell = random_cell(rng)
         a, b = random_monotone_pair(rng, cell)
-        horiz = WeightedSegment(a, (b[0], a[1]), cell, "general")
-        dedicated = WeightedSegment(a, (b[0], a[1]), cell, "axis_aligned")
-        ga = ifd.weighted_length_general(horiz)
-        sa = ifd.weighted_length_axis_aligned(dedicated)
-        assert ga == pytest.approx(sa, rel=1e-12, abs=1e-14)
-    # on-axis consistency
+        horiz = ifd.weighted_length(WeightedSegment(a, (b[0], a[1]), cell))
+        assert horiz == pytest.approx(_axis_aligned_reference(cell, a, b), rel=1e-12, abs=1e-14)
+        p, q = ifd.free_space_axes(cell).ell or (None, None)
+        if p is not None:
+            on_axis = ifd.weighted_length(WeightedSegment(p, q, cell))
+            assert on_axis == pytest.approx(_on_axis_reference(cell, p, q), rel=1e-12, abs=1e-14)
     t1, t2 = curve_pair(PERPENDICULAR)
     g = ifd.build_cells(t1, t2)
     seg = ifd.split_at_parameter_lines(g, (0, 0), (1, 1))[0]
-    gen = WeightedSegment(seg.a, seg.b, seg.cell, "general")
-    assert ifd.weighted_length_general(gen) == pytest.approx(
-        ifd.weighted_length_on_axis(seg), rel=1e-12
+    assert ifd.weighted_length(seg) == pytest.approx(
+        _on_axis_reference(seg.cell, seg.a, seg.b), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("angle", [1.8e-4, 1e-3])
+def test_near_parallel_axis_matches_quadrature(angle):
+    # nearly parallel generic cell: the axis center lies far outside the cell,
+    # which cost the former on-axis trapezoid up to 2.4e-9 relative
+    t1 = ifd.build_curve([(0.0, 0.0), (1.0, 0.0)])
+    t2 = ifd.build_curve([(0.1, 0.3), (0.1 + math.cos(angle), 0.3 + math.sin(angle))])
+    g = ifd.build_cells(t1, t2)
+    assert g.cell(0, 0).kind == "generic"
+    p, q = ifd.free_space_axes(g.cell(0, 0)).ell
+    exact = ifd.segment_weighted_length(g, p, q)
+    reference = ifd.quadrature_weighted_length(g, p, q, tol=1e-13)
+    assert exact == pytest.approx(reference, rel=1e-11, abs=0.0)
 
 
 def test_general_matches_quadrature():
@@ -114,8 +144,7 @@ def test_general_matches_quadrature():
     for _ in range(60):
         grid, cell = random_cell(rng)
         a, b = random_monotone_pair(rng, cell)
-        seg = WeightedSegment(a, b, cell, "general")
-        exact = ifd.weighted_length_general(seg)
+        exact = ifd.weighted_length(WeightedSegment(a, b, cell))
         approx = ifd.quadrature_weighted_length(grid, a, b, tol=1e-12)
         assert exact == pytest.approx(approx, rel=1e-8, abs=1e-12)
 
@@ -146,18 +175,24 @@ def test_additivity_under_split():
 
 
 def test_scale_covariance():
+    # every branch test is relative, so tiny and huge curves weigh alike;
+    # segments include axis-aligned ones and the cells' clipped axes
     rng = np.random.default_rng(13)
-    t1 = ifd.build_curve([(0, 0), (1, 0.3), (1.8, -0.2)])
-    t2 = ifd.build_curve([(0.2, 1), (1.1, 1.4)])
-    g = ifd.build_cells(t1, t2)
-    for s in (0.5, 3.0):
-        g2 = ifd.build_cells(t1.scaled(s), t2.scaled(s))
+    for pair in (([(0, 0), (1, 0.3), (1.8, -0.2)], [(0.2, 1), (1.1, 1.4)]), PERPENDICULAR):
+        t1, t2 = curve_pair(pair)
+        g = ifd.build_cells(t1, t2)
+        segs = []
         for _ in range(10):
             a = (rng.uniform(0, t1.length), rng.uniform(0, t2.length))
             b = (rng.uniform(a[0], t1.length), rng.uniform(a[1], t2.length))
-            base = ifd.segment_weighted_length(g, a, b)
-            scaled = ifd.segment_weighted_length(g2, (s * a[0], s * a[1]), (s * b[0], s * b[1]))
-            assert scaled == pytest.approx(s * s * base, rel=1e-9, abs=1e-12)
+            segs += [(a, b), (a, (b[0], a[1])), (a, (a[0], b[1]))]
+        segs += [ifd.free_space_axes(c).ell for col in g.cells for c in col]
+        segs = np.array([s for s in segs if s is not None], dtype=float)
+        base = ifd.segment_weighted_length(g, segs[:, 0], segs[:, 1])
+        for s in (0.5, 3.0, 1e-10, 1e-8, 1e6):
+            g2 = ifd.build_cells(t1.scaled(s), t2.scaled(s))
+            scaled = ifd.segment_weighted_length(g2, s * segs[:, 0], s * segs[:, 1])
+            np.testing.assert_allclose(scaled / (s * s), base, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -177,10 +212,55 @@ def test_extension_never_decreases(f1, f2, f3):
 
 def test_negative_radicand_detected():
     with pytest.raises(NegativeRadicand):
-        _closed_form(1.0, -4.0, 1.0, 1.0)  # min over [0,1] is -2
+        ifd.arsinh_form(1.0, -4.0, 1.0, 1.0)  # min over [0,1] is -2
+    with pytest.raises(NegativeRadicand):
+        ifd.arsinh_form([1e-20, 1.0], [-4e-20, -2.0], [1e-20, 1.0], 1.0)  # any scale
+    assert float(ifd.arsinh_form(1.0, -2.0, 1.0, 1.0)) == pytest.approx(0.5)  # touches 0
+
+
+def _multi_cell_segments(rng, t1, t2, n):
+    """Seeded monotone segments: generic, zero-length, on parameter lines, long."""
+    l1, l2 = t1.length, t2.length
+    a = np.column_stack([rng.uniform(0, l1, n), rng.uniform(0, l2, n)])
+    b = np.column_stack([rng.uniform(a[:, 0], l1), rng.uniform(a[:, 1], l2)])
+    b[::7] = a[::7]                            # zero length
+    a[1::7, 0] = b[1::7, 0] = t1.cum_length[1]  # on a vertical parameter line
+    a[2::7, 1] = b[2::7, 1] = t2.cum_length[1]  # on a horizontal parameter line
+    a[3::7] = 0.0                              # from the source across many cells
+    b[3::7] = (l1, l2)
+    return a, b
+
+
+def test_array_form_matches_per_segment_calls():
+    rng = np.random.default_rng(14)
+    t1 = ifd.build_curve([(0, 0), (1, 0.2), (2.2, 0.1), (2.9, 0.8)])
+    t2 = ifd.build_curve([(0, 1), (0.7, 1.3), (1.5, 0.9), (2.4, 1.6)])
+    g = ifd.build_cells(t1, t2)
+    a, b = _multi_cell_segments(rng, t1, t2, 70)
+    batch = ifd.segment_weighted_length(g, a, b)
+    assert batch.shape == (70,)
+    single = [ifd.segment_weighted_length(g, p, q) for p, q in zip(a, b)]
+    assert all(isinstance(v, float) for v in single)
+    np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+    assert np.all(batch[::7] == 0.0)
+    assert len(ifd.split_at_parameter_lines(g, a[3], b[3])) > 3
+    # the array splitter returns every segment's pieces, in order
+    pieces = ifd.split_at_parameter_lines(g, a, b)
+    assert pieces == [s for p, q in zip(a, b) for s in ifd.split_at_parameter_lines(g, p, q)]
+    empty = ifd.segment_weighted_length(g, np.empty((0, 2)), np.empty((0, 2)))
+    assert empty.shape == (0,)
 
 
 def test_simpson_depth_limit():
     jump = lambda x: 0.0 if x < math.pi / 7 else 1.0
     with pytest.raises(NonConvergence):
         _simpson(jump, 0.0, 1.0, jump(0.0), jump(0.5), jump(1.0), 1e-300, 40)
+
+
+def test_public_names_in_step():
+    assert all(hasattr(ifd, name) for name in ifd.__all__)
+    for gone in ("weighted_length_general", "weighted_length_axis_aligned",
+                 "weighted_length_on_axis"):
+        assert gone not in ifd.__all__ and not hasattr(ifd, gone)
+    assert not hasattr(ifd.errors, "NotOnAxis")
+    assert "kind" not in WeightedSegment.__dataclass_fields__
