@@ -43,6 +43,7 @@ __all__ = [
 _A_EPS = 1e-14       # A below this times C: the leash is constant along the piece
 _Q_NEG_TOL = 1e-9    # w^2 below -this times the endpoint w^2 signals bad coefficients
 _BLOCK = 4096        # segments per pass, so temporaries stay small for any batch
+_HUGE = 2.0 ** 200   # coefficients past this (or nonflat A below its inverse) are rescaled
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,23 @@ def arsinh_form(A, B, C, l1len):
     and the trapezoid rule is used instead.  Both tests are scale-free.
     Raises :class:`NegativeRadicand` when the quadratic dips below zero on
     [0, 1] by more than 1e-9 of its endpoint values.
+
+    When some coefficient exceeds 2^200, or some A outside the trapezoid
+    case is below 2^-200 (a very short or very far piece), each piece's
+    A, B and C are scaled by the power of four 4^-m that brings the largest
+    of them into [1/2, 2), and its result is scaled back by 2^m, so that
+    4AC, B^2 and 4A^2 neither underflow nor overflow.  Both scalings are
+    exact, so they change no result that was finite without them.
     """
     A, B, C, l1len = (np.asarray(v, dtype=float) for v in (A, B, C, l1len))
     flat = A <= _A_EPS * C
+    top = np.maximum(np.maximum(A, np.abs(B)), C)
+    half = 0
+    if top.max(initial=0.0) > _HUGE or np.where(flat, 1.0, A).min(initial=1.0) < 1.0 / _HUGE:
+        half = np.frexp(top)[1] // 2
+        A, B, C = (np.ldexp(v, -2 * half) for v in (A, B, C))
+        l1len = np.ldexp(l1len, half)
+        flat = A <= _A_EPS * C
     any_flat = bool(flat.any())
     a_safe = np.where(flat, 1.0, A) if any_flat else A
     t0 = B / (2.0 * a_safe)
@@ -115,7 +130,8 @@ def arsinh_form(A, B, C, l1len):
         m = np.minimum(np.maximum(-t0, 0.0), 1.0)  # argmin of (s + t0)^2 on [0, 1]
         qmin = np.where(flat, 0.0, a_safe * ((m + t0) ** 2 + hsq))
         if (qmin < -_Q_NEG_TOL * np.maximum(C, A + B + C)).any():
-            raise NegativeRadicand(f"w^2 reaches {float(qmin.min()):.3e} along a piece")
+            low = float(np.ldexp(qmin, 2 * half).min())
+            raise NegativeRadicand(f"w^2 reaches {low:.3e} along a piece")
         hsq = np.maximum(hsq, 0.0)
     out = l1len * np.sqrt(a_safe) * _unit_step(t0, hsq)
     if any_flat:

@@ -218,6 +218,22 @@ def test_negative_radicand_detected():
     assert float(ifd.arsinh_form(1.0, -2.0, 1.0, 1.0)) == pytest.approx(0.5)  # touches 0
 
 
+def test_arsinh_form_exact_at_extreme_scales():
+    # coefficients scaled by 4^p and lengths by 2^-p give the same bits, even
+    # where 4A^2 of the scaled coefficients underflows or overflows
+    rng = np.random.default_rng(7)
+    lead, vel = rng.normal(size=(2, 200, 2))
+    vel *= 10.0 ** rng.uniform(-6, 6, (200, 1))
+    A, B, C = (vel * vel).sum(1), 2.0 * (lead * vel).sum(1), (lead * lead).sum(1)
+    length = rng.uniform(0.0, 3.0, 200)
+    ref = ifd.arsinh_form(A, B, C, length)
+    for p in (-300, -150, 150, 300):
+        got = ifd.arsinh_form(*(np.ldexp(v, 2 * p) for v in (A, B, C)), np.ldexp(length, -p))
+        np.testing.assert_array_equal(got, ref)
+    # a 1e-85-long piece from a point where the leash is zero: w grows linearly
+    assert float(ifd.arsinh_form(5.5e-171, 0.0, 0.0, 1e-85)) == pytest.approx(0.5e-85 * math.sqrt(5.5e-171))
+
+
 def _multi_cell_segments(rng, t1, t2, n):
     """Seeded monotone segments: generic, zero-length, on parameter lines, long."""
     l1, l2 = t1.length, t2.length
