@@ -1,11 +1,14 @@
-"""Shortest paths: Dijkstra on monotone digraphs and one lattice dynamic program.
+"""Shortest paths: one topological sweep on monotone digraphs and one lattice dynamic program.
 
-Dijkstra runs on a CSR adjacency via scipy; the path is reconstructed
-backwards with ties broken toward the smallest vertex id.  Rectangular
-lattices (the uniform grid g1, the dense snapped-grid oracle and the
-per-cell staircase oracle) share one weight generator, one row-by-row
-dynamic program over right/up(/diagonal) moves and one backtrack over its
-move table; every edge weight is an exact closed form.
+Every edge of a monotone digraph points right or up, so the graph is
+acyclic: one sweep over a topological order (Kahn's algorithm, a whole
+level of vertices at a time, in numpy) settles every distance, and the
+path is reconstructed backwards with ties broken toward the smallest
+vertex id.  Rectangular lattices (the uniform grid g1, the dense
+snapped-grid oracle and the per-cell staircase oracle) share one weight
+generator, one row-by-row dynamic program over right/up(/diagonal) moves
+and one backtrack over its move table; every edge weight is an exact
+closed form.
 """
 
 import math
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .curves import PolygonalCurve
 from .errors import BudgetExceeded
@@ -28,6 +30,7 @@ _ROW_CHUNK = 64  # lattice rows per weight block
 
 __all__ = [
     "PathResult",
+    "Adjacency",
     "dijkstra",
     "bellman_ford",
     "dense_grid_oracle",
@@ -61,38 +64,113 @@ def _kahan_sum(values) -> float:
     return total
 
 
+class Adjacency(NamedTuple):
+    """Compressed sparse rows: vertex ``v``'s out-edges are the slice
+    ``indptr[v]:indptr[v + 1]`` of ``indices`` (heads) and ``data`` (weights).
+
+    Edges are sorted by tail, then head, and parallel edges are one edge
+    carrying their minimum weight.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+def adjacency(n: int, tails, heads, weights) -> Adjacency:
+    """Sorted, deduplicated :class:`Adjacency` of ``n`` vertices."""
+    order = np.lexsort((heads, tails))
+    t, h, w = tails[order], heads[order], weights[order]
+    if len(t):
+        new_group = np.empty(len(t), dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (np.diff(t) != 0) | (np.diff(h) != 0)
+        starts = np.flatnonzero(new_group)
+        w = np.minimum.reduceat(w, starts)
+        t, h = t[starts], h[starts]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(t, minlength=n), out=indptr[1:])
+    return Adjacency(indptr, np.asarray(h, dtype=np.int64), np.asarray(w, dtype=float))
+
+
+def _sweep_distances(adj: Adjacency, source: int) -> np.ndarray:
+    """Distances from ``source`` by Kahn's algorithm, one level of vertices at a time.
+
+    A vertex enters a level once all its in-edges are relaxed, so its
+    distance is the minimum of ``dist[tail] + weight`` over its in-edges:
+    the floating-point value any label-setting search settles on.  Raises
+    ``ValueError`` when the order misses a vertex, which happens exactly
+    when the graph has a cycle.
+    """
+    indptr, heads, weights = adj.indptr, adj.indices, adj.data
+    n = len(indptr) - 1
+    indeg = np.bincount(heads, minlength=n)
+    dist = np.full(n, math.inf)
+    dist[source] = 0.0
+    level = np.flatnonzero(indeg == 0)
+    slot = np.empty(n, dtype=np.int64)
+    settled = 0
+    while level.size:
+        settled += level.size
+        lo = indptr[level]
+        count = indptr[level + 1] - lo
+        ends = np.cumsum(count)
+        # ids of every out-edge of the level, row after row
+        edge = np.arange(ends[-1]) + np.repeat(lo - ends + count, count)
+        h = heads[edge]
+        np.minimum.at(dist, h, np.repeat(dist[level], count) + weights[edge])
+        np.subtract.at(indeg, h, 1)
+        # the next level, each vertex once: of its repeats, only the one
+        # whose index stuck in ``slot`` survives
+        ready = h[indeg[h] == 0]
+        idx = np.arange(len(ready))
+        slot[ready] = idx
+        level = ready[slot[ready] == idx]
+    if settled < n:
+        raise ValueError("graph contains a cycle")
+    return dist
+
+
 def dijkstra(graph, source: int | None = None, target: int | None = None) -> PathResult:
-    """Exact shortest distance and path on a nonnegative-weight digraph.
+    """Exact shortest distance and path on a nonnegative-weight monotone digraph.
 
     ``source``/``target`` default to the graph's own endpoints.  An
-    unreachable target yields an infinite distance and an empty path.
+    unreachable target yields an infinite distance and an empty path.  The
+    search is one topological sweep (the graph is acyclic), not a priority
+    queue; distances equal Dijkstra's bit for bit, and the path walks back
+    over in-edges within ``1e-12 * |dist|`` of tight, smallest
+    predecessor id first.  A cycle (zero-length edges both ways between
+    two vertices at one point) raises ``ValueError``.
     """
     s = graph.source if source is None else source
     t = graph.sink if target is None else target
-    csr = graph.csr()
-    dist = _csgraph_dijkstra(csr, directed=True, indices=s)
+    adj = graph.csr()
+    dist = _sweep_distances(adj, s)
     d = float(dist[t])
     if not math.isfinite(d):
         return PathResult(math.inf, (), np.empty((0, 2)), 0.0)
-    # backward walk over in-edges; smallest predecessor id wins ties
-    csc = csr.tocsc()
+    # tight in-edges of every reached vertex; edge ids run in (tail, head)
+    # order, so the smallest tight edge id into a head is its smallest
+    # tight predecessor
+    n = len(dist)
+    tails = np.repeat(np.arange(n), np.diff(adj.indptr))
+    reached = np.flatnonzero(np.isfinite(dist[adj.indices]))
+    head = adj.indices[reached]
+    slack = dist[tails[reached]] + adj.data[reached] - dist[head]
+    tight = slack <= 1e-12 * np.abs(dist[head])
+    pred_edge = np.full(n, adj.nnz, dtype=np.int64)
+    np.minimum.at(pred_edge, head[tight], reached[tight])
     path = [t]
     weights_used = []
     cur = t
-    guard = graph.n_vertices + 1
-    while cur != s and guard > 0:
-        guard -= 1
-        lo, hi = csc.indptr[cur], csc.indptr[cur + 1]
-        preds = csc.indices[lo:hi]
-        wts = csc.data[lo:hi]
-        slack = dist[preds] + wts - dist[cur]
-        tol = 1e-12 * abs(dist[cur])
-        ok = np.flatnonzero(slack <= tol)
-        if ok.size == 0:
-            ok = np.array([int(np.argmin(slack))])
-        pick = ok[np.argmin(preds[ok])]
-        weights_used.append(float(wts[pick]))
-        cur = int(preds[pick])
+    while cur != s:
+        e = pred_edge[cur]
+        weights_used.append(float(adj.data[e]))
+        cur = int(tails[e])
         path.append(cur)
     path.reverse()
     weights_used.reverse()

@@ -113,6 +113,14 @@ def lattice_oracle(grid, a, b, k):
 PARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)])
 PERPENDICULAR = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 0.0), (0.0, 1.0)])
 ANTIPARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 1.0), (0.0, 1.0)])
+# a 3-segment curve of length 1 and a 1-segment curve of length 1.3, lifted
+# apart until the desk-preset g2 (epsilon 0.25) has 5040 vertices, all of
+# them crossings of ball-lattice lines
+ARRANGEMENT_PAIR = (
+    [(0.0, 0.0), (0.1318943782192208, -0.3061290317909692),
+     (0.0041111770418172655, -0.6139968030954146), (0.08144677233260861, -0.9382348588694555)],
+    [(-0.10271600978189879, 2.939953565560899), (1.132957260407639, 3.343824299012945)],
+)
 
 
 def curve_pair(pair):

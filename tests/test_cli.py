@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,3 +171,14 @@ def test_render_svg_layers():
     assert with_path.count("<polyline") == 1
     assert with_path.count("stroke-dasharray") == 1
     assert render_svg(t1, t2) == bare
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the library and the CLI never import it
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    code = ("import ifd, ifd.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import ifd
 from ifd.errors import BudgetExceeded, DegenerateBall, Disconnected, NoFeasibleGraph
 from ifd.shortest_path import snapped_axis
 
-from helpers import PARALLEL, PERPENDICULAR, curve_pair, random_curve
+from helpers import ARRANGEMENT_PAIR, PARALLEL, PERPENDICULAR, curve_pair, random_curve
 
 
 def test_config_validation():
@@ -203,6 +203,35 @@ def test_no_feasible_graph():
     cfg = ifd.GraphConfig(epsilon=0.25, max_vertices=10, mode="both", c_mesh=8.0, c_g1=40.0)
     with pytest.raises(NoFeasibleGraph):
         ifd.approximate_integral_frechet(t1, t2, cfg)
+
+
+def test_g2_budget_reports_crossings():
+    # the arrangement pass counts every crossing before it stores a split,
+    # so a rejection reports the graph's size, not the budget plus one
+    t1, t2 = curve_pair(ARRANGEMENT_PAIR)
+    for budget in (2000, 2500, 3000, 4000):
+        with pytest.raises(BudgetExceeded) as exc:
+            ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=budget))
+        assert exc.value.projected == 5040
+    g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=5040))
+    assert g.n_vertices == 5040
+
+
+def test_g2_crossing_blocks_leave_graph_unchanged(monkeypatch):
+    # crossings are enumerated in blocks of candidate pairs; tiny blocks
+    # must give the same graph and the same rejection count
+    from ifd import graphs
+
+    t1, t2 = curve_pair(ARRANGEMENT_PAIR)
+    cfg = ifd.GraphConfig.desk(epsilon=0.25)
+    ref = ifd.build_g2(t1, t2, cfg)
+    monkeypatch.setattr(graphs, "_PAIR_BLOCK", 7)
+    g = ifd.build_g2(t1, t2, cfg)
+    for name in ("xs", "ys", "tails", "heads", "weights"):
+        assert np.array_equal(getattr(g, name), getattr(ref, name))
+    with pytest.raises(BudgetExceeded) as exc:
+        ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=2000))
+    assert exc.value.projected == 5040
 
 
 def test_oracle_mode():

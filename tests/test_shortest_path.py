@@ -7,7 +7,15 @@ import ifd
 from ifd.errors import BudgetExceeded
 from ifd.shortest_path import snapped_axis
 
-from helpers import PARALLEL, PERPENDICULAR, curve_pair, lattice_oracle, random_cell, random_curve
+from helpers import (
+    ARRANGEMENT_PAIR,
+    PARALLEL,
+    PERPENDICULAR,
+    curve_pair,
+    lattice_oracle,
+    random_cell,
+    random_curve,
+)
 
 
 def _graph(tails, heads, weights, n, s=0, t=None):
@@ -80,6 +88,101 @@ def test_dijkstra_matches_bellman_ford():
             assert math.isinf(bf[g.sink])
         else:
             assert r.distance == pytest.approx(bf[g.sink], rel=1e-12)
+
+
+def test_cycle_raises():
+    # two vertices at one point joined both ways pass the monotonicity check
+    g = ifd.MonotoneDigraph(
+        xs=np.array([0.0, 1.0, 1.0, 2.0]),
+        ys=np.array([0.0, 1.0, 1.0, 2.0]),
+        tails=np.array([0, 1, 2, 2]),
+        heads=np.array([1, 2, 1, 3]),
+        weights=np.array([1.0, 0.0, 0.0, 1.0]),
+        source=0,
+        sink=3,
+    )
+    with pytest.raises(ValueError, match="cycle"):
+        ifd.dijkstra(g)
+
+
+def _reference_search(g, s, t):
+    """scipy's Dijkstra on the same adjacency, then a backward walk over
+    in-edges within 1e-12 * |dist| of tight, smallest predecessor id first."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    adj = g.csr()
+    n = g.n_vertices
+    csr = csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
+    dist = csgraph_dijkstra(csr, directed=True, indices=s)
+    if not math.isfinite(dist[t]):
+        return dist, (), 0.0
+    csc = csr.tocsc()
+    path, used, cur = [t], [], t
+    while cur != s:
+        lo, hi = csc.indptr[cur], csc.indptr[cur + 1]
+        preds, wts = csc.indices[lo:hi], csc.data[lo:hi]
+        slack = dist[preds] + wts - dist[cur]
+        ok = np.flatnonzero(slack <= 1e-12 * abs(dist[cur]))
+        pick = ok[np.argmin(preds[ok])]
+        used.append(float(wts[pick]))
+        cur = int(preds[pick])
+        path.append(cur)
+    kahan = ifd.shortest_path._kahan_sum(used[::-1])
+    return dist, tuple(path[::-1]), kahan
+
+
+def _random_monotone_dag(rng):
+    """Vertices on a small integer grid (repeated points included) and
+    edges that never step left or down; equal points are joined only from
+    the smaller id, so the graph is acyclic.  Weights are drawn from sets
+    that produce exact and near ties, zeros and parallel edges."""
+    n = int(rng.integers(2, 40))
+    xs = rng.integers(0, 5, n).astype(float)
+    ys = rng.integers(0, 5, n).astype(float)
+    u = rng.integers(0, n, 6 * n)
+    v = rng.integers(0, n, 6 * n)
+    keep = (xs[v] >= xs[u]) & (ys[v] >= ys[u]) & (u != v)
+    keep &= (xs[v] > xs[u]) | (ys[v] > ys[u]) | (u < v)
+    u, v = u[keep], v[keep]
+    twice = rng.random(len(u)) < 0.2
+    u, v = np.concatenate((u, u[twice])), np.concatenate((v, v[twice]))
+    pool = (np.array([0.0, 0.5, 1.0, 1.5]), np.array([0.0, 0.1, 0.2, 0.3]),
+            rng.uniform(0.0, 2.0, 8))[int(rng.integers(0, 3))]
+    w = rng.choice(pool, len(u))
+    s = int(rng.integers(0, n))
+    t = int(rng.integers(0, n))
+    return ifd.MonotoneDigraph(xs=xs, ys=ys, tails=u, heads=v, weights=w, source=s, sink=t)
+
+
+def test_sweep_matches_scipy_dijkstra():
+    # an independent search: distances to every target equal scipy's and
+    # Bellman-Ford's bit for bit, and the path follows the same tie rule;
+    # random monotone DAGs, then one real g2
+    rng = np.random.default_rng(32)
+    unreachable = 0
+    for _ in range(40):
+        g = _random_monotone_dag(rng)
+        r = ifd.dijkstra(g)
+        dist, ids, kahan = _reference_search(g, g.source, g.sink)
+        assert (r.distance, r.vertex_ids, r.kahan_length) == (dist[g.sink], ids, kahan)
+        for source in (g.source, int(rng.integers(0, g.n_vertices))):
+            bf = ifd.bellman_ford(g, source=source)
+            for target in range(g.n_vertices):
+                dist, ids, kahan = _reference_search(g, source, target)
+                r = ifd.dijkstra(g, source=source, target=target)
+                assert r.distance == dist[target] == bf[target]
+                assert r.vertex_ids == ids
+                assert r.kahan_length == kahan
+                unreachable += not r.reachable
+    assert unreachable > 0
+
+    t1, t2 = curve_pair(ARRANGEMENT_PAIR)
+    g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25))
+    dist, ids, kahan = _reference_search(g, g.source, g.sink)
+    r = ifd.dijkstra(g)
+    assert (r.distance, r.vertex_ids, r.kahan_length) == (dist[g.sink], ids, kahan)
+    assert np.array_equal(ifd.bellman_ford(g), dist)
 
 
 def test_snapped_axis_contains_cuts():
