@@ -6,12 +6,13 @@ weight above that scale.  Graph ``g2`` is the arrangement of all monotone
 free-space axes, axis-aligned lattices ("grid balls") around the
 weight minimizers of the cell-boundary edges, and two diagonal connectors
 at the corners; it covers the regime where the optimal path hugs the axes.
-Shortest paths on both are exact upper bounds on the integral distance,
-and their minimum is the reported approximation.
+g1 is searched by a sweep over its lattice; g2 is built as numpy arrays
+(lines, splits, pieces, snap-keyed vertices) and searched by a topological
+sweep.  Shortest paths on both are exact upper bounds on the integral
+distance, and their minimum is the reported approximation.
 """
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,6 @@ __all__ = [
     "approximate_integral_frechet",
 ]
 
-_DEGENERATE_W = 1e-12  # edge minimizers below this get a bare vertex, no ball
 _PAIR_BLOCK = 1 << 18  # candidate crossings tested per numpy block
 
 
@@ -125,11 +125,17 @@ class MonotoneDigraph:
         return ParameterPoint(float(self.xs[i]), float(self.ys[i]))
 
     def validate_monotone(self, tol: float = 1e-9):
+        """Raise ``ValueError`` on a backward edge or a negative weight.
+
+        A step back counts only beyond ``tol`` times the largest
+        coordinate, so snap-rounded vertices pass at every scale.
+        """
         if self.n_edges == 0:
             return
         dx = self.xs[self.heads] - self.xs[self.tails]
         dy = self.ys[self.heads] - self.ys[self.tails]
-        if float(min(dx.min(), dy.min())) < -tol:
+        extent = float(max(np.abs(self.xs).max(), np.abs(self.ys).max()))
+        if float(min(dx.min(), dy.min())) < -tol * extent:
             raise ValueError("graph contains a non-monotone edge")
         if float(self.weights.min()) < -1e-12:
             raise ValueError("graph contains a negative edge weight")
@@ -252,37 +258,42 @@ def _merge_lines(raw, snap):
 
 
 def _seg_intersections(p, q, a, b, tol):
-    """Intersection parameters of two closed segments; handles collinear overlap."""
-    rx, ry = q[0] - p[0], q[1] - p[1]
-    sx, sy = b[0] - a[0], b[1] - a[1]
+    """Intersections of closed segments ``pq`` and ``ab``, row by row.
+
+    ``p, q, a, b`` are (n, 2) arrays or points broadcast to them.  Returns
+    ``(k, t1, t2)``: the row of each intersection and its parameters along
+    ``pq`` and ``ab``.  A collinear overlap gives up to four, the endpoints
+    of each segment projected onto the other.
+    """
+    p, q, a, b = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (p, q, a, b)))
+    rx, ry = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+    sx, sy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
     rxs = rx * sy - ry * sx
-    dx, dy = a[0] - p[0], a[1] - p[1]
-    rlen = math.hypot(rx, ry)
-    slen = math.hypot(sx, sy)
-    out = []
-    if abs(rxs) <= 1e-14 * max(rlen * slen, 1e-300):
-        if abs(dx * ry - dy * rx) > tol * max(rlen, 1.0):
-            return out
-        rr = rx * rx + ry * ry
-        ss = sx * sx + sy * sy
-        for pt, t2 in ((a, 0.0), (b, 1.0)):
-            if rr > 0:
-                t1 = ((pt[0] - p[0]) * rx + (pt[1] - p[1]) * ry) / rr
-                if -1e-9 <= t1 <= 1 + 1e-9:
-                    out.append((min(max(t1, 0.0), 1.0), t2))
-        for pt, t1 in ((p, 0.0), (q, 1.0)):
-            if ss > 0:
-                t2 = ((pt[0] - a[0]) * sx + (pt[1] - a[1]) * sy) / ss
-                if -1e-9 <= t2 <= 1 + 1e-9:
-                    out.append((t1, min(max(t2, 0.0), 1.0)))
-        return out
-    t1 = (dx * sy - dy * sx) / rxs
-    t2 = (dx * ry - dy * rx) / rxs
-    e1 = tol / max(rlen, tol)
-    e2 = tol / max(slen, tol)
-    if -e1 <= t1 <= 1 + e1 and -e2 <= t2 <= 1 + e2:
-        out.append((min(max(t1, 0.0), 1.0), min(max(t2, 0.0), 1.0)))
-    return out
+    dx, dy = a[:, 0] - p[:, 0], a[:, 1] - p[:, 1]
+    rlen = np.hypot(rx, ry)
+    slen = np.hypot(sx, sy)
+    parallel = np.abs(rxs) <= 1e-14 * np.maximum(rlen * slen, 1e-300)
+    collinear = parallel & (np.abs(dx * ry - dy * rx) <= tol * np.maximum(rlen, 1.0))
+    rr = rx * rx + ry * ry
+    ss = sx * sx + sy * sy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (dx * sy - dy * sx) / rxs
+        t2 = (dx * ry - dy * rx) / rxs
+        e1 = tol / np.maximum(rlen, tol)
+        e2 = tol / np.maximum(slen, tol)
+        cases = [(~parallel & (-e1 <= t1) & (t1 <= 1 + e1) & (-e2 <= t2) & (t2 <= 1 + e2), t1, t2)]
+        for pt, end in ((a, 0.0), (b, 1.0)):
+            t = ((pt[:, 0] - p[:, 0]) * rx + (pt[:, 1] - p[:, 1]) * ry) / rr
+            cases.append((collinear & (rr > 0) & (-1e-9 <= t) & (t <= 1 + 1e-9),
+                          t, np.full_like(t, end)))
+        for pt, end in ((p, 0.0), (q, 1.0)):
+            t = ((pt[:, 0] - a[:, 0]) * sx + (pt[:, 1] - a[:, 1]) * sy) / ss
+            cases.append((collinear & (ss > 0) & (-1e-9 <= t) & (t <= 1 + 1e-9),
+                          np.full_like(t, end), t))
+    k = np.concatenate([np.flatnonzero(hit) for hit, _, _ in cases])
+    t1 = np.concatenate([u1[hit] for hit, u1, _ in cases])
+    t2 = np.concatenate([u2[hit] for hit, _, u2 in cases])
+    return k, np.clip(t1, 0.0, 1.0), np.clip(t2, 0.0, 1.0)
 
 
 def _hv_crossings(h, v, snap, cap):
@@ -315,88 +326,74 @@ def _hv_crossings(h, v, snap, cap):
     return np.concatenate(found, axis=1)
 
 
-def _add_splits(segs, idx, at, lo, hi):
-    """Split ``segs[idx[k]]``, spanning ``lo[k]..hi[k]``, at ``at[k]``."""
-    keep = hi > lo
-    along = np.clip((at[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0)
-    for i, t in zip(idx[keep].tolist(), along.tolist()):
-        segs[i]["splits"].add(t)
+def _arrangement(h, v, o, iso, snap, cap):
+    """Snap-rounded arrangement of horizontals ``h[i] = (y, x0, x1)``,
+    verticals ``v[j] = (x, y0, y1)`` sorted by x, general segments
+    ``o[k] = (px, py, qx, qy)`` and isolated points ``iso``.
 
-
-class _Arrangement:
-    """Snap-rounded arrangement of axis-aligned and monotone segments.
-
-    Horizontal-vertical crossings (the bulk) are found by bucketing the
-    vertical segments on x, all at once in numpy; the few general segments
-    fall back to pairwise tests.  Distinct horizontals (resp. verticals)
-    never intersect because collinear ones were merged beforehand.
+    Every segment is split at its crossings and at the isolated points on
+    it; splits that round to one ``snap`` key are one point.  Returns
+    ``(coords, tails, heads, ends)``: the vertices in first-seen order,
+    isolated points first, and each edge (oriented right/up, the first
+    piece of each vertex pair) with its embedding ``ends[e] = (tail, head)``.
+    Raises ``BudgetExceeded`` when the crossings exceed ``cap``.
     """
+    p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
+    q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], o[:, 2:]])
+    n, n_h = len(p), len(h)
+    rows, cols = _hv_crossings(h, v, snap, cap)
+    seg, at = [], []
+    for idx, x, lo, hi in ((rows, v[cols, 0], h[rows, 1], h[rows, 2]),
+                           (n_h + cols, h[rows, 0], v[cols, 1], v[cols, 2])):
+        keep = hi > lo
+        seg.append(idx[keep])
+        at.append(np.clip((x[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0))
+    count = len(rows)
+    # the few general segments against every other segment, both ways
+    for i in range(n_h + len(v), n):
+        k, t1, t2 = _seg_intersections(p[i], q[i], p, q, snap)
+        other = k != i
+        k, t1, t2 = k[other], t1[other], t2[other]
+        seg += [np.full(len(k), i), k]
+        at += [t1, t2]
+        count += len(k)
+    if count > cap:
+        raise BudgetExceeded(count, cap)
+    for pt in iso:
+        k, t1, _ = _seg_intersections(p, q, pt, pt, snap)
+        seg.append(k)
+        at.append(t1)
+    seg = np.concatenate(seg + [np.arange(n), np.arange(n)])
+    at = np.concatenate(at + [np.zeros(n), np.ones(n)])
 
-    def __init__(self, snap):
-        self.snap = snap
-        self.segs = []       # dicts: kind, p, q, splits(set of params)
-        self.points = []     # isolated points that must also split segments
+    # pieces: consecutive splits along each segment, keeping the first
+    # split of each run that shares a snap key
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    pts = p[seg] + at[:, None] * (q[seg] - p[seg])
+    key = np.rint(pts / snap)
+    kept = np.ones(len(seg), dtype=bool)
+    kept[1:] = (seg[1:] != seg[:-1]) | np.any(key[1:] != key[:-1], axis=1)
+    seg, pts = seg[kept], pts[kept]
+    piece = np.flatnonzero(seg[1:] == seg[:-1])
+    ends = np.stack((pts[piece], pts[piece + 1]), axis=1)
+    a, b = ends[:, 0], ends[:, 1]
+    back = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
+    ends[back] = ends[back, ::-1]
 
-    def add_seg(self, p, q, kind):
-        self.segs.append({
-            "kind": kind,
-            "p": (float(p[0]), float(p[1])),
-            "q": (float(q[0]), float(q[1])),
-            "splits": set(),
-        })
-
-    def add_point(self, p):
-        self.points.append((float(p[0]), float(p[1])))
-
-    def key(self, pt):
-        return (round(pt[0] / self.snap), round(pt[1] / self.snap))
-
-    def run(self, crossing_cap):
-        """Split every segment at its crossings.
-
-        Raises ``BudgetExceeded`` with the number of crossings when it
-        exceeds ``crossing_cap``; horizontal-vertical crossings are counted
-        before any split is stored.
-        """
-        snap = self.snap
-        hs = [s for s in self.segs if s["kind"] == "h"]
-        vs = sorted((s for s in self.segs if s["kind"] == "v"), key=lambda s: s["p"][0])
-        h = np.array([(s["p"][1], s["p"][0], s["q"][0]) for s in hs]).reshape(-1, 3)
-        v = np.array([(s["p"][0], s["p"][1], s["q"][1]) for s in vs]).reshape(-1, 3)
-        rows, cols = _hv_crossings(h, v, snap, crossing_cap)
-        _add_splits(hs, rows, v[cols, 0], h[rows, 1], h[rows, 2])
-        _add_splits(vs, cols, h[rows, 0], v[cols, 1], v[cols, 2])
-        count = len(rows)
-        for so in self.segs:
-            if so["kind"] != "o":
-                continue
-            for sj in self.segs:
-                if sj is so:
-                    continue
-                hits = _seg_intersections(so["p"], so["q"], sj["p"], sj["q"], snap)
-                for t1, t2 in hits:
-                    so["splits"].add(t1)
-                    sj["splits"].add(t2)
-                count += len(hits)
-        if count > crossing_cap:
-            raise BudgetExceeded(count, crossing_cap)
-        for pt in self.points:
-            for s in self.segs:
-                for t1, _ in _seg_intersections(s["p"], s["q"], pt, pt, snap):
-                    s["splits"].add(t1)
-
-    def pieces(self):
-        for s in self.segs:
-            p, q = s["p"], s["q"]
-            params = sorted(s["splits"] | {0.0, 1.0})
-            prev = None
-            for t in params:
-                pt = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-                if prev is None:
-                    prev = pt
-                elif self.key(prev) != self.key(pt):
-                    yield prev, pt
-                    prev = pt
+    # vertices: one per snap key, numbered by first occurrence; the x and
+    # y keys are ranked apart so one 1-D unique finds the distinct points
+    pts = np.concatenate([iso, ends.reshape(-1, 2)])
+    kx, ky = (np.unique(np.rint(pts[:, d] / snap), return_inverse=True)[1] for d in (0, 1))
+    _, first, inv = np.unique(kx * (ky.max() + 1) + ky, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vid = rank[inv]
+    tails, heads = vid[len(iso)::2], vid[len(iso) + 1::2]
+    _, first_edge = np.unique(tails * len(order) + heads, return_index=True)
+    keep = np.sort(first_edge)
+    return pts[first[order]], tails[keep], heads[keep], ends[keep]
 
 
 def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> MonotoneDigraph:
@@ -404,9 +401,11 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
 
     Cell axes are clipped to their cell (antiparallel cells contribute
     nothing); every cell-boundary edge, outer boundary included, gets a
-    grid ball at its weight minimizer; the source/sink connectors exist
-    exactly when the corner cells' axes meet their cell.  All pairwise
-    intersections become vertices, every edge points right/up, and all
+    grid ball at its weight minimizer, or a bare vertex when that weight is
+    below the snap; the source/sink connectors exist exactly when the
+    corner cells' axes meet their cell.  :func:`_arrangement` splits all
+    lines at once: the intersections become vertices, numbered with the
+    source 0 and the sink 1 first, every edge points right/up, and all
     edge weights come from one batched closed-form call over the embedded
     pieces.
     """
@@ -436,7 +435,7 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     balls = []
     for edge in grid.edges():
         u, w = edge_min(grid, edge)
-        if w < _DEGENERATE_W:
+        if w < snap:  # a rounding-level minimum gets a bare vertex, no ball
             iso.append((u.x, u.y))
             continue
         radius = cfg.c_radius * w
@@ -476,56 +475,21 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
             if math.hypot(l1 - c_t.x, l2 - c_t.y) > snap:
                 conn_segs.append((c_t, (l1, l2)))
 
-    arr = _Arrangement(snap)
-    for fixed, lo, hi in _merge_lines(h_raw, snap):
-        arr.add_seg((lo, fixed), (hi, fixed), "h")
-    for fixed, lo, hi in _merge_lines(v_raw, snap):
-        arr.add_seg((fixed, lo), (fixed, hi), "v")
-    for p, q in diag_segs:
-        arr.add_seg(p, q, "o")
-    for p, q in conn_segs:
-        arr.add_seg(p, q, "o")
-    for pt in iso:
-        arr.add_point(pt)
-    arr.run(crossing_cap=cfg.max_vertices)
-
-    vid = {}
-    coords = []
-
-    def vertex(pt):
-        key = arr.key(pt)
-        if key not in vid:
-            vid[key] = len(coords)
-            coords.append(pt)
-        return vid[key]
-
-    for pt in iso:
-        vertex(pt)
-    edges = {}  # (tail, head) -> None, in insertion order; the first piece wins
-    embed = array("d")  # x, y of each edge's tail, then of its head
-    for p, q in arr.pieces():
-        if (q[0], q[1]) < (p[0], p[1]):
-            p, q = q, p
-        ia, ib = vertex(p), vertex(q)
-        if ia == ib or (ia, ib) in edges:
-            continue
-        edges[(ia, ib)] = None
-        embed.extend((*p, *q))
-    if len(vid) > cfg.max_vertices:
-        raise BudgetExceeded(len(vid), cfg.max_vertices)
-
-    pts = np.asarray(coords) if coords else np.empty((0, 2))
-    tails = np.fromiter((k[0] for k in edges), dtype=np.int64, count=len(edges))
-    heads = np.fromiter((k[1] for k in edges), dtype=np.int64, count=len(edges))
-    embed = np.frombuffer(embed, dtype=float).reshape(-1, 4)
+    h = np.array(_merge_lines(h_raw, snap)).reshape(-1, 3)
+    v = np.array(_merge_lines(v_raw, snap)).reshape(-1, 3)
+    o = np.array(diag_segs + conn_segs, dtype=float).reshape(-1, 4)
+    coords, tails, heads, ends = _arrangement(h, v, o, np.array(iso, dtype=float), snap,
+                                              cfg.max_vertices)
+    if len(coords) > cfg.max_vertices:
+        raise BudgetExceeded(len(coords), cfg.max_vertices)
     return MonotoneDigraph(
-        xs=pts[:, 0].copy(),
-        ys=pts[:, 1].copy(),
+        xs=coords[:, 0].copy(),
+        ys=coords[:, 1].copy(),
         tails=tails,
         heads=heads,
-        weights=segment_weighted_length(grid, embed[:, :2], embed[:, 2:]),
-        source=vid[arr.key((0.0, 0.0))],
-        sink=vid[arr.key((l1, l2))],
+        weights=segment_weighted_length(grid, ends[:, 0], ends[:, 1]),
+        source=0,
+        sink=1,
         label="g2",
     )
 

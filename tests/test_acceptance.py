@@ -187,7 +187,7 @@ def test_c5_empirical_band():
             )
             value = ifd.approximate_integral_frechet(t1, t2, cfg).value
             # the axis graph gets its own desk budget: its useful regime
-            # is sparse, and its python-side arrangement must stay small
+            # is sparse, and this gate builds 50 of them
             try:
                 g2_cfg = ifd.GraphConfig(
                     epsilon=eps, c_g1=10.0, c_radius=62.0, c_mesh=8.0,

@@ -75,9 +75,16 @@ def test_grid_ball_clipping_and_degenerate():
 
 def test_g2_identical_curves_zero():
     t = ifd.build_curve([(0, 0), (1, 0.4), (2.3, 0.1)])
-    g = ifd.build_g2(t, t, ifd.GraphConfig.desk(epsilon=0.25))
+    cfg = ifd.GraphConfig.desk(epsilon=0.25)
+    g = ifd.build_g2(t, t, cfg)
     r = ifd.dijkstra(g)
     assert r.distance <= 1e-9
+    # snap-rounded vertices step back by ~5e-14 of the extent, which an
+    # absolute monotonicity tolerance rejected at this scale
+    s = 1e6
+    big = ifd.build_g2(t.scaled(s), t.scaled(s), cfg)
+    assert big.n_vertices == g.n_vertices
+    assert ifd.dijkstra(big).distance / (s * s) <= 1e-9
 
 
 def test_g2_perpendicular_exact():
@@ -234,6 +241,44 @@ def test_g2_crossing_blocks_leave_graph_unchanged(monkeypatch):
     assert exc.value.projected == 5040
 
 
+def _near_interior(g, snap):
+    """(edge, vertex) pairs whose vertex lies within ``snap`` of the open
+    interior of the edge; candidates are the vertices in the edge's x range."""
+    order = np.argsort(g.xs, kind="stable")
+    xs = g.xs[order]
+    ax, ay = g.xs[g.tails], g.ys[g.tails]
+    bx, by = g.xs[g.heads], g.ys[g.heads]
+    lo = np.searchsorted(xs, ax - snap, side="left")
+    n = np.searchsorted(xs, bx + snap, side="right") - lo
+    e = np.repeat(np.arange(g.n_edges), n)
+    w = order[np.arange(len(e)) - np.repeat(np.cumsum(n) - n - lo, n)]
+    dx, dy = (bx - ax)[e], (by - ay)[e]
+    px, py = g.xs[w] - ax[e], g.ys[w] - ay[e]
+    length = np.hypot(dx, dy)
+    along = (px * dx + py * dy) / length
+    off = np.abs(px * dy - py * dx) / length
+    hit = (off <= snap) & (along > 0) & (along < length)
+    hit &= (w != g.tails[e]) & (w != g.heads[e])
+    return np.stack((e[hit], w[hit]))
+
+
+@pytest.mark.parametrize("pair, cfg", [
+    (ARRANGEMENT_PAIR, ifd.GraphConfig.desk(epsilon=0.25)),
+    # collinear axes: every diagonal cell's axis lies on one line
+    (([(0, 0), (1, 0.4), (2.3, 0.1)],) * 2, ifd.GraphConfig.desk(epsilon=0.25, c_mesh=2.0)),
+])
+def test_g2_is_a_planar_arrangement(pair, cfg):
+    # one vertex per snap key, one edge per vertex pair, and every edge a
+    # maximal piece: no other vertex within snap of its interior
+    t1, t2 = curve_pair(pair)
+    g = ifd.build_g2(t1, t2, cfg)
+    snap = 1e-12 * max(ifd.build_cells(t1, t2).extent)
+    keys = np.rint(np.stack((g.xs, g.ys), axis=1) / snap)
+    assert len(np.unique(keys, axis=0)) == g.n_vertices
+    assert len(np.unique(g.tails * g.n_vertices + g.heads)) == g.n_edges
+    assert _near_interior(g, snap).shape[1] == 0
+
+
 def test_oracle_mode():
     t1, t2 = curve_pair(PARALLEL)
     cfg = ifd.GraphConfig.desk(epsilon=0.25, mode="oracle", max_vertices=50_000)
@@ -275,20 +320,28 @@ def test_build_g2_makes_one_weight_call(monkeypatch):
     assert ifd.dijkstra(g).distance == pytest.approx(math.sqrt(2), abs=1e-9)
 
 
-# two g2-regime pairs whose tolerances were once absolute: at s = 1e-8 the
-# reported paths re-integrated 7.3% and 21% off and the second lost 81 vertices
+# g2-regime pairs whose tolerances were once absolute, each with its
+# config: at s = 1e-8 the first two reported paths re-integrated 7.3% and
+# 21% off and the second lost 81 vertices; the third, a touching pair, got
+# an extra vertex at s = 1e6 from an absolute degenerate-ball threshold and
+# was rejected as non-monotone from s = 1e4
 SCALE_PAIRS = [
     ([(0, 0), (0.132, -0.306), (0.004, -0.614), (0.081, -0.938)],
-     [(-0.103, 2.94), (1.133, 3.344)]),
+     [(-0.103, 2.94), (1.133, 3.344)],
+     ifd.GraphConfig.desk(epsilon=0.25, mode="g2")),
     ([(0, 0), (1.1, -0.693)],
-     [(-0.019, 3.754), (0.214, 3.516), (0.274, 3.188), (0.229, 2.858)]),
+     [(-0.019, 3.754), (0.214, 3.516), (0.274, 3.188), (0.229, 2.858)],
+     ifd.GraphConfig.desk(epsilon=0.25, mode="g2")),
+    ([(0, 0), (1, 0), (2, 0.5)],
+     [(0.2, 1), (1, 1e-13), (1.8, 1.2)],
+     ifd.GraphConfig(epsilon=0.5, c_radius=4.0, c_mesh=2.0, mode="g2")),
 ]
 
 
 @pytest.mark.parametrize("pair", SCALE_PAIRS)
 def test_g2_scale_invariant(pair):
     t1, t2 = curve_pair(pair)
-    cfg = ifd.GraphConfig.desk(epsilon=0.25, mode="g2")
+    cfg = pair[2]
     base = ifd.approximate_integral_frechet(t1, t2, cfg)
     for s in (1e-8, 1e6):
         s1, s2 = t1.scaled(s), t2.scaled(s)
