@@ -4,7 +4,10 @@ The in-cell optimum between dominated points a and b hugs the cell's
 monotone axis: enter the axis where it first meets the rectangle spanned
 by a and b, ride it as far as possible, leave for b.  When the axis misses
 the rectangle, the optimum bends around the rectangle corner closest to
-the axis.  The same path is simultaneously optimal for the partial
+the axis.  The path follows from this geometry alone; weights only report
+its cost, so :func:`cell_shortest_path` weighs what the vertex helper
+finds and the substitution sweeps in ``matching`` call the helper
+unweighed.  The same path is simultaneously optimal for the partial
 similarity at every threshold, which is what the profile type captures.
 """
 
@@ -65,16 +68,17 @@ def _polyline_length(cell, points):
     return float(piece_weights(cell, points[:-1], points[1:]).sum())
 
 
-def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
-    """Shortest weighted monotone path from a to b inside one cell.
+def _shortest_vertices(cell: ParameterCell, a, b):
+    """(vertices, branch) of the shortest monotone path from a to b inside one cell.
 
-    Requires ``a <= b`` in the dominance order.  Raises
-    :class:`AntiparallelCell` when the cell has no monotone axis; callers
-    fall back to :func:`staircase_fallback_path`.
+    Pure geometry, no weights.  The dominance check and the vertex dedupe
+    are relative to ``max(|x1|, |y1|)`` of the cell, so the path scales
+    with the curves.
     """
     a = ParameterPoint(float(a[0]), float(a[1]))
     b = ParameterPoint(float(b[0]), float(b[1]))
-    if not dominates(a, b, tol=1e-12):
+    scale = max(abs(cell.x1), abs(cell.y1))
+    if not dominates(a, b, tol=1e-12 * scale):
         raise NotMonotone(f"{a} does not dominate {b}")
     if cell.kind == "antiparallel":
         raise AntiparallelCell(f"cell ({cell.i},{cell.j}) is antiparallel")
@@ -85,15 +89,22 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     if lo <= hi:
         c1 = ParameterPoint(lo, lo + k)
         c2 = ParameterPoint(hi, hi + k)
-        verts = _dedupe([a, c1, c2, b])
-        branch = "through_axis"
+        return _dedupe([a, c1, c2, b], 1e-15 * scale), "through_axis"
+    if k > b.y - a.x:
+        corner = ParameterPoint(a.x, b.y)  # axis passes above-left
     else:
-        if k > b.y - a.x:
-            corner = ParameterPoint(a.x, b.y)  # axis passes above-left
-        else:
-            corner = ParameterPoint(b.x, a.y)  # axis passes below-right
-        verts = _dedupe([a, corner, b])
-        branch = "around_corner"
+        corner = ParameterPoint(b.x, a.y)  # axis passes below-right
+    return _dedupe([a, corner, b], 1e-15 * scale), "around_corner"
+
+
+def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
+    """Shortest weighted monotone path from a to b inside one cell, with its weight.
+
+    Requires ``a <= b`` in the dominance order.  Raises
+    :class:`AntiparallelCell` when the cell has no monotone axis; callers
+    fall back to :func:`staircase_fallback_path`.
+    """
+    verts, branch = _shortest_vertices(cell, a, b)
     return CellPath(
         vertices=verts,
         branch=branch,

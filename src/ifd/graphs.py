@@ -211,12 +211,12 @@ def build_grid_ball(center, radius: float, mesh: float, bounds):
     if xhi > xlo:
         for t in range(k + 1):
             y = cy - radius + t * step
-            if -1e-12 <= y <= l2 + 1e-12:
+            if -1e-12 * l2 <= y <= l2 * (1.0 + 1e-12):
                 segs.append(("h", min(max(y, 0.0), l2), xlo, xhi))
     if yhi > ylo:
         for t in range(k + 1):
             x = cx - radius + t * step
-            if -1e-12 <= x <= l1 + 1e-12:
+            if -1e-12 * l1 <= x <= l1 * (1.0 + 1e-12):
                 segs.append(("v", min(max(x, 0.0), l1), ylo, yhi))
     return segs
 

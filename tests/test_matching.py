@@ -73,6 +73,12 @@ def test_locally_optimize_random_staircases():
         assert after <= before + 1e-10 * (1 + before)
         twice = ifd.locally_optimize(t1, t2, once)
         assert ifd.matching_cost(t1, t2, twice) == pytest.approx(after, abs=1e-10 * (1 + after))
+        # power-of-two scaling is exact, so the optimized path scales
+        # exactly; absolute sweep tolerances merged 4 of these paths'
+        # vertices at s = 2^-45
+        for s in (2.0**-45, 2.0**20):
+            scaled = ifd.locally_optimize(t1.scaled(s), t2.scaled(s), path.vertices * s)
+            assert np.array_equal(scaled.vertices, once.vertices * s)
 
 
 def test_locally_optimize_keeps_antiparallel_subpaths():
@@ -83,6 +89,30 @@ def test_locally_optimize_keeps_antiparallel_subpaths():
     assert ifd.matching_cost(t1, t2, out) == pytest.approx(
         ifd.matching_cost(t1, t2, pts), abs=1e-12
     )
+
+
+def test_locally_optimize_makes_no_weight_call(monkeypatch):
+    # the sweeps are geometric: only matching_cost weighs, in one call
+    from ifd import integrals
+
+    calls = []
+    weigh = integrals.arsinh_form
+
+    def counted(*args):
+        calls.append(len(np.atleast_1d(args[0])))
+        return weigh(*args)
+
+    t1 = ifd.build_curve([(0, 0), (1, 0), (1.5, 1)])
+    t2 = ifd.build_curve([(1, 0.5), (0, 0.5), (0.2, 1.5)])
+    grid = ifd.build_cells(t1, t2)
+    assert grid.cell(0, 0).kind == "antiparallel"
+    path = [(0, 0), (0.6, 0.0), (0.6, 0.4), (t1.length, 0.4), (t1.length, t2.length)]
+    before = ifd.matching_cost(t1, t2, path)
+    monkeypatch.setattr(integrals, "arsinh_form", counted)
+    out = ifd.locally_optimize(t1, t2, path)
+    assert calls == []
+    assert ifd.matching_cost(t1, t2, out) <= before + 1e-12
+    assert len(calls) == 1
 
 
 def test_locally_optimize_improves_leash_through_axis():
