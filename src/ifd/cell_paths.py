@@ -126,11 +126,6 @@ def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath
     )
 
 
-def _axes_endpoints(cell):
-    axes = free_space_axes(cell)
-    return axes, axes.ell
-
-
 def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     """Shortest path between on-axis points of two cells sharing ``edge``.
 
@@ -156,8 +151,8 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     if cell_o.kind == "antiparallel" or cell_p.kind == "antiparallel":
         raise AntiparallelCell("two-cell crossing touches an antiparallel cell")
 
-    axes_o, ell_o = _axes_endpoints(cell_o)
-    axes_p, ell_p = _axes_endpoints(cell_p)
+    ell_o = free_space_axes(cell_o).ell
+    ell_p = free_space_axes(cell_p).ell
     on_edge = (
         lambda q: abs(q.x - edge.fixed) <= 1e-9 if edge.vertical else abs(q.y - edge.fixed) <= 1e-9
     )

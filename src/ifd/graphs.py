@@ -7,9 +7,10 @@ free-space axes, axis-aligned lattices ("grid balls") around the
 weight minimizers of the cell-boundary edges, and two diagonal connectors
 at the corners; it covers the regime where the optimal path hugs the axes.
 g1 is searched by a sweep over its lattice; g2 is built as numpy arrays
-(lines, splits, pieces, snap-keyed vertices) and searched by a topological
-sweep.  Shortest paths on both are exact upper bounds on the integral
-distance, and their minimum is the reported approximation.
+(ball lines generated and merged for all balls at once, splits, pieces,
+snap-keyed vertices) and searched by a topological sweep.  Shortest paths
+on both are exact upper bounds on the integral distance, and their minimum
+is the reported approximation.
 """
 
 import math
@@ -105,13 +106,10 @@ class MonotoneDigraph:
     source: int
     sink: int
     label: str = ""
-    # set by builders whose construction proves monotonicity structurally
-    prevalidated: bool = field(default=False, repr=False, compare=False)
     _csr: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.prevalidated:
-            self.validate_monotone()
+        self.validate_monotone()
 
     @property
     def n_vertices(self) -> int:
@@ -176,10 +174,6 @@ def build_g1(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     tails = np.concatenate([right_tails, up_tails])
     heads = np.concatenate([right_tails + 1, up_tails + nx])
     weights = np.concatenate([w_right.ravel(), w_up.ravel()])
-    # every edge steps +1 in x or +1 in y along sorted axes, so checking the
-    # axes and the weight sign covers 100% of the edges
-    assert np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)
-    assert float(weights.min()) >= 0.0
     return MonotoneDigraph(
         xs=np.tile(xs, ny),
         ys=np.repeat(ys, nx),
@@ -189,72 +183,81 @@ def build_g1(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
         source=0,
         sink=nx * ny - 1,
         label="g1",
-        prevalidated=True,
     )
 
 
-def build_grid_ball(center, radius: float, mesh: float, bounds):
-    """Axis-aligned lattice filling the L-infinity ball around ``center``.
+def _ball_lattice(center, radius, mesh, bounds):
+    """Index arithmetic shared by the grid balls' budget check and lines.
 
-    Returns ``('h'|'v', fixed, lo, hi)`` tuples clipped to the parameter
-    rectangle ``bounds``; the boundary lines of the square are included.
+    Ball i has ``k[i] + 1`` lattice lines per axis, at ``origin[i] + t *
+    step[i]`` for t = 0..k[i] (columns x, y); ``[first, last]`` is the index
+    range inside ``bounds`` with a 1e-9 tolerance in index units, so
+    ``last - first + 1`` counts the lines without building them.
     """
-    if radius <= 0.0 or mesh <= 0.0:
-        raise DegenerateBall(f"radius {radius!r} / mesh {mesh!r}")
-    l1, l2 = bounds
-    cx, cy = float(center[0]), float(center[1])
-    k = max(1, int(math.ceil(2.0 * radius / mesh - 1e-9)))
+    k = np.maximum(1.0, np.ceil(2.0 * radius / mesh - 1e-9))
     step = 2.0 * radius / k
-    xlo, xhi = max(cx - radius, 0.0), min(cx + radius, l1)
-    ylo, yhi = max(cy - radius, 0.0), min(cy + radius, l2)
-    segs = []
-    if xhi > xlo:
-        for t in range(k + 1):
-            y = cy - radius + t * step
-            if -1e-12 * l2 <= y <= l2 * (1.0 + 1e-12):
-                segs.append(("h", min(max(y, 0.0), l2), xlo, xhi))
-    if yhi > ylo:
-        for t in range(k + 1):
-            x = cx - radius + t * step
-            if -1e-12 * l1 <= x <= l1 * (1.0 + 1e-12):
-                segs.append(("v", min(max(x, 0.0), l1), ylo, yhi))
-    return segs
+    origin = center - radius[:, None]
+    first = np.maximum(0.0, np.ceil((0.0 - origin) / step[:, None] - 1e-9))
+    last = np.minimum(k[:, None], np.floor((bounds - origin) / step[:, None] + 1e-9))
+    return origin, step, k, first, last
 
 
-def _ball_line_estimate(center, radius, mesh, bounds):
-    """(horizontal, vertical) lattice-line counts surviving the clip to bounds."""
-    if radius <= 0 or mesh <= 0:
-        return 0, 0
-    k = max(1, int(math.ceil(2.0 * radius / mesh - 1e-9)))
-    step = 2.0 * radius / k
-    counts = []
-    for coord, hi in ((center[1], bounds[1]), (center[0], bounds[0])):
-        lo_t = (0.0 - (coord - radius)) / step
-        hi_t = (hi - (coord - radius)) / step
-        lo_i = max(0, int(math.ceil(lo_t - 1e-9)))
-        hi_i = min(k, int(math.floor(hi_t + 1e-9)))
-        counts.append(max(0, hi_i - lo_i + 1))
-    return counts[0], counts[1]
+def build_grid_ball(center, radius, mesh, bounds):
+    """Axis-aligned lattices filling the L-infinity balls around ``center``.
+
+    ``center`` is one point or an (n, 2) array; ``radius`` and ``mesh`` are
+    scalars or one value per ball.  Returns ``(h, v)``: (m, 3) arrays of
+    horizontal rows ``(y, x0, x1)`` and vertical rows ``(x, y0, y1)``, ball
+    by ball in lattice order, clipped to the parameter rectangle
+    ``bounds``; the boundary lines of each square are included.
+    """
+    center = np.reshape(np.asarray(center, dtype=float), (-1, 2))
+    radius, mesh = (np.broadcast_to(np.asarray(z, dtype=float), len(center))
+                    for z in (radius, mesh))
+    if np.any(radius <= 0.0) or np.any(mesh <= 0.0):
+        raise DegenerateBall(f"radius {radius.min()!r} / mesh {mesh.min()!r}")
+    bounds = np.asarray(bounds, dtype=float)
+    origin, step, k, first, last = _ball_lattice(center, radius, mesh, bounds)
+    # candidates widen the counted range by one index, and by as many more
+    # as the clip's 1e-12 tolerance spans when the step is below it
+    pad = 1.0 + np.floor(1e-12 * bounds / step[:, None])
+    lo, hi = np.maximum(first - pad, 0.0), np.minimum(last + pad, k[:, None])
+    lines = []
+    for d in (1, 0):  # horizontals sit at y, verticals at x
+        span_lo = np.maximum(center[:, 1 - d] - radius, 0.0)
+        span_hi = np.minimum(center[:, 1 - d] + radius, bounds[1 - d])
+        n = np.where(span_hi > span_lo, np.maximum(hi[:, d] - lo[:, d] + 1.0, 0.0), 0.0)
+        n = n.astype(np.int64)
+        ball = np.repeat(np.arange(len(n)), n)
+        t = lo[ball, d] + (np.arange(len(ball)) - np.repeat(np.cumsum(n) - n, n))
+        fixed = origin[ball, d] + t * step[ball]
+        keep = (-1e-12 * bounds[d] <= fixed) & (fixed <= bounds[d] * (1.0 + 1e-12))
+        ball = ball[keep]
+        lines.append(np.stack((np.clip(fixed[keep], 0.0, bounds[d]),
+                               span_lo[ball], span_hi[ball]), axis=1))
+    return lines[0], lines[1]
 
 
-def _merge_lines(raw, snap):
-    """Union collinear intervals: raw (fixed, lo, hi) -> maximal segments."""
-    groups = {}
-    for fixed, lo, hi in raw:
-        groups.setdefault(round(fixed / snap), []).append((fixed, lo, hi))
-    merged = []
-    for key in sorted(groups):
-        items = sorted(groups[key], key=lambda t: t[1])
-        fixed = items[0][0]
-        cur_lo, cur_hi = items[0][1], items[0][2]
-        for _, lo, hi in items[1:]:
-            if lo <= cur_hi + snap:
-                cur_hi = max(cur_hi, hi)
-            else:
-                merged.append((fixed, cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-        merged.append((fixed, cur_lo, cur_hi))
-    return merged
+def _merge_lines(lines, snap):
+    """Union collinear intervals: rows (fixed, lo, hi) -> maximal segments.
+
+    Rows whose ``fixed`` rounds to one snap key are one line, kept at the
+    first row's ``fixed`` after a stable sort by ``lo``; an interval joins
+    the run before it when it starts within ``snap`` of the run's reach.
+    Output rows are sorted by key, then by ``lo``.
+    """
+    if len(lines) == 0:
+        return lines.reshape(0, 3)
+    key = np.rint(lines[:, 0] / snap)
+    order = np.lexsort((lines[:, 1], key))
+    key, (fixed, lo, hi) = key[order], lines[order].T
+    new_key = np.r_[True, key[1:] != key[:-1]]
+    head = np.maximum.accumulate(np.where(new_key, np.arange(len(key)), 0))
+    # running max of hi within each key, exact through the ranks of hi
+    values, rank = np.unique(hi, return_inverse=True)
+    reach = values[np.maximum.accumulate(head * len(values) + rank) - head * len(values)]
+    runs = np.flatnonzero(new_key | np.r_[False, lo[1:] > reach[:-1] + snap])
+    return np.stack((fixed[head[runs]], lo[runs], np.maximum.reduceat(hi, runs)), axis=1)
 
 
 def _seg_intersections(p, q, a, b, tol):
@@ -273,7 +276,7 @@ def _seg_intersections(p, q, a, b, tol):
     rlen = np.hypot(rx, ry)
     slen = np.hypot(sx, sy)
     parallel = np.abs(rxs) <= 1e-14 * np.maximum(rlen * slen, 1e-300)
-    collinear = parallel & (np.abs(dx * ry - dy * rx) <= tol * np.maximum(rlen, 1.0))
+    collinear = parallel & (np.abs(dx * ry - dy * rx) <= tol * rlen)
     rr = rx * rx + ry * ry
     ss = sx * sx + sy * sy
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -403,19 +406,21 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     nothing); every cell-boundary edge, outer boundary included, gets a
     grid ball at its weight minimizer, or a bare vertex when that weight is
     below the snap; the source/sink connectors exist exactly when the
-    corner cells' axes meet their cell.  :func:`_arrangement` splits all
-    lines at once: the intersections become vertices, numbered with the
-    source 0 and the sink 1 first, every edge points right/up, and all
-    edge weights come from one batched closed-form call over the embedded
-    pieces.
+    corner cells' axes meet their cell.  One index-range computation
+    (:func:`_ball_lattice`) counts every ball's lines for the budget
+    pre-check before any line exists; :func:`build_grid_ball` then
+    generates them from the same ranges as arrays, and
+    :func:`_merge_lines` unions them per snap key.  :func:`_arrangement`
+    splits all lines at once: the intersections become vertices, numbered
+    with the source 0 and the sink 1 first, every edge points right/up, and
+    all edge weights come from one batched closed-form call over the
+    embedded pieces.
     """
     grid = build_cells(t1, t2)
     l1, l2 = grid.extent
     snap = 1e-12 * max(l1, l2)
 
-    h_raw, v_raw, diag_segs, iso = [], [], [], []
-    iso.append((0.0, 0.0))
-    iso.append((l1, l2))
+    diag_segs, iso = [], [(0.0, 0.0), (l1, l2)]
 
     for col in grid.cells:
         for cell in col:
@@ -430,54 +435,42 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
             else:
                 diag_segs.append((p, q))
 
-    projected_lines = 0
-    projected_internal = 0
-    balls = []
+    centers, weights = [], []
     for edge in grid.edges():
         u, w = edge_min(grid, edge)
         if w < snap:  # a rounding-level minimum gets a bare vertex, no ball
             iso.append((u.x, u.y))
             continue
-        radius = cfg.c_radius * w
-        mesh = cfg.epsilon * w / cfg.c_mesh
-        nh, nv = _ball_line_estimate(u, radius, mesh, (l1, l2))
-        projected_lines += nh + nv
-        # a ball's own lattice crossings alone are that many vertices
-        projected_internal += nh * nv
-        balls.append((u, radius, mesh))
+        centers.append(u)
+        weights.append(w)
+    centers = np.array(centers, dtype=float).reshape(-1, 2)
+    weights = np.array(weights, dtype=float)
+    radius = cfg.c_radius * weights
+    mesh = cfg.epsilon * weights / cfg.c_mesh
+    bounds = np.array([l1, l2])
+    _, _, _, first, last = _ball_lattice(centers, radius, mesh, bounds)
+    counts = [(int(nv), int(nh)) for nv, nh in np.maximum(last - first + 1.0, 0.0).tolist()]
+    projected_lines = sum(nv + nh for nv, nh in counts)
+    # a ball's own lattice crossings alone are that many vertices
+    projected_internal = sum(nv * nh for nv, nh in counts)
     # ball lattices dominate the crossing count; reject hopeless inputs
-    # before materializing anything (the arrangement pass enforces the
-    # exact budget)
+    # from the counts alone, before any line exists (the arrangement pass
+    # enforces the exact budget)
     if projected_internal > 2 * cfg.max_vertices:
         raise BudgetExceeded(projected_internal, cfg.max_vertices)
     if (projected_lines // 2 + 1) ** 2 > 8 * cfg.max_vertices:
         raise BudgetExceeded((projected_lines // 2 + 1) ** 2, cfg.max_vertices)
-    for u, radius, mesh in balls:
-        try:
-            for kind, fixed, lo, hi in build_grid_ball(u, radius, mesh, (l1, l2)):
-                (h_raw if kind == "h" else v_raw).append((fixed, lo, hi))
-        except DegenerateBall:
-            iso.append((u.x, u.y))
+    h, v = (_merge_lines(lines, snap) for lines in build_grid_ball(centers, radius, mesh, bounds))
 
-    conn_segs = []
-    s_cell = grid.cell(0, 0)
-    if s_cell.kind != "antiparallel":
-        ell = free_space_axes(s_cell).ell
-        if ell is not None:
-            c_s = ell[0]
-            if math.hypot(c_s.x, c_s.y) > snap:
-                conn_segs.append(((0.0, 0.0), c_s))
-    t_cell = grid.cell(grid.n_cols - 1, grid.n_rows - 1)
-    if t_cell.kind != "antiparallel":
-        ell = free_space_axes(t_cell).ell
-        if ell is not None:
-            c_t = ell[1]
-            if math.hypot(l1 - c_t.x, l2 - c_t.y) > snap:
-                conn_segs.append((c_t, (l1, l2)))
+    # the source and sink connectors, each from its corner to the nearer end
+    # of its corner cell's axis
+    for cell, end, corner in ((grid.cell(0, 0), 0, (0.0, 0.0)),
+                              (grid.cell(grid.n_cols - 1, grid.n_rows - 1), 1, (l1, l2))):
+        ell = None if cell.kind == "antiparallel" else free_space_axes(cell).ell
+        if ell is not None and math.dist(corner, ell[end]) > snap:
+            diag_segs.append((corner, ell[0]) if end == 0 else (ell[1], corner))
 
-    h = np.array(_merge_lines(h_raw, snap)).reshape(-1, 3)
-    v = np.array(_merge_lines(v_raw, snap)).reshape(-1, 3)
-    o = np.array(diag_segs + conn_segs, dtype=float).reshape(-1, 4)
+    o = np.array(diag_segs, dtype=float).reshape(-1, 4)
     coords, tails, heads, ends = _arrangement(h, v, o, np.array(iso, dtype=float), snap,
                                               cfg.max_vertices)
     if len(coords) > cfg.max_vertices:

@@ -38,7 +38,8 @@ __all__ = [
 
 # |u . v| above this is treated as parallel/antiparallel (center ~ 1/(1-c^2))
 _DEGENERACY_TOL = 1e-9
-# half-open clip tolerance so shared corners belong to both cells' axes
+# clip tolerance, relative to the rectangle's far corner, so shared corners
+# belong to both cells' axes at every scale
 _CLIP_TOL = 1e-12
 
 
@@ -170,12 +171,6 @@ class GridEdge:
     hi: float
     line_index: int
     span_index: int
-
-    @property
-    def endpoints(self):
-        if self.vertical:
-            return ParameterPoint(self.fixed, self.lo), ParameterPoint(self.fixed, self.hi)
-        return ParameterPoint(self.lo, self.fixed), ParameterPoint(self.hi, self.fixed)
 
 
 @dataclass(frozen=True)
@@ -320,7 +315,7 @@ def _clip_slope1(k: float, x0, x1, y0, y1):
     """Clip y = x + k to a rectangle; returns sorted endpoints or None."""
     lo = max(x0, y0 - k)
     hi = min(x1, y1 - k)
-    if lo > hi + _CLIP_TOL:
+    if lo > hi + _CLIP_TOL * max(abs(x1), abs(y1)):
         return None
     hi = max(lo, hi)
     return ParameterPoint(lo, lo + k), ParameterPoint(hi, hi + k)
@@ -330,7 +325,7 @@ def _clip_slope_neg1(k: float, x0, x1, y0, y1):
     """Clip y = -x + k to a rectangle; endpoints ordered by x."""
     lo = max(x0, k - y1)
     hi = min(x1, k - y0)
-    if lo > hi + _CLIP_TOL:
+    if lo > hi + _CLIP_TOL * max(abs(x1), abs(y1)):
         return None
     hi = max(lo, hi)
     return ParameterPoint(lo, k - lo), ParameterPoint(hi, k - hi)

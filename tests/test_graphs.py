@@ -58,19 +58,97 @@ def test_g1_always_connected():
 
 
 def test_grid_ball_lattice():
-    segs = ifd.build_grid_ball((0.5, 0.5), 0.25, 0.25, (1.0, 1.0))
-    hs = [s for s in segs if s[0] == "h"]
-    vs = [s for s in segs if s[0] == "v"]
-    assert len(hs) == 3 and len(vs) == 3
-    assert hs[0][1:] == (0.25, 0.25, 0.75)
+    h, v = ifd.build_grid_ball((0.5, 0.5), 0.25, 0.25, (1.0, 1.0))
+    assert len(h) == 3 and len(v) == 3
+    assert tuple(h[0]) == (0.25, 0.25, 0.75)
 
 
 def test_grid_ball_clipping_and_degenerate():
-    segs = ifd.build_grid_ball((0.0, 0.0), 1.0, 0.5, (0.6, 10.0))
-    for kind, fixed, lo, hi in segs:
-        assert lo >= 0.0 and (hi <= 0.6 + 1e-12 if kind == "h" else hi <= 1.0)
+    h, v = ifd.build_grid_ball((0.0, 0.0), 1.0, 0.5, (0.6, 10.0))
+    for lines, span_hi in ((h, 0.6 + 1e-12), (v, 1.0)):
+        assert np.all(lines[:, 1] >= 0.0) and np.all(lines[:, 2] <= span_hi)
     with pytest.raises(DegenerateBall):
         ifd.build_grid_ball((0.5, 0.5), 0.0, 0.0, (1, 1))
+    with pytest.raises(DegenerateBall):
+        ifd.build_grid_ball([(0.5, 0.5), (0.2, 0.2)], [0.25, 0.0], 0.1, (1, 1))
+
+
+def _grid_ball_loop(center, radius, mesh, bounds):
+    """One ball's lines by a loop over its lattice indices: the reference
+    for the array generator, (h, v) lists of (fixed, lo, hi)."""
+    (l1, l2), (cx, cy) = bounds, center
+    k = max(1, math.ceil(2.0 * radius / mesh - 1e-9))
+    step = 2.0 * radius / k
+    h, v = [], []
+    for out, c, l, other, lo, hi in ((h, cy, l2, cx, 0.0, l1), (v, cx, l1, cy, 0.0, l2)):
+        span = (max(other - radius, lo), min(other + radius, hi))
+        if span[1] > span[0]:
+            for t in range(k + 1):
+                y = c - radius + t * step
+                if -1e-12 * l <= y <= l * (1.0 + 1e-12):
+                    out.append((min(max(y, 0.0), l),) + span)
+    return h, v
+
+
+def _merge_lines_loop(raw, snap):
+    """Per-key loop union of collinear intervals: the array merge's reference."""
+    groups = {}
+    for fixed, lo, hi in raw:
+        groups.setdefault(round(fixed / snap), []).append((fixed, lo, hi))
+    merged = []
+    for key in sorted(groups):
+        items = sorted(groups[key], key=lambda t: t[1])
+        fixed, cur_lo, cur_hi = items[0]
+        for _, lo, hi in items[1:]:
+            if lo <= cur_hi + snap:
+                cur_hi = max(cur_hi, hi)
+            else:
+                merged.append((fixed, cur_lo, cur_hi))
+                cur_lo, cur_hi = lo, hi
+        merged.append((fixed, cur_lo, cur_hi))
+    return merged
+
+
+def test_ball_lines_match_loop_reference():
+    # one call for many balls: centers inside, on the corners of and outside
+    # the rectangle, and balls whose step falls below the clip's tolerance
+    from ifd.graphs import _merge_lines
+
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        bounds = tuple(rng.uniform(0.1, 3.0, 2) * 10.0 ** rng.uniform(-8, 6))
+        center = rng.choice([0.0, 1.0, rng.uniform(-0.5, 1.5)], (10, 2)) * bounds
+        radius = rng.uniform(0.1, 5.0, 10) * 10.0 ** rng.uniform(-14, 0, 10) * max(bounds)
+        mesh = radius / rng.choice([0.5, 3.0, 17.2, rng.uniform(1.0, 400.0)], 10)
+        h, v = ifd.build_grid_ball(center, radius, mesh, bounds)
+        ref = [_grid_ball_loop(*ball, bounds) for ball in zip(center, radius, mesh)]
+        assert np.array_equal(h, np.reshape([r for b in ref for r in b[0]], (-1, 3)))
+        assert np.array_equal(v, np.reshape([r for b in ref for r in b[1]], (-1, 3)))
+    for _ in range(300):
+        n, snap = int(rng.integers(0, 40)), 10.0 ** rng.uniform(-14, -1)
+        fixed = rng.choice(rng.uniform(0, 1, 6), n) + rng.choice([0, 0.3, -0.3, 0.7], n) * snap
+        lo = rng.choice(np.round(rng.uniform(0, 1, 8), 2), n) + rng.choice([0, 1, -1, 2], n) * snap
+        hi = lo + rng.choice([0.0, snap, 0.05, 0.2, rng.uniform(0, 0.5)], n)
+        raw = np.stack((fixed, lo, hi), axis=1)
+        assert np.array_equal(_merge_lines(raw, snap),
+                              np.reshape(_merge_lines_loop(raw.tolist(), snap), (-1, 3)))
+
+
+def test_g2_budget_checked_before_ball_lines():
+    # the worst-case constants give each ball ~5.7e7 lines per axis; the
+    # pre-check must reject from the line counts alone, without building them
+    import tracemalloc
+
+    t1, t2 = curve_pair(PARALLEL)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            ifd.build_g2(t1, t2, ifd.GraphConfig(epsilon=1e-3, mode="g2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.projected == 831_744_000_000
+    assert peak < 10 * 2**20
 
 
 def test_g2_identical_curves_zero():
@@ -328,7 +406,10 @@ def test_build_g2_makes_one_weight_call(monkeypatch):
 # config: at s = 1e-8 the first two reported paths re-integrated 7.3% and
 # 21% off and the second lost 81 vertices; the third, a touching pair, got
 # an extra vertex at s = 1e6 from an absolute degenerate-ball threshold and
-# was rejected as non-monotone from s = 1e4
+# was rejected as non-monotone from s = 1e4.  The last two nearly coincide:
+# an absolute axis-clip tolerance and a collinearity test floored at unit
+# length made the first non-monotone and gave the second 32 extra vertices
+# at s = 1e-8
 SCALE_PAIRS = [
     ([(0, 0), (0.132, -0.306), (0.004, -0.614), (0.081, -0.938)],
      [(-0.103, 2.94), (1.133, 3.344)],
@@ -338,6 +419,12 @@ SCALE_PAIRS = [
      ifd.GraphConfig.desk(epsilon=0.25, mode="g2")),
     ([(0, 0), (1, 0), (2, 0.5)],
      [(0.2, 1), (1, 1e-13), (1.8, 1.2)],
+     ifd.GraphConfig(epsilon=0.5, c_radius=4.0, c_mesh=2.0, mode="g2")),
+    ([(0, 0), (0.22925, 0.16241), (0.43979, -0.21128)],
+     [(0, 0), (0.22913, 0.16189)],
+     ifd.GraphConfig(epsilon=0.5, c_radius=4.0, c_mesh=2.0, mode="g2")),
+    ([(0.658, 0.428), (0.524, 0.873), (0.344, 0.59)],
+     [(0.658, 0.428), (0.817, 0.674), (0.448, 0.688), (0.361, 0.58)],
      ifd.GraphConfig(epsilon=0.5, c_radius=4.0, c_mesh=2.0, mode="g2")),
 ]
 
