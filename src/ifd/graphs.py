@@ -27,7 +27,7 @@ from .errors import (
 )
 from .integrals import segment_weighted_length
 # perfbench's tracer wraps names in this module's namespace: the strip
-# kernels are imported only for it, and _search_g2 calls dijkstra through
+# wrappers of the lattice tile kernel are imported only for it, and _search_g2 calls dijkstra through
 # this module's global so that the wrapped search is the one that runs
 from .integrals import horizontal_strip_weights, vertical_strip_weights  # noqa: F401
 from .matching import MonotonePath
@@ -501,7 +501,7 @@ class ApproxResult:
 def _affordable_mesh(t1, t2, budget):
     grid = build_cells(t1, t2)
     l1, l2 = grid.extent
-    h = math.sqrt(max(l1 * l2, 1e-30) / budget)
+    h = math.sqrt(l1 / budget) * math.sqrt(l2)  # a product l1 * l2 would underflow at tiny scales
     for _ in range(200):
         n = axis_size(grid.x_cuts, h) * axis_size(grid.y_cuts, h)
         if n <= budget:

@@ -10,9 +10,10 @@ has the standard arsinh antiderivative.  :func:`arsinh_form` is the one
 closed form for straight pieces, vectorized: :func:`piece_weights` feeds it
 in-cell pieces, and :func:`segment_weighted_length` feeds it any segments
 (two points, or two (n, 2) arrays) after cutting them all at the parameter
-lines in one pass.  The strip kernels weigh lattice rows with one
-primitive per lattice point.  An adaptive-Simpson quadrature over the raw
-curve evaluations serves as the independent cross-check.
+lines in one pass.  Lattices have their own kernel, :func:`_tile_weights`:
+it weighs the right, up and diagonal edges of a tile of lattice points
+from one leash length per point.  An adaptive-Simpson quadrature over the
+raw curve evaluations serves as the independent cross-check.
 
 The per-case forms ``weighted_length_general``, ``weighted_length_axis_aligned``
 and ``weighted_length_on_axis``, ``WeightedSegment.kind`` and
@@ -57,20 +58,6 @@ class WeightedSegment:
     @property
     def l1_length(self) -> float:
         return abs(self.b.x - self.a.x) + abs(self.b.y - self.a.y)
-
-
-def _primitive(t, hsq):
-    """Antiderivative of sqrt(t^2 + hsq); exact |t| t / 2 branch for hsq ~ 0."""
-    t = np.asarray(t, dtype=float)
-    hsq = np.asarray(hsq, dtype=float)
-    r = np.sqrt(t * t + hsq)
-    safe = np.where(hsq > 0.0, hsq, 1.0)
-    with np.errstate(invalid="ignore"):
-        curved = 0.5 * (t * r + hsq * np.arcsinh(t / np.sqrt(safe)))
-    flat = 0.5 * t * np.abs(t)
-    scale = t * t + hsq
-    out = np.where(hsq > 1e-30 * np.maximum(scale, 1e-300), curved, flat)
-    return out if out.ndim else float(out)
 
 
 def _unit_step(t0, hsq):
@@ -246,62 +233,135 @@ def segment_weighted_length(grid: CellGrid, a, b):
     return float(totals[0]) if single else totals
 
 
-# -- vectorized per-cell kernels (lattice and grid-graph construction) --------
+# -- lattice tiles ----------------------------------------------------------
 
 
-def horizontal_strip_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Weights of horizontal lattice edges between consecutive ``xi`` at each ``eta``.
+def _primitives(t, r, p):
+    """(t r + p^2 arsinh(t / |p|)) / 2, the antiderivative of sqrt(t^2 + p^2), with r = sqrt(t^2 + p^2).
+
+    ``p`` is constant along each row or column of ``t``; where p^2 is 0
+    the arsinh term is multiplied by zero as a whole, leaving the flat
+    t |t| / 2.
+    """
+    q = p * p
+    inv = np.divide(1.0, np.abs(p), out=np.zeros_like(q), where=q > 0.0)
+    out = t * inv
+    np.arcsinh(out, out=out)
+    out *= q
+    out += t * r
+    out *= 0.5
+    return out
+
+
+def _diagonal_steps(one_c, sin, xi, eta, t, p, w2, r):
+    """Weights of the diagonal steps of a tile; see :func:`_tile_weights`."""
+    dx, dy = float(xi[1] - xi[0]), float(eta[1] - eta[0])
+    l1 = abs(dx) + abs(dy)
+    # the leash (t, p) moves by (d_t, d_p) per step, so A >= 0, and A is
+    # exactly 0 on a parallel cell with a square mesh
+    d_t, d_p = (dx - dy) + one_c * dy, sin * dy
+    a = d_t * d_t + d_p * d_p
+    w0, r0, r1 = w2[:-1, :-1], r[:-1, :-1], r[1:, 1:]
+    if a == 0.0:
+        return (0.5 * l1) * (r0 + r1)
+    root_a = math.sqrt(a)
+    # the leash along the step is sqrt(tau^2 + q) for tau from t0 to t1 = t0 + sqrt(A)
+    t0 = t[:-1, :-1] * (d_t / root_a) + (p[:-1] * (d_p / root_a))[:, None]
+    q = w0 - t0 * t0
+    t1 = t0 + root_a
+    neg = q < 0.0
+    if neg.any():
+        lo = np.minimum(np.maximum(t0[neg], 0.0), t1[neg])  # argmin of |tau| on the step
+        qmin = q[neg] + lo * lo
+        if (qmin < -_Q_NEG_TOL * np.maximum(w0[neg], w2[1:, 1:][neg])).any():
+            raise NegativeRadicand(f"w^2 reaches {qmin.min():.3e} along a lattice diagonal")
+        q[neg] = 0.0
+    rs = r0 + r1
+    ts = t0 + t1
+    # _unit_step for a step of length sqrt(A): no term subtracts two primitives
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arc = np.arcsinh(root_a * ts / (t1 * r0 + t0 * r1))
+        across = t0 * t1 <= 0.0  # steps over the foot of the leash: a sum of two arsinhs
+        if across.any():
+            qa = q[across]
+            h = np.sqrt(qa)
+            arc[across] = np.where(qa > 0.0, np.arcsinh(t1[across] / h) - np.arcsinh(t0[across] / h), 0.0)
+        out = ts * ts
+        out /= rs
+        out += rs
+        arc *= q
+        arc *= 2.0 / root_a
+        out += arc
+    out *= 0.25 * l1
+    if not rs.all():
+        out[rs == 0.0] = 0.0  # the leash is convex along the step, so 0 at both ends is 0 throughout
+    flat = w0 >= a / _A_EPS  # A <= 1e-14 W2: the leash is constant along the step
+    if flat.any():
+        out[flat] = (0.5 * l1) * rs[flat]
+    return out
+
+
+def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal: bool):
+    """Exact weights of every edge of the lattice tile ``eta x xi`` (cell-local coordinates).
+
+    Returns ``(right, up, diag)`` of shapes ``(m + 1, n)``, ``(m, n + 1)``
+    and ``(m, n)`` for ``n + 1`` columns and ``m + 1`` rows; ``diag`` is
+    ``None`` unless ``diagonal``, whose steps are ``(xi[1] - xi[0],
+    eta[1] - eta[0])`` throughout.
+
+    In the frame of T1's segment the leash has the components
+    T = xi - (c eta + du) along -u and p = u x d0 + (u x v) eta across it,
+    so W2 = T^2 + p^2 and R = sqrt(W2) are taken once per lattice point;
+    likewise W2 = S^2 + p'^2 with S = eta - (c xi - dv) and
+    p' = v x d0 + (u x v) xi.  Here c = u . v = 1 - |u - v|^2 / 2 comes
+    from the directions, not from the cell's ``c``, which is snapped to
+    +-1 on nearly (anti)parallel cells; p and p' are cross products, which
+    stay accurate near a crossing, where |d0|^2 - du^2 would cancel.
+
+    Right and up edges are differences of the arsinh primitive in T and S.
+    A diagonal step (dxi, deta) moves the leash by (dxi - c deta,
+    (u x v) deta), of squared length A, so along it the squared leash is
+    tau^2 + Q with tau running from tau0, the leash's component along that
+    move, over a length sqrt(A), and Q = W2 - tau0^2; the step is
+    integrated as in :func:`_unit_step`, with R at both ends.  The
+    trapezoid weighs steps where A <= 1e-14 W2 and all of them when
+    A == 0.  Raises :class:`NegativeRadicand` as :func:`arsinh_form` does.
+    """
+    du, dv, u, v = cell.du, cell.dv, cell.u, cell.v
+    d0 = cell.b0 - cell.a0
+    gap = u - v
+    one_c = 0.5 * float(gap @ gap)  # 1 - u . v, exactly 0 when u == v
+    c = 1.0 - one_c
+    sin = u[0] * v[1] - u[1] * v[0]
+    p_h = (u[0] * d0[1] - u[1] * d0[0]) + sin * eta
+    p_v = (v[0] * d0[1] - v[1] * d0[0]) + sin * xi
+    t = xi - (c * eta + du)[:, None]
+    w2 = t * t
+    w2 += (p_h * p_h)[:, None]
+    r = np.sqrt(w2)
+    right = _primitives(t, r, p_h[:, None])
+    right = right[:, 1:] - right[:, :-1]
+    s = eta[:, None] - (c * xi - dv)
+    up = _primitives(s, r, p_v)
+    up = up[1:] - up[:-1]
+    diag = _diagonal_steps(one_c, sin, xi, eta, t, p_h, w2, r) if diagonal else None
+    return right, up, diag
+
+
+def horizontal_strip_weights(cell: ParameterCell, xi, eta) -> np.ndarray:
+    """Weights of the horizontal lattice edges between consecutive ``xi`` at each ``eta``.
 
     Local cell coordinates; returns shape (len(eta), len(xi) - 1).
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    foot = cell.c * eta + cell.du
-    q = np.maximum(
-        (1.0 - cell.c * cell.c) * eta * eta
-        + 2.0 * (cell.dv - cell.c * cell.du) * eta
-        + (cell.d0sq - cell.du * cell.du),
-        0.0,
-    )
-    t = xi[None, :] - foot[:, None]
-    p = _primitive(t, q[:, None])
-    return p[:, 1:] - p[:, :-1]
+    return _tile_weights(cell, np.asarray(xi, dtype=float), np.asarray(eta, dtype=float), False)[0]
 
 
-def vertical_strip_weights(cell: ParameterCell, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Weights of vertical lattice edges between consecutive ``eta`` at each ``xi``.
+def vertical_strip_weights(cell: ParameterCell, eta, xi) -> np.ndarray:
+    """Weights of the vertical lattice edges between consecutive ``eta`` at each ``xi``.
 
     Returns shape (len(eta) - 1, len(xi)).
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    foot = cell.c * xi - cell.dv
-    q = np.maximum(
-        (1.0 - cell.c * cell.c) * xi * xi
-        + 2.0 * (cell.c * cell.dv - cell.du) * xi
-        + (cell.d0sq - cell.dv * cell.dv),
-        0.0,
-    )
-    t = eta[:, None] - foot[None, :]
-    p = _primitive(t, q[None, :])
-    return p[1:, :] - p[:-1, :]
-
-
-def diagonal_block_weights(cell: ParameterCell, xi0: np.ndarray, eta0: np.ndarray,
-                           dxi: float, deta: float) -> np.ndarray:
-    """Weights of uniform diagonal steps (dxi, deta) starting at eta0 x xi0.
-
-    Returns shape (len(eta0), len(xi0)).
-    """
-    xi0 = np.asarray(xi0, dtype=float)
-    eta0 = np.asarray(eta0, dtype=float)
-    d0 = cell.b0 - cell.a0
-    dax = d0[0] + eta0[:, None] * cell.v[0] - xi0[None, :] * cell.u[0]
-    day = d0[1] + eta0[:, None] * cell.v[1] - xi0[None, :] * cell.u[1]
-    ex = deta * cell.v[0] - dxi * cell.u[0]
-    ey = deta * cell.v[1] - dxi * cell.u[1]
-    return arsinh_form(ex * ex + ey * ey, 2.0 * (dax * ex + day * ey),
-                       dax * dax + day * day, abs(dxi) + abs(deta))
+    return _tile_weights(cell, np.asarray(xi, dtype=float), np.asarray(eta, dtype=float), False)[1]
 
 
 def _simpson(f, lo, hi, f_lo, f_mid, f_hi, tol, depth):

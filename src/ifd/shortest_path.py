@@ -7,7 +7,9 @@ path is reconstructed backwards with ties broken toward the smallest
 vertex id.  Rectangular lattices (the uniform grid g1, the dense
 snapped-grid oracle and the per-cell staircase oracle) share one weight
 generator, one row-by-row dynamic program over right/up(/diagonal) moves
-and one backtrack over its move table; every edge weight is an exact
+and one backtrack over its move table.  The generator calls one kernel,
+``integrals._tile_weights``, per tile of at most ``_ROW_CHUNK`` rows by
+``_COL_CHUNK`` columns inside one cell; every edge weight is an exact
 closed form.
 """
 
@@ -19,14 +21,11 @@ import numpy as np
 
 from .curves import PolygonalCurve
 from .errors import BudgetExceeded
-from .integrals import (
-    diagonal_block_weights,
-    horizontal_strip_weights,
-    vertical_strip_weights,
-)
+from .integrals import _tile_weights
 from .param_space import ParameterCell, build_cells
 
-_ROW_CHUNK = 64  # lattice rows per weight block
+_ROW_CHUNK = 64    # lattice rows per weight block
+_COL_CHUNK = 256   # lattice columns per kernel tile, so its temporaries stay in cache
 
 __all__ = [
     "PathResult",
@@ -267,7 +266,8 @@ def lattice_weights(lat: Lattice, diagonal: bool):
     rightward edges on rows ``r0..r1`` (``r1 - r0 + 1`` rows), ``up`` the
     upward edges from row ``r`` to ``r + 1`` and ``diag`` (``None`` unless
     ``diagonal``) the diagonal ones.  Every weight is an exact closed form
-    from the strip kernels of the cell holding the edge.
+    from one kernel call per tile of at most ``_COL_CHUNK`` columns inside
+    the cell holding it.
     """
     xs, x_off, ys, y_off = lat.xs, lat.x_off, lat.ys, lat.y_off
     nx = len(xs)
@@ -278,15 +278,14 @@ def lattice_weights(lat: Lattice, diagonal: bool):
             up = np.empty((r1 - r0, nx))
             diag = np.empty((r1 - r0, nx - 1)) if diagonal else None
             for i in range(len(x_off) - 1):
-                a, b = x_off[i], x_off[i + 1]
                 cell = lat.cell_at(i, j)
-                xi = xs[a:b + 1] - cell.x0
                 eta = ys[r0:r1 + 1] - cell.y0
-                right[:, a:b] = horizontal_strip_weights(cell, xi, eta)
-                up[:, a:b + 1] = vertical_strip_weights(cell, eta, xi)
-                if diagonal:
-                    diag[:, a:b] = diagonal_block_weights(
-                        cell, xi[:-1], eta[:-1], float(xs[a + 1] - xs[a]), float(ys[r0 + 1] - ys[r0]))
+                for a in range(x_off[i], x_off[i + 1], _COL_CHUNK):
+                    b = min(a + _COL_CHUNK, x_off[i + 1])
+                    w = _tile_weights(cell, xs[a:b + 1] - cell.x0, eta, diagonal)
+                    right[:, a:b], up[:, a:b + 1] = w[0], w[1]
+                    if diagonal:
+                        diag[:, a:b] = w[2]
             yield r0, right, up, diag
 
 
@@ -294,26 +293,27 @@ def lattice_weights(lat: Lattice, diagonal: bool):
 _LEFT, _UP, _DIAG = 1, 2, 3
 
 
-def _row_update(prev, up, diag, right, moves=None):
-    """One DP row: enter from below or diagonally, then sweep right.
+def _row_update(prev, up, diag, r, moves, out, best):
+    """One DP row into ``out``: enter from below or diagonally, then sweep right.
 
-    ``moves``, when given, receives the move that reached each point;
-    ties go to the move that enters the row.
+    ``r`` holds the running sums of the row's rightward weights (0 first)
+    and ``best`` is scratch of the row's length.  ``moves``, when given,
+    receives the move that reached each point; ties go to the move that
+    enters the row.
     """
-    base = prev + up
+    np.add(prev, up, out=out)
     if moves is not None:
         moves[:] = _UP
     if diag is not None:
-        via = prev[:-1] + diag
+        via = np.add(prev[:-1], diag, out=best[1:])
         if moves is not None:
-            moves[1:][via < base[1:]] = _DIAG
-        base[1:] = np.minimum(base[1:], via)
-    r = np.concatenate(([0.0], np.cumsum(right)))
-    entered = base - r
-    best = np.minimum.accumulate(entered)
+            moves[1:][via < out[1:]] = _DIAG
+        np.minimum(out[1:], via, out=out[1:])
+    entered = np.subtract(out, r, out=out)
+    np.minimum.accumulate(entered, out=best)
     if moves is not None:
         moves[best < entered] = _LEFT
-    return r + best
+    return np.add(r, best, out=out)
 
 
 def lattice_dp(lat: Lattice, diagonal: bool, path: bool = False):
@@ -323,16 +323,19 @@ def lattice_dp(lat: Lattice, diagonal: bool, path: bool = False):
     the lattice width.  ``points`` is ``None`` unless ``path``, which adds
     an int8 table of the moves and a backtrack over it.
     """
-    moves = np.empty((len(lat.ys), len(lat.xs)), dtype=np.int8) if path else None
-    prev = None
+    nx = len(lat.xs)
+    moves = np.empty((len(lat.ys), nx), dtype=np.int8) if path else None
+    prev, out, best = None, np.empty(nx), np.empty(nx)
+    sums = np.zeros((_ROW_CHUNK + 1, nx))  # running sums of each row's rightward weights
     for r0, right, up, diag in lattice_weights(lat, diagonal):
+        np.cumsum(right, axis=1, out=sums[:len(right), 1:])
         if prev is None:
-            prev = np.concatenate(([0.0], np.cumsum(right[0])))
+            prev = sums[0].copy()
             if moves is not None:
                 moves[0] = _LEFT
         for t in range(len(up)):
-            prev = _row_update(prev, up[t], None if diag is None else diag[t], right[t + 1],
-                               None if moves is None else moves[r0 + t + 1])
+            prev, out = _row_update(prev, up[t], None if diag is None else diag[t], sums[t + 1],
+                                    None if moves is None else moves[r0 + t + 1], out, best), prev
     return float(prev[-1]), None if moves is None else _backtrack(lat, moves)
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +287,31 @@ def test_identical_single_segment_exact_zero():
     res = ifd.approximate_integral_frechet(t, t, ifd.GraphConfig.desk(0.25))
     assert res.value == 0.0
     assert res.average == 0.0
+
+
+def test_oracle_mesh_is_scale_free():
+    # the affordable mesh is a length: the lattice and value / s^2 do not move with s
+    a = np.array([(0, 0), (1, 0.3), (1.8, -0.2)], float)
+    b = np.array([(0, 0.5), (0.9, 0.8), (1.7, 0.6)], float)
+    cfg = ifd.GraphConfig.desk(0.25, mode="oracle")
+    runs = []
+    for s in (1e-20, 1e-8, 1.0, 1e6):
+        res = ifd.approximate_integral_frechet(ifd.build_curve(a * s), ifd.build_curve(b * s), cfg)
+        runs.append((res.graph_stats["oracle"]["vertices"], res.value / (s * s)))
+    assert len({n for n, _ in runs}) == 1
+    for _, v in runs:
+        assert v == pytest.approx(runs[2][1], rel=1e-9)
+
+
+def test_traced_names_exist():
+    # perfbench/tracing.py swaps these module attributes for timing wrappers;
+    # a missing one breaks a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.SPAN_TARGETS + tracing.AGG_TARGETS:
+        assert callable(getattr(importlib.import_module(f"ifd.{module}"), attr, None)), (module, attr)
 
 
 def test_no_feasible_graph():

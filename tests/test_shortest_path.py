@@ -5,7 +5,7 @@ import pytest
 
 import ifd
 from ifd.errors import BudgetExceeded
-from ifd.shortest_path import snapped_axis
+from ifd.shortest_path import Lattice, _staircase_lattice, lattice_weights, snapped_axis
 
 from helpers import (
     ARRANGEMENT_PAIR,
@@ -269,3 +269,93 @@ def test_staircase_refinement_monotone():
             if prev is not None:
                 assert v <= prev + 1e-12
             prev = v
+
+
+# curve pairs for the lattice kernel, each with the cell kind it exercises
+KERNEL_PAIRS = {
+    "generic": ([(0, 0), (1, 0.3), (1.8, -0.2)], [(0, 0.5), (0.9, 0.8), (1.7, 0.6)]),
+    # T2's second vertex is T1's second vertex: cell rows and columns where
+    # the leash has no component across a segment, and a zero-weight corner
+    "crossing": ([(0, 0), (1, 0), (2, 0.3)], [(0, -0.5), (1, 0), (2, 0.6)]),
+    # crossings inside cells, where |d0|^2 - (d0 . u)^2 would cancel
+    "crossing inside": ([(0, 0), (1, 0.5), (2, 0)], [(0, 0.4), (1, 0.1), (2, 0.6)]),
+    # same direction from different differences: c snaps to 1
+    "parallel": ([(0, 0), (1, 0.4), (1.6, -0.1)], [(0.1, 0.5), (1.1, 0.9), (2.0, 1.4)]),
+    # 4e-5 rad apart: c snaps to 1 although u != v
+    "nearly parallel": ([(0, 0), (1, 0)],
+                        [(0.1, 0.01), (0.1 + 1.2 * math.cos(4e-5), 0.01 + 1.2 * math.sin(4e-5))]),
+    "antiparallel": ([(0, 0), (1, 0), (1.5, 0.6)], [(1.2, 0.4), (0.1, 0.4), (-0.3, 1.1)]),
+    "identical": ([(0, 0), (1, 0.4), (1.7, 0.9)], [(0, 0), (1, 0.4), (1.7, 0.9)]),
+}
+
+MESHES = {"generic": (0.0035, 0.0101), "crossing inside": (0.013, 0.013), "identical": (0.013, 0.013)}
+
+
+def _lattice(grid, hx, hy):
+    xs, x_off = snapped_axis(grid.x_cuts, hx)
+    ys, y_off = snapped_axis(grid.y_cuts, hy)
+    return Lattice(grid.cell, xs, x_off, ys, y_off)
+
+
+def _lattice_edges(lat, diagonal=True):
+    """{kind: (weights, tails, heads)} of every edge, weights from :func:`lattice_weights`."""
+    nx, ny = len(lat.xs), len(lat.ys)
+    w = {"right": np.empty((ny, nx - 1)), "up": np.empty((ny - 1, nx)), "diag": np.empty((ny - 1, nx - 1))}
+    for r0, right, up, diag in lattice_weights(lat, diagonal):
+        w["right"][r0:r0 + len(right)] = right
+        w["up"][r0:r0 + len(up)] = up
+        w["diag"][r0:r0 + len(up)] = diag
+    pts = np.stack(np.meshgrid(lat.xs, lat.ys), axis=-1)
+    ends = {"right": (pts[:, :-1], pts[:, 1:]), "up": (pts[:-1], pts[1:]),
+            "diag": (pts[:-1, :-1], pts[1:, 1:])}
+    return {k: (w[k].ravel(), ends[k][0].reshape(-1, 2), ends[k][1].reshape(-1, 2)) for k in w}
+
+
+def test_lattice_kernel_matches_closed_form():
+    kinds = {name: {c.kind for row in ifd.build_cells(*curve_pair(p)).cells for c in row}
+             for name, p in KERNEL_PAIRS.items()}
+    assert "parallel" in kinds["parallel"] and "antiparallel" in kinds["antiparallel"]
+    assert kinds["nearly parallel"] == {"parallel"}
+    crossing = ifd.build_cells(*curve_pair(KERNEL_PAIRS["crossing"]))
+    assert crossing.cell(0, 1).d0sq == crossing.cell(0, 1).du ** 2
+    rng = np.random.default_rng(35)
+    for name, pair in KERNEL_PAIRS.items():
+        unit = None
+        for s in (1e-8, 1.0, 1e6):
+            t1 = ifd.build_curve(np.asarray(pair[0], float) * s)
+            t2 = ifd.build_curve(np.asarray(pair[1], float) * s)
+            grid = ifd.build_cells(t1, t2)
+            # generic: the first cell spans two column tiles and two row
+            # chunks; identical: a square mesh puts steps on the zero diagonal
+            hx, hy = MESHES.get(name, (0.021, 0.017))
+            lat = _lattice(grid, hx * s, hy * s)
+            edges = _lattice_edges(lat)
+            for kind, (w, a, b) in edges.items():
+                ref = ifd.segment_weighted_length(grid, a, b)
+                assert np.all(np.abs(w - ref) <= 1e-11 * ref), (name, s, kind)
+                if s == 1.0:
+                    for k in rng.choice(len(w), 3, replace=False):
+                        quad = ifd.quadrature_weighted_length(grid, a[k], b[k], tol=1e-13)
+                        assert w[k] == pytest.approx(quad, rel=1e-10, abs=1e-300)
+            scaled = {kind: e[0] / (s * s) for kind, e in edges.items()}
+            if unit is None:
+                unit = scaled
+            for kind in scaled:
+                assert np.allclose(scaled[kind], unit[kind], rtol=1e-11, atol=0.0), (name, s, kind)
+            if name == "identical":
+                w, a, b = edges["diag"]
+                on = (a[:, 0] == a[:, 1]) & (b[:, 0] == b[:, 1])
+                assert on.sum() == min(len(lat.xs), len(lat.ys)) - 1
+                assert np.all(w[on] == 0.0)
+
+
+def test_staircase_lattice_of_a_point_weighs_zero():
+    grid, cell = random_cell(np.random.default_rng(36))
+    a = (0.5 * (cell.x0 + cell.x1), 0.5 * (cell.y0 + cell.y1))
+    for w, _, _ in _lattice_edges(_staircase_lattice(cell, a, a, 5)).values():
+        assert np.all(w == 0.0)
+    # a vertical staircase: zero-width right and diagonal steps
+    b = (a[0], cell.y1)
+    for w, p, q in _lattice_edges(_staircase_lattice(cell, a, b, 7)).values():
+        ref = ifd.segment_weighted_length(grid, p, q)
+        assert np.all(np.abs(w - ref) <= 1e-11 * ref)
