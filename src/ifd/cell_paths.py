@@ -134,38 +134,43 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     Otherwise the crossing point on the edge is found by ternary search
     (with a 64-point scan to bracket the minimum first) over the exact
     per-side in-cell optima, which makes the middle piece cross the edge
-    perpendicularly.
+    perpendicularly.  The tolerances are relative to the parameter
+    extent, so the path scales with the curves.
     """
     o = ParameterPoint(float(o[0]), float(o[1]))
     p = ParameterPoint(float(p[0]), float(p[1]))
-    if not dominates(o, p, tol=1e-12):
+    scale = max(grid.extent)
+    tol = 1e-15 * scale  # vertex dedupe
+    if not dominates(o, p, tol=1e-12 * scale):
         raise NotMonotone(f"{o} does not dominate {p}")
+    mid = 0.5 * (edge.lo + edge.hi)
     if edge.vertical:
-        i_lo, _ = grid.locate(edge.fixed - 1e-12, 0.5 * (edge.lo + edge.hi), prefer_lower=True)
-        cell_o = grid.cell(max(i_lo, 0), edge.span_index)
+        i_lo, _ = grid.locate(edge.fixed, mid, prefer_lower=True)
+        cell_o = grid.cell(i_lo, edge.span_index)
         cell_p = grid.cell(min(i_lo + 1, grid.n_cols - 1), edge.span_index)
     else:
-        _, j_lo = grid.locate(0.5 * (edge.lo + edge.hi), edge.fixed - 1e-12, prefer_lower=True)
-        cell_o = grid.cell(edge.span_index, max(j_lo, 0))
+        _, j_lo = grid.locate(mid, edge.fixed, prefer_lower=True)
+        cell_o = grid.cell(edge.span_index, j_lo)
         cell_p = grid.cell(edge.span_index, min(j_lo + 1, grid.n_rows - 1))
     if cell_o.kind == "antiparallel" or cell_p.kind == "antiparallel":
         raise AntiparallelCell("two-cell crossing touches an antiparallel cell")
 
     ell_o = free_space_axes(cell_o).ell
     ell_p = free_space_axes(cell_p).ell
-    on_edge = (
-        lambda q: abs(q.x - edge.fixed) <= 1e-9 if edge.vertical else abs(q.y - edge.fixed) <= 1e-9
-    )
+
+    def on_edge(q):
+        return abs((q.x if edge.vertical else q.y) - edge.fixed) <= 1e-9 * scale
+
     if ell_o is not None and ell_p is not None:
         c_o = ell_o[1]  # top-right endpoint of the first cell's clipped axis
         c_p = ell_p[0]  # bottom-left endpoint of the second cell's clipped axis
-        if on_edge(c_o) and on_edge(c_p) and dominates(c_o, c_p, tol=1e-12):
-            verts = _dedupe([o, c_o, c_p, p])
+        if on_edge(c_o) and on_edge(c_p) and dominates(c_o, c_p, tol=1e-12 * scale):
+            verts = _dedupe([o, c_o, c_p, p], tol)
             # the piece along the shared edge evaluates identically in either cell
             length = (
-                _polyline_length(cell_o, _dedupe([o, c_o]))
+                _polyline_length(cell_o, _dedupe([o, c_o], tol))
                 + _polyline_length(cell_o, [c_o, c_p])
-                + _polyline_length(cell_p, _dedupe([c_p, p]))
+                + _polyline_length(cell_p, _dedupe([c_p, p], tol))
             )
             return CellPath(vertices=verts, branch="through_axis",
                             weighted_length=length, cells=(cell_o, cell_p))
@@ -209,7 +214,7 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     z = mk(best)
     left = cell_shortest_path(cell_o, o, z)
     right = cell_shortest_path(cell_p, z, p)
-    verts = _dedupe(list(left.vertices) + list(right.vertices)[1:])
+    verts = _dedupe(list(left.vertices) + list(right.vertices)[1:], tol)
     return CellPath(
         vertices=verts,
         branch="around_corner",

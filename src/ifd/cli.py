@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import GraphConfig, approximate_integral_frechet
 from .matching import MonotonePath, locally_optimize, matching_cost
-from .param_space import build_cells, free_space_axes
+from .param_space import _clip_slope1, build_cells, free_space_axes
 
 __all__ = ["main", "load_curve", "render_svg", "build_report"]
 
@@ -183,7 +183,7 @@ def _slice_outline(cell, delta, samples: int = 96):
         for sgn in (-1.0, 1.0):
             ox = cx + sgn * b * e2[0]
             oy = cy + sgn * b * e2[1]
-            run = _clip_line_to_cell(cell, ox, oy)
+            run = _clip_slope1(oy - ox, cell.x0, cell.x1, cell.y0, cell.y1)
             if run:
                 yield run
         return
@@ -201,15 +201,6 @@ def _slice_outline(cell, delta, samples: int = 96):
             run = []
     if run:
         yield run
-
-
-def _clip_line_to_cell(cell, ox, oy):
-    k = oy - ox
-    lo = max(cell.x0, cell.y0 - k)
-    hi = min(cell.x1, cell.y1 - k)
-    if lo > hi:
-        return []
-    return [(lo, lo + k), (hi, hi + k)]
 
 
 def _make_parser():

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_paths import _shortest_vertices
+from .cell_paths import _dedupe, _shortest_vertices
 # perfbench's tracer wraps this name in this module's namespace; it is
 # imported only for that, since the sweep below calls _shortest_vertices
 from .cell_paths import cell_shortest_path  # noqa: F401
 from .curves import PolygonalCurve
 from .errors import NotMonotone
-from .integrals import _split, segment_weighted_length, split_at_parameter_lines
-from .param_space import build_cells
+from .integrals import _split, segment_weighted_length
+from .param_space import build_cells, weight_many
 
 __all__ = [
     "MonotonePath",
@@ -115,12 +115,7 @@ def _substitute_once(grid, p: MonotonePath) -> MonotonePath:
             out.append(b[hi])
         else:
             out.extend(_shortest_vertices(cell, a[lo], b[hi])[0][1:])
-    tol = 1e-15 * max(grid.extent)
-    deduped = [out[0]]
-    for q in out[1:]:
-        if abs(q[0] - deduped[-1][0]) > tol or abs(q[1] - deduped[-1][1]) > tol:
-            deduped.append(q)
-    return MonotonePath.from_points(deduped)
+    return MonotonePath.from_points(_dedupe(out, 1e-15 * max(grid.extent)))
 
 
 def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePath:
@@ -158,18 +153,9 @@ def max_leash(t1: PolygonalCurve, t2: PolygonalCurve, path) -> float:
     """Largest weight along the path (the matching's bottleneck distance).
 
     The squared weight is convex on each straight in-cell piece, so the
-    per-piece maximum sits at an endpoint.
+    maximum sits at a path vertex or at a piece end on a parameter line.
     """
     p = _as_path(path)
-    grid = build_cells(t1, t2)
-    best = 0.0
-    for seg in split_at_parameter_lines(grid, p.vertices[:-1], p.vertices[1:]):
-        best = max(
-            best,
-            float(seg.cell.weight_at(seg.a.x, seg.a.y)),
-            float(seg.cell.weight_at(seg.b.x, seg.b.y)),
-        )
-    if len(p.vertices) == 1:
-        v = p.vertices[0]
-        best = float(grid.cell_at((v[0], v[1])).weight_at(v[0], v[1]))
-    return best
+    _, a, b, _, _ = _split(build_cells(t1, t2), p.vertices[:-1], p.vertices[1:])
+    pts = np.concatenate((p.vertices, a, b))
+    return float(weight_many(t1, t2, pts[:, 0], pts[:, 1]).max())

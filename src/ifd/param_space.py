@@ -2,14 +2,20 @@
 
 The parameter space is the rectangle [0, |T1|] x [0, |T2|]; a point (x, y)
 maps to the point pair (T1(x), T2(y)) and its weight is the Euclidean
-distance between them.  Each segment pair spans an axis-aligned cell on
-which the squared weight is a quadratic form
+distance between them.  Each segment pair spans an axis-aligned cell.  Every
+weight here is the length of the leash T2(y) - T1(x); along a cell side one
+curve stays at a vertex and the other runs along a segment, so each side
+question (minimum, crossings of a level) is a point-to-segment question.
+
+The squared weight on a cell is the quadratic form
 
     w^2(xi, eta) = xi^2 - 2 c xi eta + eta^2 - 2 du xi + 2 dv eta + |d0|^2
 
 in cell-local coordinates, where u and v are the unit segment directions,
 c = u . v, d0 the offset between the segment start points, du = d0 . u and
-dv = d0 . v.  The sublevel sets are ellipse slices whose monotone principal
+dv = d0 . v.  The form describes the model only (axes, centre, the cell
+kind, with c snapped to +-1 on nearly parallel cells); no weight is
+evaluated from it.  The sublevel sets are ellipse slices whose monotone principal
 axis (slope +1) carries the in-cell shortest paths.
 """
 
@@ -39,7 +45,7 @@ __all__ = [
 # |u . v| above this is treated as parallel/antiparallel (center ~ 1/(1-c^2))
 _DEGENERACY_TOL = 1e-9
 # clip tolerance, relative to the rectangle's far corner, so shared corners
-# belong to both cells' axes at every scale
+# belong to both cells' axes (and level crossings to their sides) at every scale
 _CLIP_TOL = 1e-12
 
 
@@ -84,26 +90,18 @@ class ParameterCell:
     def local(self, x, y):
         return x - self.x0, y - self.y0
 
+    def leash(self, x, y) -> np.ndarray:
+        """Vector T2(y) - T1(x) for a point of this cell (scalar or array input)."""
+        xi, eta = self.local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return (self.b0 + eta[..., None] * self.v) - (self.a0 + xi[..., None] * self.u)
+
     def weight_sq(self, x, y):
         """Squared weight at global parameter coordinates (scalar or array)."""
-        xi, eta = self.local(x, y)
-        q = (
-            xi * xi
-            - 2.0 * self.c * xi * eta
-            + eta * eta
-            - 2.0 * self.du * xi
-            + 2.0 * self.dv * eta
-            + self.d0sq
-        )
-        return np.maximum(q, 0.0) if isinstance(q, np.ndarray) else max(q, 0.0)
+        d = self.leash(x, y)
+        return (d * d).sum(axis=-1)
 
     def weight_at(self, x, y):
         return np.sqrt(self.weight_sq(x, y))
-
-    def leash(self, x, y) -> np.ndarray:
-        """Vector T2(y) - T1(x) for a point of this cell."""
-        xi, eta = self.local(x, y)
-        return (self.b0 + eta * self.v) - (self.a0 + xi * self.u)
 
     def contains(self, p, tol: float = 1e-9) -> bool:
         return (
@@ -122,34 +120,25 @@ class ParameterCell:
         return (self.y0 - self.x0) - (self.du + self.dv) / (1.0 + self.c)
 
     def corner_weights(self):
-        return [
-            float(self.weight_at(x, y))
-            for x in (self.x0, self.x1)
-            for y in (self.y0, self.y1)
-        ]
+        xs = [self.x0, self.x0, self.x1, self.x1]
+        ys = [self.y0, self.y1, self.y0, self.y1]
+        return self.weight_at(xs, ys).tolist()
 
     def min_weight(self) -> float:
-        """Minimum weight over the closed cell rectangle."""
-        best = min(self.corner_weights())
-        # interior/boundary candidates of the convex quadratic
-        cands = []
-        if self.kind != "antiparallel" and abs(self.c) < 1.0 - _DEGENERACY_TOL:
-            den = 1.0 - self.c * self.c
-            xi = (self.du - self.c * self.dv) / den
-            eta = (self.c * self.du - self.dv) / den
-            if 0 <= xi <= self.width and 0 <= eta <= self.height:
-                cands.append((self.x0 + xi, self.y0 + eta))
-        for xi_fix in (0.0, self.width):
-            eta = self.c * xi_fix - self.dv  # argmin over eta at fixed xi
-            if 0 <= eta <= self.height:
-                cands.append((self.x0 + xi_fix, self.y0 + eta))
-        for eta_fix in (0.0, self.height):
-            xi = self.c * eta_fix + self.du
-            if 0 <= xi <= self.width:
-                cands.append((self.x0 + xi, self.y0 + eta_fix))
-        for x, y in cands:
-            best = min(best, float(self.weight_at(x, y)))
-        return best
+        """Minimum weight over the closed cell rectangle.
+
+        Zero when the segments cross inside the cell; otherwise the convex
+        weight takes its minimum on the boundary, a point-to-segment
+        distance on one of the four sides.
+        """
+        cross = _cross(self.u, self.v)
+        if cross != 0.0:
+            d0 = self.b0 - self.a0
+            xi = _cross(d0, self.v) / cross
+            eta = _cross(d0, self.u) / cross
+            if 0.0 <= xi <= self.width and 0.0 <= eta <= self.height:
+                return 0.0
+        return min(_pinned(q, base, d, n)[3] for _, q, base, d, n, _ in _sides(self))
 
     def max_corner_weight(self) -> float:
         return max(self.corner_weights())
@@ -369,6 +358,37 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
     )
 
 
+def _cell_tol(cell: ParameterCell) -> float:
+    return _CLIP_TOL * max(abs(cell.x1), abs(cell.y1))
+
+
+def _cross(a, b) -> float:
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def _pinned(q, base, d, length):
+    """One curve pinned at point q, the other on the segment base + t d, 0 <= t <= length.
+
+    Returns ``(along, off, t, w)``: the projection of q onto the segment's
+    line and its signed offset from it, then the clamped nearest parameter
+    and the distance there.
+    """
+    r = q - base
+    along = float(np.dot(r, d))
+    t = min(max(along, 0.0), length)
+    return along, _cross(r, d), t, float(np.linalg.norm(q - (base + t * d)))
+
+
+def _sides(cell: ParameterCell):
+    """Each side as (name, pinned point, segment start, direction, length, first coordinate)."""
+    return (
+        ("bottom", cell.b0, cell.a0, cell.u, cell.width, cell.x0),
+        ("top", cell.b0 + cell.height * cell.v, cell.a0, cell.u, cell.width, cell.x0),
+        ("left", cell.a0, cell.b0, cell.v, cell.height, cell.y0),
+        ("right", cell.a0 + cell.width * cell.u, cell.b0, cell.v, cell.height, cell.y0),
+    )
+
+
 def edge_min(grid: CellGrid, edge: GridEdge):
     """Minimizer of the weight along a cell-grid edge.
 
@@ -376,26 +396,12 @@ def edge_min(grid: CellGrid, edge: GridEdge):
     segment, so this is a point-to-segment distance: project and clamp.
     Returns ``(point, weight)``.
     """
-    if edge.vertical:
-        q = grid.t1.point_at(edge.fixed)
-        moving = grid.t2
-        j = edge.span_index
-        base = moving.vertices[j]
-        d = moving.directions[j]
-        t = float(np.dot(q - base, d))
-        t = min(max(t, 0.0), edge.hi - edge.lo)
-        p = ParameterPoint(edge.fixed, edge.lo + t)
-        w = float(np.linalg.norm(q - (base + t * d)))
-    else:
-        q = grid.t2.point_at(edge.fixed)
-        moving = grid.t1
-        i = edge.span_index
-        base = moving.vertices[i]
-        d = moving.directions[i]
-        t = float(np.dot(q - base, d))
-        t = min(max(t, 0.0), edge.hi - edge.lo)
-        p = ParameterPoint(edge.lo + t, edge.fixed)
-        w = float(np.linalg.norm(q - (base + t * d)))
+    fixed, moving = (grid.t1, grid.t2) if edge.vertical else (grid.t2, grid.t1)
+    k = edge.span_index
+    _, _, t, w = _pinned(fixed.point_at(edge.fixed), moving.vertices[k],
+                         moving.directions[k], edge.hi - edge.lo)
+    s = edge.lo + t
+    p = ParameterPoint(edge.fixed, s) if edge.vertical else ParameterPoint(s, edge.fixed)
     return p, w
 
 
@@ -416,11 +422,11 @@ class EllipseSlice:
 
     @property
     def is_empty(self) -> bool:
-        return self.cell.min_weight() > self.delta + 1e-12
+        return self.cell.min_weight() > self.delta + _cell_tol(self.cell)
 
     @property
     def is_full(self) -> bool:
-        return self.cell.max_corner_weight() <= self.delta + 1e-12
+        return self.cell.max_corner_weight() <= self.delta + _cell_tol(self.cell)
 
     def contains(self, p, tol: float = 1e-12) -> bool:
         return self.cell.contains(p) and float(
@@ -428,47 +434,21 @@ class EllipseSlice:
         ) <= self.delta * self.delta + tol
 
 
-def _edge_crossings(cell, delta, horizontal_side):
-    """Solve w^2 = delta^2 along one cell side; returns global coordinates."""
-    d2 = delta * delta
-    out = []
-    if horizontal_side is not None:
-        # eta fixed: xi^2 - 2(c eta + du) xi + (eta^2 + 2 dv eta + d0sq - d2) = 0
-        eta = horizontal_side
-        b = cell.c * eta + cell.du
-        cc = eta * eta + 2.0 * cell.dv * eta + cell.d0sq - d2
-        disc = b * b - cc
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            for xi in (b - r, b + r):
-                if -1e-12 <= xi <= cell.width + 1e-12:
-                    out.append(cell.x0 + min(max(xi, 0.0), cell.width))
-    return sorted(set(out))
-
-
-def _edge_crossings_vertical(cell, delta, xi_fixed):
-    d2 = delta * delta
-    out = []
-    b = cell.c * xi_fixed - cell.dv
-    cc = xi_fixed * xi_fixed - 2.0 * cell.du * xi_fixed + cell.d0sq - d2
-    disc = b * b - cc
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        for eta in (b - r, b + r):
-            if -1e-12 <= eta <= cell.height + 1e-12:
-                out.append(cell.y0 + min(max(eta, 0.0), cell.height))
-    return sorted(set(out))
-
-
 def ellipse_slice(cell: ParameterCell, delta: float) -> EllipseSlice:
     """Descriptor of {w <= delta} within a cell (possibly empty or full)."""
     if delta < 0:
         raise OutOfRange("delta must be nonnegative")
-    crossings = {
-        "bottom": _edge_crossings(cell, delta, 0.0),
-        "top": _edge_crossings(cell, delta, cell.height),
-        "left": _edge_crossings_vertical(cell, delta, 0.0),
-        "right": _edge_crossings_vertical(cell, delta, cell.width),
-    }
+    tol = _cell_tol(cell)
+    crossings = {}
+    for name, q, base, d, length, start in _sides(cell):
+        # roots of |q - (base + t d)| = delta: along -+ sqrt(delta^2 - off^2)
+        along, off, _, _ = _pinned(q, base, d, length)
+        gap = delta - abs(off)
+        roots = []
+        if gap >= 0.0:
+            r = math.sqrt(gap * (delta + abs(off)))
+            roots = [start + min(max(t, 0.0), length)
+                     for t in (along - r, along + r) if -tol <= t <= length + tol]
+        crossings[name] = sorted(set(roots))
     coeffs = (cell.c, -2.0 * cell.du, 2.0 * cell.dv, cell.d0sq)
     return EllipseSlice(cell=cell, delta=delta, coeffs=coeffs, crossings=crossings)

@@ -101,10 +101,19 @@ def test_outputs_monotone_and_inside_cell():
 
 
 def _shared_edge(grid, vertical, fixed):
+    tol = 1e-12 * max(grid.extent)
     return [
         e for e in grid.edges()
-        if e.vertical == vertical and abs(e.fixed - fixed) < 1e-12
+        if e.vertical == vertical and abs(e.fixed - fixed) < tol
     ][0]
+
+
+# powers of two scale every coordinate exactly, so values/s and costs/s^2 must not move
+SCALES = pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 30], ids=["2^-40", "1", "2^30"])
+
+
+def _scaled_curve(points, s):
+    return ifd.build_curve(s * np.asarray(points, dtype=float))
 
 
 def test_two_cell_coincident_axis_endpoints():
@@ -119,32 +128,34 @@ def test_two_cell_coincident_axis_endpoints():
     assert p.weighted_length == pytest.approx(3.0, abs=1e-12)
 
 
-def test_two_cell_canonical_four_vertices():
+@SCALES
+def test_two_cell_canonical_four_vertices(s):
     # axes of the two side-by-side cells end on the shared edge, ordered
-    t1 = ifd.build_curve([(0, 0), (1, 0), (1, -1)])
-    t2 = ifd.build_curve([(0, 0.5), (2, 0.5)])
+    t1 = _scaled_curve([(0, 0), (1, 0), (1, -1)], s)
+    t2 = _scaled_curve([(0, 0.5), (2, 0.5)], s)
     grid = ifd.build_cells(t1, t2)
-    e = _shared_edge(grid, vertical=True, fixed=1.0)
-    o, p = (0.2, 0.2), (1.4, 1.9)
+    e = _shared_edge(grid, vertical=True, fixed=s)
+    o, p = (0.2 * s, 0.2 * s), (1.4 * s, 1.9 * s)
     path = ifd.two_cell_path(o, p, e, grid)
     assert path.branch == "through_axis"
     assert len(path.vertices) == 4
-    assert np.allclose(path.vertices[1], (1.0, 1.0))
-    assert np.allclose(path.vertices[2], (1.0, 1.5))
+    assert np.allclose(np.asarray(path.vertices[1]) / s, (1.0, 1.0))
+    assert np.allclose(np.asarray(path.vertices[2]) / s, (1.0, 1.5))
     oracle = lattice_oracle(grid, o, p, 48)
-    assert path.weighted_length <= oracle + 1e-10
+    assert path.weighted_length / s**2 <= oracle / s**2 + 1e-10
 
 
-def test_two_cell_search_branch_crosses_perpendicularly():
+@SCALES
+def test_two_cell_search_branch_crosses_perpendicularly(s):
     # first cell's axis tops out on the shared edge above the second's start
-    t1 = ifd.build_curve([(0, 0), (1, 0), (1, 1)])
-    t2 = ifd.build_curve([(0, 0.5), (1.5, 0.5)])
+    t1 = _scaled_curve([(0, 0), (1, 0), (1, 1)], s)
+    t2 = _scaled_curve([(0, 0.5), (1.5, 0.5)], s)
     grid = ifd.build_cells(t1, t2)
-    e = _shared_edge(grid, vertical=True, fixed=1.0)
-    o, p = (0.3, 0.3), (1.7, 1.2)
+    e = _shared_edge(grid, vertical=True, fixed=s)
+    o, p = (0.3 * s, 0.3 * s), (1.7 * s, 1.2 * s)
     path = ifd.two_cell_path(o, p, e, grid)
     assert path.branch == "around_corner"
-    verts = [tuple(v) for v in path.vertices]
+    verts = [(v[0] / s, v[1] / s) for v in path.vertices]
     k = [i for i, v in enumerate(verts) if abs(v[0] - 1.0) < 1e-9]
     assert k, "no vertex on the shared edge"
     i = k[0]
@@ -152,7 +163,7 @@ def test_two_cell_search_branch_crosses_perpendicularly():
     assert verts[i - 1][1] == pytest.approx(verts[i][1], abs=1e-10)
     assert verts[i + 1][1] == pytest.approx(verts[i][1], abs=1e-10)
     oracle = lattice_oracle(grid, o, p, 48)
-    assert path.weighted_length <= oracle + 1e-10
+    assert path.weighted_length / s**2 <= oracle / s**2 + 1e-10
 
 
 def test_two_cell_antiparallel_raises():

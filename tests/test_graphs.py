@@ -314,6 +314,31 @@ def test_traced_names_exist():
         assert callable(getattr(importlib.import_module(f"ifd.{module}"), attr, None)), (module, attr)
 
 
+def test_public_names_are_pinned():
+    # deleting or renaming a helper must not silently drop a public name
+    assert sorted(ifd.__all__) == sorted([
+        "errors",
+        "PolygonalCurve", "CurveStats", "build_curve", "point_at", "stats",
+        "ParameterPoint", "ParameterCell", "CellGrid", "FreeSpaceAxes",
+        "EllipseSlice", "GridEdge", "weight", "build_cells", "free_space_axes",
+        "edge_min", "ellipse_slice",
+        "WeightedSegment", "split_at_parameter_lines", "weighted_length",
+        "arsinh_form", "piece_weights", "quadrature_weighted_length",
+        "segment_weighted_length",
+        "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
+        "partial_similarity_profile", "staircase_fallback_path",
+        "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",
+        "build_grid_ball", "approximate_integral_frechet",
+        "PathResult", "dijkstra", "bellman_ford", "dense_grid_oracle",
+        "staircase_cell_oracle",
+        "MonotonePath", "matching_cost", "evaluate_matching", "locally_optimize",
+        "max_leash",
+    ])
+    assert len(set(ifd.__all__)) == len(ifd.__all__)
+    for name in ifd.__all__:
+        assert getattr(ifd, name, None) is not None, name
+
+
 def test_no_feasible_graph():
     t1, t2 = curve_pair(PARALLEL)
     cfg = ifd.GraphConfig(epsilon=0.25, max_vertices=10, mode="both", c_mesh=8.0, c_g1=40.0)

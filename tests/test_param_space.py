@@ -193,3 +193,114 @@ def test_locate_prefers_requested_side():
     assert g.locate(1.0, 0.5, prefer_lower=False)[0] == 1
     assert g.locate(0.0, 0.0, prefer_lower=True) == (0, 0)
     assert g.locate(2.0, 2.0) == (1, 1)
+
+
+def _segment_pair(a0, a1, b0, b1):
+    t1 = ifd.build_curve([a0, a1])
+    t2 = ifd.build_curve([b0, b1])
+    return t1, t2, ifd.build_cells(t1, t2).cell(0, 0)
+
+
+def _nearly_parallel_pair(angle=4e-5):
+    # c rounds to 1 within the degeneracy tolerance, so the cell is 'parallel'
+    d = 1.2 * np.array([math.cos(angle), math.sin(angle)])
+    return _segment_pair((0, 0), (1, 0), (0.1, 0.01), np.array([0.1, 0.01]) + d)
+
+
+def _random_nearly_parallel(rng):
+    """Two unit-ish segments a tilt of 1e-7 to 1e-3 rad apart, most of them 'parallel' cells."""
+    a0 = rng.uniform(-1, 1, 2)
+    ang = rng.uniform(0, 2 * math.pi)
+    tilt = ang + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-7, -3)
+    b0 = a0 + rng.uniform(-0.5, 0.5, 2)
+    return _segment_pair(a0, a0 + np.array([math.cos(ang), math.sin(ang)]),
+                         b0, b0 + 1.3 * np.array([math.cos(tilt), math.sin(tilt)]))
+
+
+def _crossing_point(cell, side, v):
+    return {
+        "bottom": (v, cell.y0), "top": (v, cell.y1),
+        "left": (cell.x0, v), "right": (cell.x1, v),
+    }[side]
+
+
+def test_cell_weight_is_the_curves_weight_on_nearly_parallel_cell():
+    t1, t2, cell = _nearly_parallel_pair()
+    assert cell.kind == "parallel"
+    xs, ys = np.meshgrid(np.linspace(cell.x0, cell.x1, 41), np.linspace(cell.y0, cell.y1, 41))
+    direct = weight_many(t1, t2, xs.ravel(), ys.ravel())
+    model = cell.weight_at(xs.ravel(), ys.ravel())
+    assert np.all(np.abs(model - direct) <= 1e-14 * direct)
+    corners = weight_many(t1, t2, [cell.x0, cell.x0, cell.x1, cell.x1],
+                          [cell.y0, cell.y1, cell.y0, cell.y1])
+    assert np.allclose(cell.corner_weights(), corners, rtol=1e-14, atol=0.0)
+
+
+def test_ellipse_crossings_have_weight_delta():
+    rng = np.random.default_rng(11)
+    cases = [_nearly_parallel_pair()]
+    cases += [random_cell(rng) for _ in range(40)]
+    cases = [(grid.t1, grid.t2, cell) for grid, cell in cases[1:]] + cases[:1]
+    cases += [_random_nearly_parallel(rng) for _ in range(10)]
+    seen = 0
+    for t1, t2, cell in cases:
+        lo, hi = cell.min_weight(), cell.max_corner_weight()
+        for delta in [0.02] + list(rng.uniform(lo, hi, 4)):
+            for side, values in ifd.ellipse_slice(cell, float(delta)).crossings.items():
+                for v in values:
+                    w = ifd.weight(t1, t2, _crossing_point(cell, side, v))
+                    assert abs(w - delta) <= 1e-12 * delta, (side, v, w, delta)
+                    seen += 1
+    assert seen > 200
+
+
+def test_min_weight_zero_where_nearly_parallel_segments_cross():
+    a = 1e-5
+    d = np.array([math.cos(a), math.sin(a)])
+    start = np.array([0.05, -0.5 * math.sin(a)])
+    _, _, cell = _segment_pair((0, 0), (1, 0), start, start + d)
+    assert cell.kind == "parallel"
+    assert cell.min_weight() == 0.0
+
+
+def _brute_min(t1, t2, cell, n=401):
+    xs, ys = np.meshgrid(np.linspace(cell.x0, cell.x1, n), np.linspace(cell.y0, cell.y1, n))
+    return float(weight_many(t1, t2, xs.ravel(), ys.ravel()).min())
+
+
+def test_min_weight_matches_brute_force():
+    rng = np.random.default_rng(12)
+    cells = []
+    for _ in range(10):
+        grid, cell = random_cell(rng)
+        cells.append((grid.t1, grid.t2, cell))
+    for _ in range(10):
+        # T2 starts a hair away from a point of T1 and leaves at a random angle
+        a0, a1 = rng.uniform(-1, 1, (2, 2))
+        gap, ang, out = 10.0 ** rng.uniform(-9, -4), *rng.uniform(0, 2 * math.pi, 2)
+        b0 = a0 + rng.uniform(0, 1) * (a1 - a0) + gap * np.array([math.cos(ang), math.sin(ang)])
+        cells.append(_segment_pair(a0, a1, b0, b0 + np.array([math.cos(out), math.sin(out)])))
+    cells += [_random_nearly_parallel(rng) for _ in range(10)]
+    for t1, t2, cell in cells:
+        brute = _brute_min(t1, t2, cell)
+        # the weight is 1-Lipschitz in L1, and some sample lies within half a step per axis
+        slack = 0.5 * (cell.width + cell.height) / 400
+        assert brute - slack - 1e-12 <= cell.min_weight() <= brute + 1e-12
+
+
+def test_ellipse_slice_is_scale_free():
+    rng = np.random.default_rng(13)
+    for n in range(100):
+        cell = (_random_nearly_parallel(rng) if n % 10 == 0 else random_cell(rng))[-1]
+        pts1 = [cell.a0, cell.a0 + cell.width * cell.u]
+        pts2 = [cell.b0, cell.b0 + cell.height * cell.v]
+        lo, hi = cell.min_weight(), cell.max_corner_weight()
+        for delta in (lo, hi, float(rng.uniform(lo, hi)), 0.5 * (lo + hi)):
+            seen = []
+            for s in (2.0 ** -40, 1.0, 2.0 ** 30):
+                scaled = ifd.build_cells(ifd.build_curve(s * np.asarray(pts1)),
+                                         ifd.build_curve(s * np.asarray(pts2))).cell(0, 0)
+                sl = ifd.ellipse_slice(scaled, s * delta)
+                crossings = {k: [v / s for v in vals] for k, vals in sl.crossings.items()}
+                seen.append((crossings, sl.is_empty, sl.is_full))
+            assert seen[0] == seen[1] == seen[2], (n, delta, seen)
