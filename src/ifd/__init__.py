@@ -15,7 +15,7 @@ from .cell_paths import (
     staircase_fallback_path,
     two_cell_path,
 )
-from .curves import CurveStats, PolygonalCurve, build_curve, point_at, stats
+from .curves import CurveStats, PolygonalCurve, build_curve, stats
 from .graphs import (
     ApproxResult,
     GraphConfig,
@@ -25,15 +25,7 @@ from .graphs import (
     build_g2,
     build_grid_ball,
 )
-from .integrals import (
-    WeightedSegment,
-    arsinh_form,
-    piece_weights,
-    quadrature_weighted_length,
-    segment_weighted_length,
-    split_at_parameter_lines,
-    weighted_length,
-)
+from .integrals import arsinh_form, piece_weights, segment_weighted_length
 from .matching import (
     MonotonePath,
     evaluate_matching,
@@ -54,31 +46,22 @@ from .param_space import (
     free_space_axes,
     weight,
 )
-from .shortest_path import (
-    PathResult,
-    bellman_ford,
-    dense_grid_oracle,
-    dijkstra,
-    staircase_cell_oracle,
-)
+from .shortest_path import PathResult, dense_grid_oracle, dijkstra
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "PolygonalCurve", "CurveStats", "build_curve", "point_at", "stats",
+    "PolygonalCurve", "CurveStats", "build_curve", "stats",
     "ParameterPoint", "ParameterCell", "CellGrid", "FreeSpaceAxes",
     "EllipseSlice", "GridEdge", "weight", "build_cells", "free_space_axes",
     "edge_min", "ellipse_slice",
-    "WeightedSegment", "split_at_parameter_lines", "weighted_length",
-    "arsinh_form", "piece_weights", "quadrature_weighted_length",
-    "segment_weighted_length",
+    "arsinh_form", "piece_weights", "segment_weighted_length",
     "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
     "partial_similarity_profile", "staircase_fallback_path",
     "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",
     "build_grid_ball", "approximate_integral_frechet",
-    "PathResult", "dijkstra", "bellman_ford", "dense_grid_oracle",
-    "staircase_cell_oracle",
+    "PathResult", "dijkstra", "dense_grid_oracle",
     "MonotonePath", "matching_cost", "evaluate_matching", "locally_optimize",
     "max_leash",
 ]

@@ -114,10 +114,16 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
 
 
 def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath:
-    """Best right/up/diagonal lattice path; used where no monotone axis exists."""
-    from .shortest_path import _staircase_path  # local import to avoid a cycle
+    """Best right/up/diagonal path over the k x k lattice spanned by a and b.
 
-    value, points = _staircase_path(cell, a, b, k)
+    Used where no monotone axis exists, and as the brute-force reference
+    for :func:`cell_shortest_path`.  Raises ``ValueError`` when k < 1.
+    """
+    from .shortest_path import _staircase_lattice, lattice_dp  # local import to avoid a cycle
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    value, points = lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True, path=True)
     return CellPath(
         vertices=_dedupe([ParameterPoint(*p) for p in points]),
         branch="degenerate_fallback",

@@ -20,7 +20,6 @@ from .errors import (
     Disconnected,
     NegativeRadicand,
     NoFeasibleGraph,
-    NonConvergence,
     NotMonotone,
     OutOfRange,
     TooFewVertices,
@@ -194,7 +193,7 @@ def _slice_outline(cell, delta, samples: int = 96):
         th = 2.0 * math.pi * t / samples
         x = cx + math.cos(th) * r1 * e1[0] + math.sin(th) * r2 * e2[0]
         y = cy + math.cos(th) * r1 * e1[1] + math.sin(th) * r2 * e2[1]
-        if cell.contains((x, y), tol=1e-9):
+        if cell.contains((x, y)):
             run.append((x, y))
         elif run:
             yield run
@@ -267,7 +266,7 @@ def main(argv=None) -> int:
               "--epsilon; --mode oracle also works on small inputs",
               file=sys.stderr)
         return 3
-    except (NegativeRadicand, NonConvergence, OutOfRange, FloatingPointError) as exc:
+    except (NegativeRadicand, OutOfRange, FloatingPointError) as exc:
         print(f"ifd: numeric error: {exc}", file=sys.stderr)
         return 4
     runtime_ms = 1000.0 * (time.perf_counter() - started)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import OutOfRange, TooFewVertices
 
-__all__ = ["PolygonalCurve", "CurveStats", "build_curve", "point_at", "stats"]
+__all__ = ["PolygonalCurve", "CurveStats", "build_curve", "stats"]
 
 # absolute slack for evaluating slightly outside [0, length]
 _EVAL_SLACK = 1e-9
@@ -43,26 +43,17 @@ class PolygonalCurve:
     def segment_lengths(self) -> np.ndarray:
         return np.diff(self.cum_length)
 
-    def segment_index(self, s: float, prefer_lower: bool = False) -> int:
-        """Index of the segment containing arc length ``s`` (clamped)."""
-        side = "left" if prefer_lower else "right"
-        i = int(np.searchsorted(self.cum_length, s, side=side)) - 1
-        return min(max(i, 0), self.n_segments - 1)
+    def point_at(self, s):
+        """Evaluate the curve at arc length ``s`` (unit speed).
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Evaluate the curve at arc length ``s`` (unit speed)."""
-        lo, hi = -_EVAL_SLACK, self.length + _EVAL_SLACK
-        if not (lo <= s <= hi):
-            raise OutOfRange(f"arc length {s!r} outside [0, {self.length!r}]")
-        s = min(max(s, 0.0), self.length)
-        i = self.segment_index(s)
-        return self.vertices[i] + (s - self.cum_length[i]) * self.directions[i]
-
-    def points_at(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`point_at`; returns an (n, 2) array."""
+        A scalar gives one point of shape (2,); an array of arc lengths
+        gives one point per entry, shape ``s.shape + (2,)``.
+        """
         s = np.asarray(s, dtype=float)
-        if s.size and (s.min() < -_EVAL_SLACK or s.max() > self.length + _EVAL_SLACK):
-            raise OutOfRange("arc length outside curve range")
+        outside = ~((s >= -_EVAL_SLACK) & (s <= self.length + _EVAL_SLACK))  # NaN is outside
+        if outside.any():
+            bad = float(s[outside].flat[0])
+            raise OutOfRange(f"arc length {bad!r} outside [0, {self.length!r}]")
         s = np.clip(s, 0.0, self.length)
         i = np.clip(np.searchsorted(self.cum_length, s, side="right") - 1, 0, self.n_segments - 1)
         return self.vertices[i] + (s - self.cum_length[i])[..., None] * self.directions[i]
@@ -107,11 +98,6 @@ def build_curve(points) -> PolygonalCurve:
     cum = np.concatenate(([0.0], np.cumsum(seg_len)))
     dirs = deltas / seg_len[:, None]
     return PolygonalCurve(vertices=verts, cum_length=cum, directions=dirs)
-
-
-def point_at(curve: PolygonalCurve, s: float) -> np.ndarray:
-    """Module-level alias for :meth:`PolygonalCurve.point_at`."""
-    return curve.point_at(s)
 
 
 def stats(t1: PolygonalCurve, t2: PolygonalCurve) -> CurveStats:

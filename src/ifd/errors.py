@@ -21,10 +21,6 @@ class NegativeRadicand(IfdError):
     """The quadratic under the square root dips below zero; coefficients are inconsistent."""
 
 
-class NonConvergence(IfdError):
-    """Adaptive quadrature hit its depth limit without reaching the tolerance."""
-
-
 class BudgetExceeded(IfdError):
     """Building the requested structure would exceed the vertex budget."""
 

@@ -122,18 +122,18 @@ class MonotoneDigraph:
     def point(self, i: int) -> ParameterPoint:
         return ParameterPoint(float(self.xs[i]), float(self.ys[i]))
 
-    def validate_monotone(self, tol: float = 1e-9):
+    def validate_monotone(self):
         """Raise ``ValueError`` on a backward edge or a negative weight.
 
-        A step back counts only beyond ``tol`` times the largest
-        coordinate, so snap-rounded vertices pass at every scale.
+        A step back counts only beyond 1e-9 times the largest coordinate,
+        so snap-rounded vertices pass at every scale.
         """
         if self.n_edges == 0:
             return
         dx = self.xs[self.heads] - self.xs[self.tails]
         dy = self.ys[self.heads] - self.ys[self.tails]
         extent = float(max(np.abs(self.xs).max(), np.abs(self.ys).max()))
-        if float(min(dx.min(), dy.min())) < -tol * extent:
+        if float(min(dx.min(), dy.min())) < -1e-9 * extent:
             raise ValueError("graph contains a non-monotone edge")
         if float(self.weights.min()) < -1e-12:
             raise ValueError("graph contains a negative edge weight")
@@ -514,13 +514,24 @@ def _search_g1(t1, t2, cfg):
     """g1's shortest path by a sweep over its lattice; no graph is built."""
     lat = grid_lattice(build_cells(t1, t2), _g1_mesh(t1, t2, cfg), cfg.max_vertices)
     value, pts = lattice_dp(lat, diagonal=False, path=True)
-    return value, pts, lat.n_points, lat.n_edges(diagonal=False)
+    return value, pts, {"vertices": lat.n_points, "edges": lat.n_edges(diagonal=False)}
 
 
 def _search_g2(t1, t2, cfg):
     g = build_g2(t1, t2, cfg)
     res = dijkstra(g)
-    return res.distance, res.points, g.n_vertices, g.n_edges
+    return res.distance, res.points, {"vertices": g.n_vertices, "edges": g.n_edges}
+
+
+def _search_oracle(t1, t2, cfg):
+    """The dense right/up/diagonal lattice at the finest mesh the budget affords."""
+    h = _affordable_mesh(t1, t2, cfg.max_vertices)
+    value, pts, lat = dense_grid_oracle_path(t1, t2, h, max_points=cfg.max_vertices)
+    return value, pts, {"mesh": h, "vertices": lat.n_points, "edges": lat.n_edges(diagonal=True)}
+
+
+# each search returns (distance, path points, sizes for graph_stats)
+_SEARCHES = {"g1": _search_g1, "g2": _search_g2, "oracle": _search_oracle}
 
 
 def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
@@ -529,38 +540,19 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
 
     Runs the shortest-path search on each graph requested by ``cfg.mode``
     (a lattice sweep for g1, a topological sweep of the built arrangement
-    for g2) and keeps the minimum; the value is always an upper bound on
-    the true distance because every graph path is a feasible monotone
-    matching.
-    ``mode='oracle'`` runs the dense lattice, diagonals included, instead.
+    for g2, both for ``"both"``) and keeps the minimum; the value is
+    always an upper bound on the true distance because every graph path
+    is a feasible monotone matching.  ``mode='oracle'`` runs the dense
+    lattice, diagonals included, instead.  Raises
+    :class:`NoFeasibleGraph` when every requested search exceeds the
+    budget and :class:`Disconnected` when none reaches the sink.
     """
-    total_len = t1.length + t2.length
-    graph_stats = {}
-    if cfg.mode == "oracle":
-        h = _affordable_mesh(t1, t2, cfg.max_vertices)
-        value, pts, lat = dense_grid_oracle_path(t1, t2, h, max_points=cfg.max_vertices)
-        graph_stats["oracle"] = {
-            "status": "ok",
-            "mesh": h,
-            "vertices": lat.n_points,
-            "edges": lat.n_edges(diagonal=True),
-            "distance": value,
-        }
-        return ApproxResult(
-            value=value,
-            average=value / total_len,
-            winning_mode="oracle",
-            path=MonotonePath.from_points(pts),
-            graph_stats=graph_stats,
-        )
-
     wanted = ("g1", "g2") if cfg.mode == "both" else (cfg.mode,)
-    searches = {"g1": _search_g1, "g2": _search_g2}
+    graph_stats = {}
     best = None
-    saw_budget = False
     for name in wanted:
         try:
-            distance, pts, n_vertices, n_edges = searches[name](t1, t2, cfg)
+            distance, pts, sizes = _SEARCHES[name](t1, t2, cfg)
         except BudgetExceeded as exc:
             graph_stats[name] = {
                 "status": "budget_exceeded",
@@ -569,21 +561,17 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
                 "edges": 0,
                 "distance": None,
             }
-            saw_budget = True
             continue
         reachable = math.isfinite(distance)
         graph_stats[name] = {
             "status": "ok" if reachable else "disconnected",
-            "vertices": n_vertices,
-            "edges": n_edges,
+            **sizes,
             "distance": distance if reachable else None,
         }
         if reachable and (best is None or distance < best[0]):
             best = (distance, name, pts)
     if best is None:
-        if saw_budget and all(
-            st["status"] == "budget_exceeded" for st in graph_stats.values()
-        ):
+        if all(st["status"] == "budget_exceeded" for st in graph_stats.values()):
             raise NoFeasibleGraph(
                 "every requested graph exceeds the vertex budget "
                 f"{cfg.max_vertices}: "
@@ -596,7 +584,7 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
     value, name, pts = best
     return ApproxResult(
         value=value,
-        average=value / total_len,
+        average=value / (t1.length + t2.length),
         winning_mode=name,
         path=MonotonePath.from_points(pts),
         graph_stats=graph_stats,

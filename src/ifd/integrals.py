@@ -12,52 +12,28 @@ in-cell pieces, and :func:`segment_weighted_length` feeds it any segments
 (two points, or two (n, 2) arrays) after cutting them all at the parameter
 lines in one pass.  Lattices have their own kernel, :func:`_tile_weights`:
 it weighs the right, up and diagonal edges of a tile of lattice points
-from one leash length per point.  An adaptive-Simpson quadrature over the
-raw curve evaluations serves as the independent cross-check.
-
-The per-case forms ``weighted_length_general``, ``weighted_length_axis_aligned``
-and ``weighted_length_on_axis``, ``WeightedSegment.kind`` and
-``errors.NotOnAxis`` are gone; :func:`weighted_length` and
-:func:`piece_weights` weigh every piece.
+from one leash length per point.
 """
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NegativeRadicand, NonConvergence
-from .param_space import CellGrid, ParameterCell, ParameterPoint
+from .errors import NegativeRadicand
+from .param_space import CellGrid, ParameterCell
 
 __all__ = [
-    "WeightedSegment",
-    "split_at_parameter_lines",
     "arsinh_form",
     "piece_quadratics",
     "piece_weights",
-    "weighted_length",
     "segment_weighted_length",
-    "quadrature_weighted_length",
 ]
 
 _A_EPS = 1e-14       # A below this times C: the leash is constant along the piece
 _Q_NEG_TOL = 1e-9    # w^2 below -this times the endpoint w^2 signals bad coefficients
 _BLOCK = 4096        # segments per pass, so temporaries stay small for any batch
 _HUGE = 2.0 ** 200   # coefficients past this (or nonflat A below its inverse) are rescaled
-
-
-@dataclass(frozen=True)
-class WeightedSegment:
-    """A straight piece of a path, confined to one cell."""
-
-    a: ParameterPoint
-    b: ParameterPoint
-    cell: ParameterCell
-
-    @property
-    def l1_length(self) -> float:
-        return abs(self.b.x - self.a.x) + abs(self.b.y - self.a.y)
 
 
 def _unit_step(t0, hsq):
@@ -159,11 +135,6 @@ def piece_weights(cell, a, b) -> np.ndarray:
     return arsinh_form(*piece_quadratics(cell, a, b))
 
 
-def weighted_length(seg: WeightedSegment) -> float:
-    """Exact weighted length of one in-cell piece."""
-    return float(piece_weights(seg.cell, seg.a, seg.b)[0])
-
-
 def _split(grid: CellGrid, a, b):
     """Cut every segment a[k] -> b[k] (a point or an (n, 2) array each) at the parameter lines.
 
@@ -201,19 +172,6 @@ def _split(grid: CellGrid, a, b):
     i = np.searchsorted(grid.x_cuts[1:-1], mid[:, 0], side="left")
     j = np.searchsorted(grid.y_cuts[1:-1], mid[:, 1], side="left")
     return seg, p, q, i, j
-
-
-def split_at_parameter_lines(grid: CellGrid, a, b):
-    """Cut the segment a -> b (or each of the (n, 2) segments a -> b) at every parameter line.
-
-    Returns the ordered pieces as :class:`WeightedSegment`; each piece lies
-    in exactly one cell (boundary pieces resolve to the lower/left cell).
-    """
-    _, p, q, i, j = _split(grid, a, b)
-    return [
-        WeightedSegment(a=ParameterPoint(*pp), b=ParameterPoint(*qq), cell=grid.cell(ii, jj))
-        for pp, qq, ii, jj in zip(p.tolist(), q.tolist(), i.tolist(), j.tolist())
-    ]
 
 
 def segment_weighted_length(grid: CellGrid, a, b):
@@ -362,49 +320,3 @@ def vertical_strip_weights(cell: ParameterCell, eta, xi) -> np.ndarray:
     Returns shape (len(eta) - 1, len(xi)).
     """
     return _tile_weights(cell, np.asarray(xi, dtype=float), np.asarray(eta, dtype=float), False)[1]
-
-
-def _simpson(f, lo, hi, f_lo, f_mid, f_hi, tol, depth):
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    mh = 0.5 * (mid + hi)
-    f_lm = f(lm)
-    f_mh = f(mh)
-    whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-    right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_mh + f_hi)
-    if depth <= 0:
-        raise NonConvergence("adaptive Simpson exceeded depth 60")
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return _simpson(f, lo, mid, f_lo, f_lm, f_mid, tol / 2.0, depth - 1) + _simpson(
-        f, mid, hi, f_mid, f_mh, f_hi, tol / 2.0, depth - 1
-    )
-
-
-def quadrature_weighted_length(grid: CellGrid, a, b, tol: float = 1e-12) -> float:
-    """Adaptive-Simpson weighted length of a -> b, split at parameter lines.
-
-    Evaluates the weight from the raw curves (not the cell quadratics), so
-    it is an independent oracle for the closed forms.  ``tol`` is relative.
-    """
-    pieces = split_at_parameter_lines(grid, a, b)
-    t1, t2 = grid.t1, grid.t2
-    total = 0.0
-    for seg in pieces:
-        l1len = seg.l1_length
-        if l1len == 0.0:
-            continue
-        pa, pb = seg.a, seg.b
-
-        def f(s):
-            x = pa.x + s * (pb.x - pa.x)
-            y = pa.y + s * (pb.y - pa.y)
-            d = t2.point_at(y) - t1.point_at(x)
-            return math.hypot(d[0], d[1]) * l1len
-
-        f0, fm, f1 = f(0.0), f(0.5), f(1.0)
-        scale = max(abs(f0), abs(fm), abs(f1), 1e-300)
-        total += _simpson(f, 0.0, 1.0, f0, fm, f1, tol * scale, 60)
-    return total

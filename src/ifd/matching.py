@@ -21,7 +21,7 @@ from .cell_paths import cell_shortest_path  # noqa: F401
 from .curves import PolygonalCurve
 from .errors import NotMonotone
 from .integrals import _split, segment_weighted_length
-from .param_space import build_cells, weight_many
+from .param_space import build_cells, weight
 
 __all__ = [
     "MonotonePath",
@@ -40,14 +40,19 @@ class MonotonePath:
     cum_l1: np.ndarray
 
     @classmethod
-    def from_points(cls, points, tol: float = 1e-9):
+    def from_points(cls, points):
+        """Validate and wrap a point sequence.
+
+        Raises :class:`NotMonotone` on a step back beyond 1e-9 of the
+        largest |coordinate|; smaller steps back are float dust and are
+        clamped to zero.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(pts) == 0:
             raise NotMonotone("empty path")
         d = np.diff(pts, axis=0)
         if d.size:
-            scale = 1.0 + float(np.abs(pts).max())
-            if float(d.min()) < -tol * scale:
+            if float(d.min()) < -1e-9 * float(np.abs(pts).max()):
                 raise NotMonotone(f"backward step of {float(d.min()):.3e}")
             d = np.maximum(d, 0.0)  # clamp float dust
         cum = np.concatenate(([0.0], np.cumsum(d.sum(axis=1)))) if d.size else np.zeros(1)
@@ -157,5 +162,4 @@ def max_leash(t1: PolygonalCurve, t2: PolygonalCurve, path) -> float:
     """
     p = _as_path(path)
     _, a, b, _, _ = _split(build_cells(t1, t2), p.vertices[:-1], p.vertices[1:])
-    pts = np.concatenate((p.vertices, a, b))
-    return float(weight_many(t1, t2, pts[:, 0], pts[:, 1]).max())
+    return float(weight(t1, t2, np.concatenate((p.vertices, a, b))).max())

@@ -103,7 +103,9 @@ class ParameterCell:
     def weight_at(self, x, y):
         return np.sqrt(self.weight_sq(x, y))
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
+        """True if ``p`` lies in the closed cell, up to 1e-12 of the cell's far corner."""
+        tol = _cell_tol(self)
         return (
             self.x0 - tol <= p[0] <= self.x1 + tol
             and self.y0 - tol <= p[1] <= self.y1 + tol
@@ -253,17 +255,14 @@ class FreeSpaceAxes:
         return (p[0] - self.center.x) + (p[1] - self.center.y)
 
 
-def weight(t1: PolygonalCurve, t2: PolygonalCurve, p) -> float:
-    """Euclidean distance between T1(p.x) and T2(p.y)."""
-    a = t1.point_at(p[0])
-    b = t2.point_at(p[1])
-    return float(np.linalg.norm(b - a))
+def weight(t1: PolygonalCurve, t2: PolygonalCurve, p):
+    """Euclidean distance between T1(p.x) and T2(p.y).
 
-
-def weight_many(t1: PolygonalCurve, t2: PolygonalCurve, xs, ys) -> np.ndarray:
-    """Vectorized :func:`weight` over coordinate arrays."""
-    d = t2.points_at(np.asarray(ys, dtype=float)) - t1.points_at(np.asarray(xs, dtype=float))
-    return np.linalg.norm(d, axis=-1)
+    One point gives a float; an (n, 2) array of points gives n weights.
+    """
+    p = np.asarray(p, dtype=float)
+    w = np.linalg.norm(t2.point_at(p[..., 1]) - t1.point_at(p[..., 0]), axis=-1)
+    return float(w) if p.ndim == 1 else w
 
 
 def _make_cell(t1, t2, i, j, x_cuts, y_cuts) -> ParameterCell:
@@ -409,7 +408,7 @@ def edge_min(grid: CellGrid, edge: GridEdge):
 class EllipseSlice:
     """Sublevel set {w <= delta} of one cell, described by its boundary crossings.
 
-    ``coeffs`` are the five free coefficients of the local quadratic
+    ``coeffs`` are the four free coefficients of the local quadratic
     (c, -2 du, +2 dv, |d0|^2) with the unit diagonal implied; ``crossings``
     maps each cell side to the parameter values (global coordinates along
     that side) where w == delta.
@@ -428,10 +427,10 @@ class EllipseSlice:
     def is_full(self) -> bool:
         return self.cell.max_corner_weight() <= self.delta + _cell_tol(self.cell)
 
-    def contains(self, p, tol: float = 1e-12) -> bool:
-        return self.cell.contains(p) and float(
-            self.cell.weight_sq(p[0], p[1])
-        ) <= self.delta * self.delta + tol
+    def contains(self, p) -> bool:
+        """True if ``p`` is in the cell with weight at most delta, both up to 1e-12 of the far corner."""
+        reach = self.delta + _cell_tol(self.cell)
+        return self.cell.contains(p) and float(self.cell.weight_sq(p[0], p[1])) <= reach * reach
 
 
 def ellipse_slice(cell: ParameterCell, delta: float) -> EllipseSlice:

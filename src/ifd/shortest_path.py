@@ -5,7 +5,8 @@ acyclic: one sweep over a topological order (Kahn's algorithm, a whole
 level of vertices at a time, in numpy) settles every distance, and the
 path is reconstructed backwards with ties broken toward the smallest
 vertex id.  Rectangular lattices (the uniform grid g1, the dense
-snapped-grid oracle and the per-cell staircase oracle) share one weight
+snapped-grid oracle and the per-cell staircase of
+``cell_paths.staircase_fallback_path``) share one weight
 generator, one row-by-row dynamic program over right/up(/diagonal) moves
 and one backtrack over its move table.  The generator calls one kernel,
 ``integrals._tile_weights``, per tile of at most ``_ROW_CHUNK`` rows by
@@ -31,9 +32,7 @@ __all__ = [
     "PathResult",
     "Adjacency",
     "dijkstra",
-    "bellman_ford",
     "dense_grid_oracle",
-    "staircase_cell_oracle",
     "snapped_axis",
 ]
 
@@ -175,24 +174,6 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     weights_used.reverse()
     pts = np.column_stack([graph.xs[path], graph.ys[path]])
     return PathResult(d, tuple(path), pts, _kahan_sum(weights_used))
-
-
-def bellman_ford(graph, source: int | None = None) -> np.ndarray:
-    """Plain relaxation loop; meant as a cross-check on small graphs."""
-    s = graph.source if source is None else source
-    n = graph.n_vertices
-    dist = np.full(n, math.inf)
-    dist[s] = 0.0
-    tails = graph.tails
-    heads = graph.heads
-    wts = graph.weights
-    for _ in range(n):
-        cand = dist[tails] + wts
-        better = cand < dist[heads]
-        if not better.any():
-            break
-        np.minimum.at(dist, heads[better], cand[better])
-    return dist
 
 
 def _axis_steps(cuts, spacing):
@@ -367,15 +348,3 @@ def dense_grid_oracle_path(t1, t2, h, max_points: int = 8_000_000):
     """(value, path points, lattice) of :func:`dense_grid_oracle`."""
     lat = grid_lattice(build_cells(t1, t2), h, max_points)
     return (*lattice_dp(lat, diagonal=True, path=True), lat)
-
-
-def staircase_cell_oracle(cell: ParameterCell, a, b, k: int) -> float:
-    """Best right/up/diagonal path over the k x k lattice spanned by a and b."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True)[0]
-
-
-def _staircase_path(cell: ParameterCell, a, b, k: int):
-    """(value, points) of :func:`staircase_cell_oracle`."""
-    return lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True, path=True)

@@ -1,5 +1,6 @@
 """Shared generators and small independent oracles for the test suite."""
 
+import bisect
 import math
 
 import numpy as np
@@ -108,6 +109,94 @@ def lattice_oracle(grid, a, b, k):
             if r > 0 and c > 0:
                 dist[r, c] = min(dist[r, c], dist[r - 1, c - 1] + diag[r, c])
     return float(dist[-1, -1])
+
+
+def bellman_ford(graph, source=None):
+    """Plain relaxation loop; meant as a cross-check on small graphs."""
+    s = graph.source if source is None else source
+    n = graph.n_vertices
+    dist = np.full(n, math.inf)
+    dist[s] = 0.0
+    tails = graph.tails
+    heads = graph.heads
+    wts = graph.weights
+    for _ in range(n):
+        cand = dist[tails] + wts
+        better = cand < dist[heads]
+        if not better.any():
+            break
+        np.minimum.at(dist, heads[better], cand[better])
+    return dist
+
+
+class QuadratureDepth(Exception):
+    """Adaptive Simpson hit its depth limit without reaching the tolerance."""
+
+
+def _simpson(f, lo, hi, f_lo, f_mid, f_hi, tol, depth):
+    mid = 0.5 * (lo + hi)
+    lm = 0.5 * (lo + mid)
+    mh = 0.5 * (mid + hi)
+    f_lm = f(lm)
+    f_mh = f(mh)
+    whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
+    left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
+    right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_mh + f_hi)
+    if depth <= 0:
+        raise QuadratureDepth("adaptive Simpson exceeded depth 60")
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    return _simpson(f, lo, mid, f_lo, f_lm, f_mid, tol / 2.0, depth - 1) + _simpson(
+        f, mid, hi, f_mid, f_mh, f_hi, tol / 2.0, depth - 1
+    )
+
+
+def _curve_at(curve):
+    """Scalar arc-length evaluation of a curve by interpolating between its vertices."""
+    verts = curve.vertices.tolist()
+    cum = curve.cum_length.tolist()
+
+    def at(s):
+        i = min(max(bisect.bisect_right(cum, s) - 1, 0), len(verts) - 2)
+        (x0, y0), (x1, y1) = verts[i], verts[i + 1]
+        f = (s - cum[i]) / (cum[i + 1] - cum[i])
+        return x0 + f * (x1 - x0), y0 + f * (y1 - y0)
+
+    return at
+
+
+def quadrature_weighted_length(grid, a, b, tol=1e-12):
+    """Adaptive-Simpson weighted length of the segment a -> b.
+
+    Cuts the segment where it crosses ``grid.x_cuts`` and ``grid.y_cuts``
+    and integrates |T2(y) - T1(x)| times the L1 speed over each piece,
+    evaluating the curves from their vertices; it shares no code with the
+    library's splitter or closed forms.  ``tol`` is relative.
+    """
+    ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+    ts = {0.0, 1.0}
+    for lo, hi, cuts in ((ax, bx, grid.x_cuts), (ay, by, grid.y_cuts)):
+        ts.update((c - lo) / (hi - lo) for c in cuts.tolist() if min(lo, hi) < c < max(lo, hi))
+    ts = sorted(ts)
+    at1, at2 = _curve_at(grid.t1), _curve_at(grid.t2)
+    total = 0.0
+    for s0, s1 in zip(ts[:-1], ts[1:]):
+        px, py = ax + s0 * (bx - ax), ay + s0 * (by - ay)
+        dx, dy = (s1 - s0) * (bx - ax), (s1 - s0) * (by - ay)
+        l1len = abs(dx) + abs(dy)
+        if l1len == 0.0:
+            continue
+
+        def f(s, px=px, py=py, dx=dx, dy=dy, l1len=l1len):
+            x1, y1 = at1(px + s * dx)
+            x2, y2 = at2(py + s * dy)
+            return math.hypot(x2 - x1, y2 - y1) * l1len
+
+        f0, fm, f1 = f(0.0), f(0.5), f(1.0)
+        scale = max(abs(f0), abs(fm), abs(f1), 1e-300)
+        total += _simpson(f, 0.0, 1.0, f0, fm, f1, tol * scale, 60)
+    return total
 
 
 PARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)])

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import ifd
-from ifd.integrals import WeightedSegment
-from ifd.param_space import weight_many
+from ifd.integrals import _split
 
 from helpers import (
     PARALLEL,
     PERPENDICULAR,
     curve_pair,
+    quadrature_weighted_length,
     random_cell,
     random_curve,
     random_monotone_pair,
@@ -44,9 +44,7 @@ def test_c1_closed_forms_match_quadrature():
         segs = []
         for _ in range(4):
             a, b = random_monotone_pair(rng, cell)
-            segs.append(WeightedSegment(a, b, cell))
-            segs.append(WeightedSegment(a, (b[0], a[1]), cell))
-            segs.append(WeightedSegment((a[0], a[1]), (a[0], b[1]), cell))
+            segs += [(a, b), (a, (b[0], a[1])), (a, (a[0], b[1]))]
         ax = ifd.free_space_axes(cell)
         if ax.ell is not None:
             p, q = ax.ell
@@ -54,10 +52,10 @@ def test_c1_closed_forms_match_quadrature():
                 f0, f1 = np.sort(rng.uniform(0, 1, 2))
                 aa = (p.x + f0 * (q.x - p.x), p.y + f0 * (q.y - p.y))
                 bb = (p.x + f1 * (q.x - p.x), p.y + f1 * (q.y - p.y))
-                segs.append(WeightedSegment(aa, bb, cell))
-        for seg in segs:
-            exact = ifd.weighted_length(seg)
-            oracle = ifd.quadrature_weighted_length(grid, seg.a, seg.b, tol=1e-12)
+                segs.append((aa, bb))
+        starts, ends = zip(*segs)
+        for a, b, exact in zip(starts, ends, ifd.piece_weights(cell, starts, ends).tolist()):
+            oracle = quadrature_weighted_length(grid, a, b, tol=1e-12)
             err = abs(exact - oracle) / max(oracle, 1e-12)
             if oracle > 1e-12:
                 worst = max(worst, err)
@@ -83,8 +81,8 @@ def test_c2_lipschitz_suite():
         n = 2000
         x = rng.uniform(0, t1.length, (2, n))
         y = rng.uniform(0, t2.length, (2, n))
-        w0 = weight_many(t1, t2, x[0], y[0])
-        w1 = weight_many(t1, t2, x[1], y[1])
+        w0 = ifd.weight(t1, t2, np.column_stack((x[0], y[0])))
+        w1 = ifd.weight(t1, t2, np.column_stack((x[1], y[1])))
         d1 = np.abs(x[0] - x[1]) + np.abs(y[0] - y[1])
         assert np.all(w0 <= w1 + d1 + 1e-9)
         assert np.all(w1 <= w0 + d1 + 1e-9)
@@ -107,7 +105,7 @@ def test_c3_cell_path_optimality():
         values = {}
         prev = None
         for k in (16, 32, 64, 128):
-            v = ifd.staircase_cell_oracle(cell, a, b, k)
+            v = ifd.staircase_fallback_path(cell, a, b, k).weighted_length
             assert best <= v + 1e-10, "lattice beat the closed-form path"
             if prev is not None:
                 assert v <= prev + 1e-12, "refinement increased the oracle"
@@ -245,16 +243,13 @@ def test_c6_symmetry_and_scaling():
 
 
 def _cell_groups(grid, path):
-    pieces = []
-    for a, b in zip(path.vertices[:-1], path.vertices[1:]):
-        pieces.extend(ifd.split_at_parameter_lines(grid, a, b))
+    _, p, q, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
     groups = []
-    for seg in pieces:
-        key = (seg.cell.i, seg.cell.j)
+    for a, b, key in zip(p, q, zip(i.tolist(), j.tolist())):
         if groups and groups[-1][0] == key:
-            groups[-1][1].append(seg)
+            groups[-1][1].append((a, b))
         else:
-            groups.append((key, [seg]))
+            groups.append((key, [(a, b)]))
     return groups
 
 
@@ -278,10 +273,10 @@ def test_c7_locally_optimal_transform():
                 after, abs=1e-10 * (1.0 + after))
             for key, segs in _cell_groups(grid, path):
                 cell = grid.cell(*key)
-                first, last = segs[0].a, segs[-1].b
+                first, last = segs[0][0], segs[-1][1]
                 new_sub = ifd.cell_shortest_path(cell, first, last)
                 old_prof = ifd.partial_similarity_profile(
-                    cell, [tuple(s.a) for s in segs] + [tuple(last)])
+                    cell, [tuple(a) for a, _ in segs] + [tuple(last)])
                 new_prof = ifd.partial_similarity_profile(cell, new_sub)
                 deltas = np.linspace(0.0, cell.max_corner_weight(), 32)
                 assert np.all(new_prof.value_at(deltas) >= old_prof.value_at(deltas) - 1e-9)
@@ -307,7 +302,7 @@ def test_c8_graph_audits(tmp_path):
         for i in sample:
             a = (g.xs[g.tails[i]], g.ys[g.tails[i]])
             b = (g.xs[g.heads[i]], g.ys[g.heads[i]])
-            q = ifd.quadrature_weighted_length(grid, a, b)
+            q = quadrature_weighted_length(grid, a, b)
             assert g.weights[i] == pytest.approx(q, rel=1e-8, abs=1e-12)
             audited += 1
 

@@ -11,6 +11,7 @@ from helpers import (
     PARALLEL,
     curve_pair,
     lattice_oracle,
+    quadrature_weighted_length,
     random_cell,
     random_monotone_pair,
     random_staircase,
@@ -42,8 +43,8 @@ def test_partial_axis_entry():
     assert np.allclose(p.vertices[1], (0.5, 0.5))
     assert p.weighted_length == pytest.approx(CASE2, abs=1e-9)
     assert p.weighted_length == pytest.approx(
-        ifd.quadrature_weighted_length(g, (0, 0.5), (0.5, 0.5))
-        + ifd.quadrature_weighted_length(g, (0.5, 0.5), (1, 1)),
+        quadrature_weighted_length(g, (0, 0.5), (0.5, 0.5))
+        + quadrature_weighted_length(g, (0.5, 0.5), (1, 1)),
         abs=1e-9,
     )
 
@@ -64,9 +65,8 @@ def test_antiparallel_raises_and_fallback_works():
         ifd.cell_shortest_path(cell, (0, 0), (1, 1))
     fb = ifd.staircase_fallback_path(cell, (0, 0), (1, 1), k=64)
     assert fb.branch == "degenerate_fallback"
-    assert fb.weighted_length == pytest.approx(
-        ifd.staircase_cell_oracle(cell, (0, 0), (1, 1), 64), abs=1e-12
-    )
+    # the plain-loop DP over the same 64 x 64 lattice (the cell is the whole grid)
+    assert fb.weighted_length == pytest.approx(lattice_oracle(g, (0, 0), (1, 1), 64), abs=1e-12)
     d = np.diff(np.asarray(fb.vertices), axis=0)
     assert (d >= -1e-12).all()
 
@@ -79,7 +79,7 @@ def test_optimality_against_staircase():
         best = ifd.cell_shortest_path(cell, a, b)
         prev = None
         for k in (16, 32, 64, 128):
-            val = ifd.staircase_cell_oracle(cell, a, b, k)
+            val = ifd.staircase_fallback_path(cell, a, b, k).weighted_length
             assert best.weighted_length <= val + 1e-10
             if prev is not None:
                 assert val <= prev + 1e-12
@@ -97,7 +97,7 @@ def test_outputs_monotone_and_inside_cell():
         for f in np.linspace(0, 1, 100):
             i = min(int(f * (len(verts) - 1)), len(verts) - 2)
             q = verts[i] + (f * (len(verts) - 1) - i) * (verts[i + 1] - verts[i])
-            assert cell.contains(q, tol=1e-9)
+            assert cell.contains(q)
 
 
 def _shared_edge(grid, vertical, fixed):

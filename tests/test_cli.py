@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_config_presets(tmp_path, paper):
     }
 
 
-def test_oracle_mode_cli(parallel_files, tmp_path):
+def test_oracle_mode_cli(parallel_files, tmp_path, capsys):
     a, b = parallel_files
     out = tmp_path / "report.json"
     code = main([
@@ -143,6 +144,14 @@ def test_oracle_mode_cli(parallel_files, tmp_path):
     report = json.loads(out.read_text())
     assert report["winning_mode"] == "oracle"
     assert report["integral"] == pytest.approx(2.0, abs=1e-9)
+    capsys.readouterr()
+    code = main([
+        "compute", "--a", a, "--b", b, "--epsilon", "0.25",
+        "--mode", "oracle", "--max-vertices", "1", "--out", str(out),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "oracle projected" in err and "try raising --max-vertices" in err
 
 
 def test_svg_deterministic(parallel_files, tmp_path):
@@ -182,3 +191,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_scripts_show_help():
+    # the scripts import library internals; each must still load and parse its flags
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    scripts = sorted(Path(__file__).resolve().parents[1].joinpath("scripts").glob("*.py"))
+    assert scripts
+    env = dict(os.environ, PYTHONPATH=src)
+    for script in scripts:
+        out = subprocess.run([sys.executable, str(script), "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, (script.name, out.stderr)

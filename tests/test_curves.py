@@ -36,10 +36,12 @@ def test_point_at_second_segment():
 
 def test_point_at_out_of_range():
     c = ifd.build_curve([(0, 0), (1, 0)])
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"arc length 1\.1 outside"):
         c.point_at(1.1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"arc length -0\.1 outside"):
         c.point_at(-0.1)
+    with pytest.raises(OutOfRange, match=r"arc length 1\.1 outside"):
+        c.point_at([0.5, 1.1])
     # tiny slack is clamped instead
     assert np.allclose(c.point_at(1.0 + 1e-10), (1.0, 0.0))
 
@@ -48,9 +50,10 @@ def test_points_at_matches_scalar():
     rng = np.random.default_rng(0)
     c = random_curve(rng, 5)
     s = rng.uniform(0, c.length, 50)
-    bulk = c.points_at(s)
+    bulk = c.point_at(s)
+    assert bulk.shape == (50, 2) and c.point_at(s[0]).shape == (2,)
     for i, si in enumerate(s):
-        assert np.allclose(bulk[i], c.point_at(si))
+        assert np.array_equal(bulk[i], c.point_at(si))
 
 
 def test_stats_examples():

@@ -9,7 +9,14 @@ import ifd
 from ifd.errors import BudgetExceeded, DegenerateBall, Disconnected, NoFeasibleGraph
 from ifd.shortest_path import snapped_axis
 
-from helpers import ARRANGEMENT_PAIR, PARALLEL, PERPENDICULAR, curve_pair, random_curve
+from helpers import (
+    ARRANGEMENT_PAIR,
+    PARALLEL,
+    PERPENDICULAR,
+    curve_pair,
+    quadrature_weighted_length,
+    random_curve,
+)
 
 
 def test_config_validation():
@@ -37,7 +44,7 @@ def test_g1_counts_at_quarter_mesh():
     for i in rng.choice(g.n_edges, size=10, replace=False):
         a = (g.xs[g.tails[i]], g.ys[g.tails[i]])
         b = (g.xs[g.heads[i]], g.ys[g.heads[i]])
-        q = ifd.quadrature_weighted_length(grid, a, b)
+        q = quadrature_weighted_length(grid, a, b)
         assert g.weights[i] == pytest.approx(q, rel=1e-10, abs=1e-12)
 
 
@@ -245,7 +252,7 @@ def test_edge_weight_audit_one_percent():
         for i in sample:
             a = (g.xs[g.tails[i]], g.ys[g.tails[i]])
             b = (g.xs[g.heads[i]], g.ys[g.heads[i]])
-            q = ifd.quadrature_weighted_length(grid, a, b)
+            q = quadrature_weighted_length(grid, a, b)
             assert g.weights[i] == pytest.approx(q, rel=1e-8, abs=1e-12)
 
 
@@ -318,22 +325,20 @@ def test_public_names_are_pinned():
     # deleting or renaming a helper must not silently drop a public name
     assert sorted(ifd.__all__) == sorted([
         "errors",
-        "PolygonalCurve", "CurveStats", "build_curve", "point_at", "stats",
+        "PolygonalCurve", "CurveStats", "build_curve", "stats",
         "ParameterPoint", "ParameterCell", "CellGrid", "FreeSpaceAxes",
         "EllipseSlice", "GridEdge", "weight", "build_cells", "free_space_axes",
         "edge_min", "ellipse_slice",
-        "WeightedSegment", "split_at_parameter_lines", "weighted_length",
-        "arsinh_form", "piece_weights", "quadrature_weighted_length",
-        "segment_weighted_length",
+        "arsinh_form", "piece_weights", "segment_weighted_length",
         "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
         "partial_similarity_profile", "staircase_fallback_path",
         "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",
         "build_grid_ball", "approximate_integral_frechet",
-        "PathResult", "dijkstra", "bellman_ford", "dense_grid_oracle",
-        "staircase_cell_oracle",
+        "PathResult", "dijkstra", "dense_grid_oracle",
         "MonotonePath", "matching_cost", "evaluate_matching", "locally_optimize",
         "max_leash",
     ])
+    assert len(ifd.__all__) == 40
     assert len(set(ifd.__all__)) == len(ifd.__all__)
     for name in ifd.__all__:
         assert getattr(ifd, name, None) is not None, name
@@ -344,6 +349,10 @@ def test_no_feasible_graph():
     cfg = ifd.GraphConfig(epsilon=0.25, max_vertices=10, mode="both", c_mesh=8.0, c_g1=40.0)
     with pytest.raises(NoFeasibleGraph):
         ifd.approximate_integral_frechet(t1, t2, cfg)
+    # the oracle reports its budget failure like g1 and g2: no lattice has one point
+    oracle = ifd.GraphConfig.desk(epsilon=0.25, mode="oracle", max_vertices=1)
+    with pytest.raises(NoFeasibleGraph, match="oracle projected"):
+        ifd.approximate_integral_frechet(t1, t2, oracle)
 
 
 def test_g2_budget_reports_crossings():
@@ -422,6 +431,8 @@ def test_oracle_mode():
     assert ifd.matching_cost(t1, t2, res.path) == pytest.approx(res.value, rel=1e-9)
     # the stats describe the lattice, not the path through it
     stats = res.graph_stats["oracle"]
+    assert list(stats) == ["status", "mesh", "vertices", "edges", "distance"]
+    assert stats["status"] == "ok" and stats["distance"] == res.value
     nx = len(snapped_axis(np.array([0.0, t1.length]), stats["mesh"])[0])
     ny = len(snapped_axis(np.array([0.0, t2.length]), stats["mesh"])[0])
     assert stats["vertices"] == nx * ny

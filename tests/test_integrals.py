@@ -5,61 +5,80 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifd
-from ifd.errors import NegativeRadicand, NonConvergence
-from ifd.integrals import WeightedSegment, _simpson
+from ifd.errors import NegativeRadicand
+from ifd.integrals import _split
 
-from helpers import PARALLEL, PERPENDICULAR, curve_pair, random_cell, random_monotone_pair
+from helpers import (
+    PARALLEL,
+    PERPENDICULAR,
+    QuadratureDepth,
+    _simpson,
+    curve_pair,
+    quadrature_weighted_length,
+    random_cell,
+    random_monotone_pair,
+)
 
 # int_0^1 sqrt(t^2+1) dt, frozen from the adaptive-Simpson oracle (tol 1e-12)
 SQRT1P = 1.147793574696319
 
 
+def _pieces(grid, a, b):
+    """(p, q, cell) of every piece the library's splitter cuts a -> b into."""
+    _, p, q, i, j = _split(grid, a, b)
+    return [(pp, qq, grid.cell(ii, jj)) for pp, qq, ii, jj in zip(p, q, i.tolist(), j.tolist())]
+
+
+def _weigh(cell, a, b):
+    """Closed-form weighted length of one in-cell piece a -> b."""
+    return float(ifd.piece_weights(cell, a, b)[0])
+
+
 def test_split_single_cell():
     t1, t2 = curve_pair(PARALLEL)
     g = ifd.build_cells(t1, t2)
-    pieces = ifd.split_at_parameter_lines(g, (0.1, 0.2), (0.9, 0.8))
+    pieces = _pieces(g, (0.1, 0.2), (0.9, 0.8))
     assert len(pieces) == 1
-    assert pieces[0].cell is g.cell(0, 0)
+    assert pieces[0][2] is g.cell(0, 0)
 
 
 def test_split_on_parameter_line():
     t1 = ifd.build_curve([(0, 0), (1, 0), (2, 0)])
     t2 = ifd.build_curve([(0, 1), (2, 1)])
     g = ifd.build_cells(t1, t2)
-    pieces = ifd.split_at_parameter_lines(g, (0.5, 1.0), (1.5, 1.0))
+    pieces = _pieces(g, (0.5, 1.0), (1.5, 1.0))
     assert len(pieces) == 2
-    assert pieces[0].b == pieces[1].a
-    assert pieces[0].b.x == pytest.approx(1.0)
-    assert [(p.cell.i, p.cell.j) for p in pieces] == [(0, 0), (1, 0)]
+    assert np.array_equal(pieces[0][1], pieces[1][0])
+    assert pieces[0][1][0] == pytest.approx(1.0)
+    assert [(cell.i, cell.j) for _, _, cell in pieces] == [(0, 0), (1, 0)]
 
 
 def test_split_diagonal_two_by_two():
     t1 = ifd.build_curve([(0, 0), (1, 0), (2, 0)])
     t2 = ifd.build_curve([(0, 1), (1, 1), (2, 1)])
     g = ifd.build_cells(t1, t2)
-    pieces = ifd.split_at_parameter_lines(g, (0.0, 0.0), (2.0, 2.0))
+    pieces = _pieces(g, (0.0, 0.0), (2.0, 2.0))
     assert len(pieces) == 2
-    assert np.allclose(pieces[0].b, (1.0, 1.0))
+    assert np.allclose(pieces[0][1], (1.0, 1.0))
 
 
 def test_axis_aligned_arsinh_value():
     # T2 pinned at (0,1), T1 sweeps x in [0,1]: integral of sqrt(t^2+1)
     t1, t2 = curve_pair(PARALLEL)
     g = ifd.build_cells(t1, t2)
-    seg = ifd.split_at_parameter_lines(g, (0.0, 0.0), (1.0, 0.0))[0]
-    val = ifd.weighted_length(seg)
+    p, q, cell = _pieces(g, (0.0, 0.0), (1.0, 0.0))[0]
+    val = _weigh(cell, p, q)
     assert val == pytest.approx(SQRT1P, abs=1e-12)
-    assert val == pytest.approx(ifd.quadrature_weighted_length(g, (0, 0), (1, 0)), abs=1e-10)
+    assert val == pytest.approx(quadrature_weighted_length(g, (0, 0), (1, 0)), abs=1e-10)
 
 
 def test_axis_aligned_degenerate_cases():
     t1, t2 = curve_pair(PERPENDICULAR)
     g = ifd.build_cells(t1, t2)
-    zero = WeightedSegment((0.3, 0.3), (0.3, 0.3), g.cell(0, 0))
-    assert ifd.weighted_length(zero) == 0.0
+    assert _weigh(g.cell(0, 0), (0.3, 0.3), (0.3, 0.3)) == 0.0
     # fixed point on the moving line: integral of t
-    on_line = ifd.split_at_parameter_lines(g, (0.0, 0.0), (1.0, 0.0))[0]
-    assert ifd.weighted_length(on_line) == pytest.approx(0.5, abs=1e-12)
+    p, q, cell = _pieces(g, (0.0, 0.0), (1.0, 0.0))[0]
+    assert _weigh(cell, p, q) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_on_axis_values():
@@ -73,7 +92,7 @@ def test_on_axis_values():
     # symmetric piece around the center: the weight is linear on either side
     sym = ifd.segment_weighted_length(g, (0.25, 0.25), (0.75, 0.75))
     assert sym == pytest.approx(0.5 * math.sqrt(2), abs=1e-12)
-    direct = ifd.quadrature_weighted_length(g, (0.25, 0.25), (0.75, 0.75))
+    direct = quadrature_weighted_length(g, (0.25, 0.25), (0.75, 0.75))
     assert sym == pytest.approx(direct, abs=1e-10)
 
 
@@ -111,18 +130,16 @@ def test_general_matches_special_forms():
     for _ in range(40):
         grid, cell = random_cell(rng)
         a, b = random_monotone_pair(rng, cell)
-        horiz = ifd.weighted_length(WeightedSegment(a, (b[0], a[1]), cell))
+        horiz = _weigh(cell, a, (b[0], a[1]))
         assert horiz == pytest.approx(_axis_aligned_reference(cell, a, b), rel=1e-12, abs=1e-14)
         p, q = ifd.free_space_axes(cell).ell or (None, None)
         if p is not None:
-            on_axis = ifd.weighted_length(WeightedSegment(p, q, cell))
+            on_axis = _weigh(cell, p, q)
             assert on_axis == pytest.approx(_on_axis_reference(cell, p, q), rel=1e-12, abs=1e-14)
     t1, t2 = curve_pair(PERPENDICULAR)
     g = ifd.build_cells(t1, t2)
-    seg = ifd.split_at_parameter_lines(g, (0, 0), (1, 1))[0]
-    assert ifd.weighted_length(seg) == pytest.approx(
-        _on_axis_reference(seg.cell, seg.a, seg.b), rel=1e-12
-    )
+    p, q, cell = _pieces(g, (0, 0), (1, 1))[0]
+    assert _weigh(cell, p, q) == pytest.approx(_on_axis_reference(cell, p, q), rel=1e-12)
 
 
 @pytest.mark.parametrize("angle", [1.8e-4, 1e-3])
@@ -135,7 +152,7 @@ def test_near_parallel_axis_matches_quadrature(angle):
     assert g.cell(0, 0).kind == "generic"
     p, q = ifd.free_space_axes(g.cell(0, 0)).ell
     exact = ifd.segment_weighted_length(g, p, q)
-    reference = ifd.quadrature_weighted_length(g, p, q, tol=1e-13)
+    reference = quadrature_weighted_length(g, p, q, tol=1e-13)
     assert exact == pytest.approx(reference, rel=1e-11, abs=0.0)
 
 
@@ -144,17 +161,17 @@ def test_general_matches_quadrature():
     for _ in range(60):
         grid, cell = random_cell(rng)
         a, b = random_monotone_pair(rng, cell)
-        exact = ifd.weighted_length(WeightedSegment(a, b, cell))
-        approx = ifd.quadrature_weighted_length(grid, a, b, tol=1e-12)
+        exact = _weigh(cell, a, b)
+        approx = quadrature_weighted_length(grid, a, b, tol=1e-12)
         assert exact == pytest.approx(approx, rel=1e-8, abs=1e-12)
 
 
 def test_quadrature_basics():
     t1, t2 = curve_pair(PARALLEL)
     g = ifd.build_cells(t1, t2)
-    assert ifd.quadrature_weighted_length(g, (0, 0), (1, 0)) == pytest.approx(SQRT1P, abs=1e-10)
-    assert ifd.quadrature_weighted_length(g, (0, 0), (1, 1)) == pytest.approx(2.0, abs=1e-12)
-    assert ifd.quadrature_weighted_length(g, (0.4, 0.4), (0.4, 0.4)) == 0.0
+    assert quadrature_weighted_length(g, (0, 0), (1, 0)) == pytest.approx(SQRT1P, abs=1e-10)
+    assert quadrature_weighted_length(g, (0, 0), (1, 1)) == pytest.approx(2.0, abs=1e-12)
+    assert quadrature_weighted_length(g, (0.4, 0.4), (0.4, 0.4)) == 0.0
 
 
 def test_additivity_under_split():
@@ -165,11 +182,11 @@ def test_additivity_under_split():
     for _ in range(25):
         a = (rng.uniform(0, t1.length), rng.uniform(0, t2.length))
         b = (rng.uniform(a[0], t1.length), rng.uniform(a[1], t2.length))
-        pieces = ifd.split_at_parameter_lines(g, a, b)
-        total = sum(ifd.weighted_length(p) for p in pieces)
+        pieces = _pieces(g, a, b)
+        total = sum(_weigh(cell, p, q) for p, q, cell in pieces)
         assert total == pytest.approx(ifd.segment_weighted_length(g, a, b), abs=1e-10)
-        mids = [ifd.segment_weighted_length(g, a, p.b) + ifd.segment_weighted_length(g, p.b, b)
-                for p in pieces[:-1]]
+        mids = [ifd.segment_weighted_length(g, a, q) + ifd.segment_weighted_length(g, q, b)
+                for _, q, _ in pieces[:-1]]
         for m in mids:
             assert m == pytest.approx(total, abs=1e-10)
 
@@ -259,17 +276,20 @@ def test_array_form_matches_per_segment_calls():
     assert all(isinstance(v, float) for v in single)
     np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
     assert np.all(batch[::7] == 0.0)
-    assert len(ifd.split_at_parameter_lines(g, a[3], b[3])) > 3
+    assert len(_pieces(g, a[3], b[3])) > 3
     # the array splitter returns every segment's pieces, in order
-    pieces = ifd.split_at_parameter_lines(g, a, b)
-    assert pieces == [s for p, q in zip(a, b) for s in ifd.split_at_parameter_lines(g, p, q)]
+    seg, *batch = _split(g, a, b)
+    single = [_split(g, p, q) for p, q in zip(a, b)]
+    np.testing.assert_array_equal(seg, np.repeat(np.arange(len(a)), [len(s[0]) for s in single]))
+    for k, got in enumerate(batch, start=1):
+        np.testing.assert_array_equal(got, np.concatenate([s[k] for s in single]))
     empty = ifd.segment_weighted_length(g, np.empty((0, 2)), np.empty((0, 2)))
     assert empty.shape == (0,)
 
 
 def test_simpson_depth_limit():
     jump = lambda x: 0.0 if x < math.pi / 7 else 1.0
-    with pytest.raises(NonConvergence):
+    with pytest.raises(QuadratureDepth):
         _simpson(jump, 0.0, 1.0, jump(0.0), jump(0.5), jump(1.0), 1e-300, 40)
 
 
@@ -278,5 +298,5 @@ def test_public_names_in_step():
     for gone in ("weighted_length_general", "weighted_length_axis_aligned",
                  "weighted_length_on_axis"):
         assert gone not in ifd.__all__ and not hasattr(ifd, gone)
-    assert not hasattr(ifd.errors, "NotOnAxis")
-    assert "kind" not in WeightedSegment.__dataclass_fields__
+    assert not hasattr(ifd.errors, "NotOnAxis") and not hasattr(ifd.errors, "NonConvergence")
+    assert not hasattr(ifd.integrals, "WeightedSegment")

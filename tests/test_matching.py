@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ifd
 from ifd.errors import NotMonotone
+from ifd.integrals import _split
 
 from helpers import ANTIPARALLEL, PARALLEL, curve_pair, random_curve, random_staircase
 
@@ -134,23 +135,20 @@ def test_locally_optimize_pointwise_leash_domination():
         pytest.skip("generator produced an antiparallel cell")
     for _ in range(5):
         path = random_staircase(rng, (0.0, 0.0), (t1.length, t2.length), steps=4)
-        pieces = []
-        for a, b in path.legs():
-            pieces.extend(ifd.split_at_parameter_lines(grid, a, b))
+        _, p, q, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
         groups = []
-        for seg in pieces:
-            key = (seg.cell.i, seg.cell.j)
+        for a, b, key in zip(p, q, zip(i.tolist(), j.tolist())):
             if groups and groups[-1][0] == key:
-                groups[-1][1].append(seg)
+                groups[-1][1].append((a, b))
             else:
-                groups.append((key, [seg]))
+                groups.append((key, [(a, b)]))
         for key, segs in groups:
             cell = grid.cell(*key)
             old_max = max(
-                max(float(cell.weight_at(*s.a)), float(cell.weight_at(*s.b)))
-                for s in segs
+                max(float(cell.weight_at(*a)), float(cell.weight_at(*b)))
+                for a, b in segs
             )
-            new = ifd.cell_shortest_path(cell, segs[0].a, segs[-1].b)
+            new = ifd.cell_shortest_path(cell, segs[0][0], segs[-1][1])
             verts = np.asarray(new.vertices)
             for f in np.linspace(0.0, 1.0, 100):
                 i = min(int(f * (len(verts) - 1)), len(verts) - 2)
@@ -171,6 +169,13 @@ def test_max_leash_examples():
 def test_monotone_path_validation():
     with pytest.raises(NotMonotone):
         ifd.MonotonePath.from_points([(0, 0), (1, 1), (0.5, 2)])
+    # the tolerance is relative to the largest coordinate: a step back by half
+    # the extent fails and one of 1e-12 of it is clamped, at every scale
+    for s in (2.0 ** -40, 1.0, 2.0 ** 30):
+        with pytest.raises(NotMonotone):
+            ifd.MonotonePath.from_points(s * np.array([(0, 0), (2, 1), (1, 2)]))
+        dust = ifd.MonotonePath.from_points(s * np.array([(0, 0), (1, 1), (1 - 1e-12, 2)]))
+        assert dust.total_l1 == 3.0 * s
     p = ifd.MonotonePath.from_points([(0, 0), (1, 0), (1, 1)])
     assert p.total_l1 == pytest.approx(2.0)
     assert p.start == (0.0, 0.0) and p.end == (1.0, 1.0)

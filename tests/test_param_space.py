@@ -5,7 +5,6 @@ import pytest
 
 import ifd
 from ifd.errors import AntiparallelCell
-from ifd.param_space import weight_many
 
 from helpers import (
     ANTIPARALLEL,
@@ -130,11 +129,11 @@ def test_ellipse_slice_nesting():
         for side in ("bottom", "top"):
             y = cell.y0 if side == "bottom" else cell.y1
             for x in inner.crossings[side]:
-                assert outer.contains((x, y), tol=1e-9)
+                assert outer.contains((x, y))
         for side in ("left", "right"):
             x = cell.x0 if side == "left" else cell.x1
             for y in inner.crossings[side]:
-                assert outer.contains((x, y), tol=1e-9)
+                assert outer.contains((x, y))
 
 
 def test_weight_is_1lipschitz_l1():
@@ -145,8 +144,8 @@ def test_weight_is_1lipschitz_l1():
         n = 2000
         xs = rng.uniform(0, t1.length, (2, n))
         ys = rng.uniform(0, t2.length, (2, n))
-        w1 = weight_many(t1, t2, xs[0], ys[0])
-        w2 = weight_many(t1, t2, xs[1], ys[1])
+        w1 = ifd.weight(t1, t2, np.column_stack((xs[0], ys[0])))
+        w2 = ifd.weight(t1, t2, np.column_stack((xs[1], ys[1])))
         d1 = np.abs(xs[0] - xs[1]) + np.abs(ys[0] - ys[1])
         assert np.all(w1 <= w2 + d1 + 1e-9)
 
@@ -228,11 +227,11 @@ def test_cell_weight_is_the_curves_weight_on_nearly_parallel_cell():
     t1, t2, cell = _nearly_parallel_pair()
     assert cell.kind == "parallel"
     xs, ys = np.meshgrid(np.linspace(cell.x0, cell.x1, 41), np.linspace(cell.y0, cell.y1, 41))
-    direct = weight_many(t1, t2, xs.ravel(), ys.ravel())
+    direct = ifd.weight(t1, t2, np.column_stack((xs.ravel(), ys.ravel())))
     model = cell.weight_at(xs.ravel(), ys.ravel())
     assert np.all(np.abs(model - direct) <= 1e-14 * direct)
-    corners = weight_many(t1, t2, [cell.x0, cell.x0, cell.x1, cell.x1],
-                          [cell.y0, cell.y1, cell.y0, cell.y1])
+    corners = ifd.weight(t1, t2, [(cell.x0, cell.y0), (cell.x0, cell.y1),
+                                  (cell.x1, cell.y0), (cell.x1, cell.y1)])
     assert np.allclose(cell.corner_weights(), corners, rtol=1e-14, atol=0.0)
 
 
@@ -265,7 +264,7 @@ def test_min_weight_zero_where_nearly_parallel_segments_cross():
 
 def _brute_min(t1, t2, cell, n=401):
     xs, ys = np.meshgrid(np.linspace(cell.x0, cell.x1, n), np.linspace(cell.y0, cell.y1, n))
-    return float(weight_many(t1, t2, xs.ravel(), ys.ravel()).min())
+    return float(ifd.weight(t1, t2, np.column_stack((xs.ravel(), ys.ravel()))).min())
 
 
 def test_min_weight_matches_brute_force():
@@ -302,5 +301,9 @@ def test_ellipse_slice_is_scale_free():
                                          ifd.build_curve(s * np.asarray(pts2))).cell(0, 0)
                 sl = ifd.ellipse_slice(scaled, s * delta)
                 crossings = {k: [v / s for v in vals] for k, vals in sl.crossings.items()}
-                seen.append((crossings, sl.is_empty, sl.is_full))
+                # the midpoint, and points 1e-13 and 1e-10 of x1 past the right side
+                x1, ym = scaled.x1, 0.5 * scaled.y1
+                inside = [sl.contains((0.5 * x1, ym))]
+                inside += [scaled.contains((x1 * (1.0 + f), ym)) for f in (1e-13, 1e-10)]
+                seen.append((crossings, sl.is_empty, sl.is_full, inside))
             assert seen[0] == seen[1] == seen[2], (n, delta, seen)

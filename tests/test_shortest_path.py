@@ -11,8 +11,10 @@ from helpers import (
     ARRANGEMENT_PAIR,
     PARALLEL,
     PERPENDICULAR,
+    bellman_ford,
     curve_pair,
     lattice_oracle,
+    quadrature_weighted_length,
     random_cell,
     random_curve,
 )
@@ -83,7 +85,7 @@ def test_dijkstra_matches_bellman_ford():
         w = rng.uniform(0, 2, m)
         g = _graph(tails, heads, w, n)
         r = ifd.dijkstra(g)
-        bf = ifd.bellman_ford(g)
+        bf = bellman_ford(g)
         if math.isinf(r.distance):
             assert math.isinf(bf[g.sink])
         else:
@@ -167,7 +169,7 @@ def test_sweep_matches_scipy_dijkstra():
         dist, ids, kahan = _reference_search(g, g.source, g.sink)
         assert (r.distance, r.vertex_ids, r.kahan_length) == (dist[g.sink], ids, kahan)
         for source in (g.source, int(rng.integers(0, g.n_vertices))):
-            bf = ifd.bellman_ford(g, source=source)
+            bf = bellman_ford(g, source=source)
             for target in range(g.n_vertices):
                 dist, ids, kahan = _reference_search(g, source, target)
                 r = ifd.dijkstra(g, source=source, target=target)
@@ -182,7 +184,7 @@ def test_sweep_matches_scipy_dijkstra():
     dist, ids, kahan = _reference_search(g, g.source, g.sink)
     r = ifd.dijkstra(g)
     assert (r.distance, r.vertex_ids, r.kahan_length) == (dist[g.sink], ids, kahan)
-    assert np.array_equal(ifd.bellman_ford(g), dist)
+    assert np.array_equal(bellman_ford(g), dist)
 
 
 def test_snapped_axis_contains_cuts():
@@ -249,10 +251,16 @@ def test_dense_oracle_beats_gridonly_graph():
 def test_staircase_oracle_basics():
     t1, t2 = curve_pair(PARALLEL)
     cell = ifd.build_cells(t1, t2).cell(0, 0)
+
+    def staircase(a, b, k):
+        return ifd.staircase_fallback_path(cell, a, b, k).weighted_length
+
     for k in (2, 7, 32):
-        assert ifd.staircase_cell_oracle(cell, (0, 0), (1, 1), k) == pytest.approx(2.0, abs=1e-12)
-    assert ifd.staircase_cell_oracle(cell, (0.4, 0.7), (0.4, 0.7), 16) == 0.0
-    v128 = ifd.staircase_cell_oracle(cell, (0, 0.5), (1, 1), 128)
+        assert staircase((0, 0), (1, 1), k) == pytest.approx(2.0, abs=1e-12)
+    assert staircase((0.4, 0.7), (0.4, 0.7), 16) == 0.0
+    with pytest.raises(ValueError):
+        staircase((0, 0), (1, 1), 0)
+    v128 = staircase((0, 0.5), (1, 1), 128)
     assert 1.5201144097172755 <= v128 + 1e-12
     assert v128 <= 1.54
 
@@ -265,7 +273,7 @@ def test_staircase_refinement_monotone():
         b = (cell.x1, cell.y1)
         prev = None
         for k in (8, 16, 32, 64):
-            v = ifd.staircase_cell_oracle(cell, a, b, k)
+            v = ifd.staircase_fallback_path(cell, a, b, k).weighted_length
             if prev is not None:
                 assert v <= prev + 1e-12
             prev = v
@@ -335,7 +343,7 @@ def test_lattice_kernel_matches_closed_form():
                 assert np.all(np.abs(w - ref) <= 1e-11 * ref), (name, s, kind)
                 if s == 1.0:
                     for k in rng.choice(len(w), 3, replace=False):
-                        quad = ifd.quadrature_weighted_length(grid, a[k], b[k], tol=1e-13)
+                        quad = quadrature_weighted_length(grid, a[k], b[k], tol=1e-13)
                         assert w[k] == pytest.approx(quad, rel=1e-10, abs=1e-300)
             scaled = {kind: e[0] / (s * s) for kind, e in edges.items()}
             if unit is None:
