@@ -4,7 +4,7 @@
 Builds six seeded curve pairs (2-6 equal segments per curve, each curve of
 length 1, the second 0.4-0.6 to the side of the first) and, for each of
 three lattices over them, times one pass of ``lattice_weights`` over every
-pair and one ``lattice_dp(path=True)`` over every pair, best of
+pair and one ``lattice_dp`` (value and path) over every pair, best of
 ``--repeat`` runs:
 
 - ``g1 eps=0.25`` and ``g1 eps=0.1``: the g1 lattice of
@@ -80,7 +80,7 @@ def _weights_pass(lats, diagonal):
 
 def _dp_pass(lats, diagonal):
     for lat in lats:
-        lattice_dp(lat, diagonal, path=True)
+        lattice_dp(lat, diagonal)
 
 
 def main():

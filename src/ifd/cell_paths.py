@@ -11,7 +11,6 @@ unweighed.  The same path is simultaneously optimal for the partial
 similarity at every threshold, which is what the profile type captures.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .param_space import (
     dominates,
     free_space_axes,
 )
+from .shortest_path import _staircase_lattice, lattice_dp
 
 __all__ = [
     "CellPath",
@@ -45,13 +45,6 @@ class CellPath:
     branch: str  # 'through_axis' | 'around_corner' | 'degenerate_fallback'
     weighted_length: float
     cells: tuple
-
-    @property
-    def l1_length(self) -> float:
-        return sum(
-            (q[0] - p[0]) + (q[1] - p[1])
-            for p, q in zip(self.vertices[:-1], self.vertices[1:])
-        )
 
 
 def _dedupe(points, tol=1e-15):
@@ -119,11 +112,9 @@ def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath
     Used where no monotone axis exists, and as the brute-force reference
     for :func:`cell_shortest_path`.  Raises ``ValueError`` when k < 1.
     """
-    from .shortest_path import _staircase_lattice, lattice_dp  # local import to avoid a cycle
-
     if k < 1:
         raise ValueError("k must be >= 1")
-    value, points = lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True, path=True)
+    value, points = lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True)
     return CellPath(
         vertices=_dedupe([ParameterPoint(*p) for p in points]),
         branch="degenerate_fallback",
@@ -235,11 +226,9 @@ class SimilarityProfile:
 
     Exact per straight piece: the squared weight is quadratic in the piece
     parameter, so the sublevel set is an interval with algebraic endpoints.
-    ``breakpoints`` are the deltas where the piecewise formula changes.
     """
 
     pieces: tuple  # (A, B, C, l1len) per straight piece
-    breakpoints: np.ndarray
     total_l1: float
 
     def value_at(self, delta):
@@ -265,16 +254,7 @@ def partial_similarity_profile(cell: ParameterCell, path) -> SimilarityProfile:
     vertices = np.asarray(getattr(path, "vertices", path), dtype=float)
     A, B, C, l1len = piece_quadratics(cell, vertices[:-1], vertices[1:])
     pieces = tuple(zip(A.tolist(), B.tolist(), C.tolist(), l1len.tolist()))
-    bps = set()
     total = 0.0
-    for A, B, C, l1len in pieces:
-        total += l1len
-        bps.add(math.sqrt(max(C, 0.0)))
-        bps.add(math.sqrt(max(A + B + C, 0.0)))
-        if A > _A_EPS * C and 0.0 < -B / (2.0 * A) < 1.0:
-            bps.add(math.sqrt(max(C - B * B / (4.0 * A), 0.0)))
-    return SimilarityProfile(
-        pieces=pieces,
-        breakpoints=np.array(sorted(bps)),
-        total_l1=total,
-    )
+    for *_, length in pieces:
+        total += length
+    return SimilarityProfile(pieces=pieces, total_l1=total)

@@ -59,7 +59,7 @@ def load_path_file(path: str) -> MonotonePath:
     return MonotonePath.from_points(obj)
 
 
-def build_report(result, t1, t2, cfg, runtime_ms, extra=None) -> dict:
+def build_report(result, cfg, runtime_ms, extra=None) -> dict:
     report = {
         "integral": result.value,
         "average": result.average,
@@ -202,6 +202,16 @@ def _slice_outline(cell, delta, samples: int = 96):
         yield run
 
 
+# the knobs that each mode's searches read: g1 its mesh divisor, g2 its
+# ball mesh and radius, and the oracle only the budget
+_KNOBS = {
+    "g1": "raising --max-vertices, a larger --epsilon or a smaller --c-g1",
+    "g2": "raising --max-vertices, a larger --epsilon or a smaller --c-mesh or --c-radius",
+    "both": "raising --max-vertices, a larger --epsilon or a smaller --c-g1, --c-mesh or --c-radius",
+    "oracle": "raising --max-vertices",
+}
+
+
 def _make_parser():
     parser = argparse.ArgumentParser(prog="ifd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,16 +272,15 @@ def main(argv=None) -> int:
             }
     except (BudgetExceeded, NoFeasibleGraph, Disconnected) as exc:
         print(f"ifd: infeasible at this configuration: {exc}", file=sys.stderr)
-        print("ifd: try raising --max-vertices, lowering --c-g1, or a larger "
-              "--epsilon; --mode oracle also works on small inputs",
-              file=sys.stderr)
+        hint = "; --mode oracle also works on small inputs" if cfg.mode != "oracle" else ""
+        print(f"ifd: try {_KNOBS[cfg.mode]}{hint}", file=sys.stderr)
         return 3
     except (NegativeRadicand, OutOfRange, FloatingPointError) as exc:
         print(f"ifd: numeric error: {exc}", file=sys.stderr)
         return 4
     runtime_ms = 1000.0 * (time.perf_counter() - started)
 
-    report = build_report(result, t1, t2, cfg, runtime_ms, extra)
+    report = build_report(result, cfg, runtime_ms, extra)
     text = json.dumps(report, indent=2)
     if args.out:
         try:

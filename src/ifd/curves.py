@@ -14,7 +14,7 @@ from .errors import OutOfRange, TooFewVertices
 
 __all__ = ["PolygonalCurve", "CurveStats", "build_curve", "stats"]
 
-# absolute slack for evaluating slightly outside [0, length]
+# slack, relative to the curve length, for evaluating slightly outside [0, length]
 _EVAL_SLACK = 1e-9
 
 
@@ -47,10 +47,13 @@ class PolygonalCurve:
         """Evaluate the curve at arc length ``s`` (unit speed).
 
         A scalar gives one point of shape (2,); an array of arc lengths
-        gives one point per entry, shape ``s.shape + (2,)``.
+        gives one point per entry, shape ``s.shape + (2,)``.  Arc lengths
+        within 1e-9 of the length outside [0, length] are clamped to the
+        ends; farther ones raise :class:`OutOfRange`.
         """
         s = np.asarray(s, dtype=float)
-        outside = ~((s >= -_EVAL_SLACK) & (s <= self.length + _EVAL_SLACK))  # NaN is outside
+        slack = _EVAL_SLACK * self.length
+        outside = ~((s >= -slack) & (s <= self.length + slack))  # NaN is outside
         if outside.any():
             bad = float(s[outside].flat[0])
             raise OutOfRange(f"arc length {bad!r} outside [0, {self.length!r}]")

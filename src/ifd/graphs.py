@@ -31,7 +31,7 @@ from .integrals import segment_weighted_length
 # this module's global so that the wrapped search is the one that runs
 from .integrals import horizontal_strip_weights, vertical_strip_weights  # noqa: F401
 from .matching import MonotonePath
-from .param_space import ParameterPoint, build_cells, edge_min, free_space_axes
+from .param_space import build_cells, edge_min, free_space_axes
 from .shortest_path import (
     adjacency,
     axis_size,
@@ -105,7 +105,6 @@ class MonotoneDigraph:
     weights: np.ndarray
     source: int
     sink: int
-    label: str = ""
     _csr: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -118,9 +117,6 @@ class MonotoneDigraph:
     @property
     def n_edges(self) -> int:
         return len(self.tails)
-
-    def point(self, i: int) -> ParameterPoint:
-        return ParameterPoint(float(self.xs[i]), float(self.ys[i]))
 
     def validate_monotone(self):
         """Raise ``ValueError`` on a backward edge or a negative weight.
@@ -182,7 +178,6 @@ def build_g1(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
         weights=weights,
         source=0,
         sink=nx * ny - 1,
-        label="g1",
     )
 
 
@@ -483,7 +478,6 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
         weights=segment_weighted_length(grid, ends[:, 0], ends[:, 1]),
         source=0,
         sink=1,
-        label="g2",
     )
 
 
@@ -513,7 +507,7 @@ def _affordable_mesh(t1, t2, budget):
 def _search_g1(t1, t2, cfg):
     """g1's shortest path by a sweep over its lattice; no graph is built."""
     lat = grid_lattice(build_cells(t1, t2), _g1_mesh(t1, t2, cfg), cfg.max_vertices)
-    value, pts = lattice_dp(lat, diagonal=False, path=True)
+    value, pts = lattice_dp(lat, diagonal=False)
     return value, pts, {"vertices": lat.n_points, "edges": lat.n_edges(diagonal=False)}
 
 

@@ -13,6 +13,13 @@ in-cell pieces, and :func:`segment_weighted_length` feeds it any segments
 lines in one pass.  Lattices have their own kernel, :func:`_tile_weights`:
 it weighs the right, up and diagonal edges of a tile of lattice points
 from one leash length per point.
+
+Along any straight step the leash is sqrt(tau^2 + q) for tau running over
+an interval, and one step form, :func:`_step_mean`, integrates it for both
+pieces (a unit step after completing the square) and lattice diagonals (a
+step of length sqrt(A)); one guard, :func:`_check_radicand`, rejects a q
+that dips below zero.  Right and up lattice edges keep the difference of
+two primitives, :func:`_primitives`, shared by a whole row or column.
 """
 
 import math
@@ -36,33 +43,63 @@ _BLOCK = 4096        # segments per pass, so temporaries stay small for any batc
 _HUGE = 2.0 ** 200   # coefficients past this (or nonflat A below its inverse) are rescaled
 
 
-def _unit_step(t0, hsq):
-    """integral_{t0}^{t0+1} sqrt(t^2 + hsq) dt, free of cancellation.
+def _step_mean(t0, d, r0, r1, q):
+    """Mean of sqrt(tau^2 + q) over the step tau = t0 .. t0 + d, free of cancellation.
 
-    With r the root at both ends, t1 r1 - t0 r0 = ((r0 + r1) + (t0 + t1)^2 / (r0 + r1)) / 2
-    and the arsinh difference is one arsinh when t0 and t1 share a sign, a
-    sum of two positive ones when they do not; no term subtracts two
-    primitives, which would lose |t0| ulps far from the foot.
+    ``r0`` and ``r1`` are the roots at the two ends (arrays of one shape,
+    at least 1-d).  With rs = r0 + r1 and ts = t0 + t1, t1 r1 - t0 r0 =
+    d (rs + ts^2 / rs) / 2, and the arsinh difference is one arsinh when t0
+    and t1 share a sign, a sum of two positive ones where the step crosses
+    the foot of the leash (tau = 0); no term subtracts two primitives, which
+    would lose |t0| ulps far from the foot.  The root is convex along the
+    step, so a step with both roots 0 has mean 0.
     """
-    t1 = t0 + 1.0
-    r0 = np.sqrt(t0 * t0 + hsq)
-    r1 = np.sqrt(t1 * t1 + hsq)
+    t1 = t0 + d
     rs = r0 + r1
     ts = t0 + t1
-    h = np.sqrt(hsq)
-    # |same's argument| <= 1 / h, so only the masked hsq == 0 entries overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        same = np.arcsinh(ts / (t1 * r0 + t0 * r1))
-        across = np.arcsinh(t1 / h) - np.arcsinh(t0 / h)
-        curved = hsq * np.where(t0 * t1 > 0.0, same, across)
-    return 0.25 * (rs + ts * ts / rs) + 0.5 * np.where(hsq > 0.0, curved, 0.0)
+        arc = np.arcsinh(d * ts / (t1 * r0 + t0 * r1))
+        # across the foot, or a leash that is linear in tau (q == 0), whose
+        # arsinh argument can overflow where t0^2 underflows
+        across = (t0 * t1 <= 0.0) | (q == 0.0)
+        if across.any():
+            qa = q[across]
+            h = np.sqrt(qa)
+            arc[across] = np.where(qa > 0.0, np.arcsinh(t1[across] / h) - np.arcsinh(t0[across] / h), 0.0)
+        out = ts * ts
+        out /= rs
+        out += rs
+        arc *= q
+        arc *= 2.0 / d
+        out += arc
+    out *= 0.25
+    if not rs.all():
+        out[rs == 0.0] = 0.0
+    return out
+
+
+def _check_radicand(q, t0, d, scale, ends):
+    """Raise :class:`NegativeRadicand` where the squared leash ``scale (tau^2 + q)`` of a step
+    tau = t0 .. t0 + d, at the point nearest its foot, is below -1e-9 ``ends``.
+
+    ``ends`` is the larger squared leash at the step's two ends.  Callers
+    clamp ``q`` at 0 afterwards: a smaller dip is rounding.
+    """
+    foot = np.minimum(np.maximum(t0, 0.0), t0 + d)  # argmin of |tau| on the step
+    low = scale * (foot * foot + q)
+    bad = low < -_Q_NEG_TOL * ends
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = float((low[bad] / ends[bad]).min())
+        raise NegativeRadicand(f"w^2 dips to {ratio:.3e} times its endpoint value along a step")
 
 
 def arsinh_form(A, B, C, l1len):
     """``l1len * integral_0^1 sqrt(A s^2 + B s + C) ds``, elementwise over broadcast arrays.
 
     Completing the square gives A ((s + t0)^2 + hsq) with t0 = B / 2A and
-    hsq = (4AC - B^2) / 4A^2, whose root integrates to the arsinh primitive.
+    hsq = (4AC - B^2) / 4A^2, whose root is integrated over the unit step
+    from t0 by :func:`_step_mean`.
     Where A <= 1e-14 C the weight is constant to that relative precision
     and the trapezoid rule is used instead.  Both tests are scale-free.
     Raises :class:`NegativeRadicand` when the quadratic dips below zero on
@@ -75,7 +112,9 @@ def arsinh_form(A, B, C, l1len):
     4AC, B^2 and 4A^2 neither underflow nor overflow.  Both scalings are
     exact, so they change no result that was finite without them.
     """
-    A, B, C, l1len = (np.asarray(v, dtype=float) for v in (A, B, C, l1len))
+    A, B, C, l1len = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (A, B, C, l1len)))
+    shape = A.shape
+    A, B, C, l1len = (v.reshape(-1) for v in (A, B, C, l1len))  # 1-d, so masked writes work
     flat = A <= _A_EPS * C
     top = np.maximum(np.maximum(A, np.abs(B)), C)
     half = 0
@@ -90,17 +129,16 @@ def arsinh_form(A, B, C, l1len):
     hsq = (4.0 * a_safe * C - B * B) / (4.0 * a_safe * a_safe)
     if (hsq < 0.0).any():
         # only a negative hsq lets the quadratic's minimum on [0, 1] go below zero
-        m = np.minimum(np.maximum(-t0, 0.0), 1.0)  # argmin of (s + t0)^2 on [0, 1]
-        qmin = np.where(flat, 0.0, a_safe * ((m + t0) ** 2 + hsq))
-        if (qmin < -_Q_NEG_TOL * np.maximum(C, A + B + C)).any():
-            low = float(np.ldexp(qmin, 2 * half).min())
-            raise NegativeRadicand(f"w^2 reaches {low:.3e} along a piece")
+        _check_radicand(hsq, t0, 1.0, np.where(flat, 0.0, a_safe), np.maximum(C, A + B + C))
         hsq = np.maximum(hsq, 0.0)
-    out = l1len * np.sqrt(a_safe) * _unit_step(t0, hsq)
+    r0 = np.sqrt(t0 * t0 + hsq)
+    t1 = t0 + 1.0
+    r1 = np.sqrt(t1 * t1 + hsq)
+    out = l1len * np.sqrt(a_safe) * _step_mean(t0, 1.0, r0, r1, hsq)
     if any_flat:
         trap = l1len * 0.5 * (np.sqrt(np.maximum(C, 0.0)) + np.sqrt(np.maximum(A + B + C, 0.0)))
         out = np.where(flat, trap, out)
-    return out
+    return out.reshape(shape)[()]
 
 
 def _cell_table(grid: CellGrid, i, j):
@@ -223,39 +261,18 @@ def _diagonal_steps(one_c, sin, xi, eta, t, p, w2, r):
     if a == 0.0:
         return (0.5 * l1) * (r0 + r1)
     root_a = math.sqrt(a)
-    # the leash along the step is sqrt(tau^2 + q) for tau from t0 to t1 = t0 + sqrt(A)
+    # the leash along the step is sqrt(tau^2 + q) for tau from t0 to t0 + sqrt(A)
     t0 = t[:-1, :-1] * (d_t / root_a) + (p[:-1] * (d_p / root_a))[:, None]
     q = w0 - t0 * t0
-    t1 = t0 + root_a
     neg = q < 0.0
     if neg.any():
-        lo = np.minimum(np.maximum(t0[neg], 0.0), t1[neg])  # argmin of |tau| on the step
-        qmin = q[neg] + lo * lo
-        if (qmin < -_Q_NEG_TOL * np.maximum(w0[neg], w2[1:, 1:][neg])).any():
-            raise NegativeRadicand(f"w^2 reaches {qmin.min():.3e} along a lattice diagonal")
+        _check_radicand(q[neg], t0[neg], root_a, 1.0, np.maximum(w0[neg], w2[1:, 1:][neg]))
         q[neg] = 0.0
-    rs = r0 + r1
-    ts = t0 + t1
-    # _unit_step for a step of length sqrt(A): no term subtracts two primitives
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arc = np.arcsinh(root_a * ts / (t1 * r0 + t0 * r1))
-        across = t0 * t1 <= 0.0  # steps over the foot of the leash: a sum of two arsinhs
-        if across.any():
-            qa = q[across]
-            h = np.sqrt(qa)
-            arc[across] = np.where(qa > 0.0, np.arcsinh(t1[across] / h) - np.arcsinh(t0[across] / h), 0.0)
-        out = ts * ts
-        out /= rs
-        out += rs
-        arc *= q
-        arc *= 2.0 / root_a
-        out += arc
-    out *= 0.25 * l1
-    if not rs.all():
-        out[rs == 0.0] = 0.0  # the leash is convex along the step, so 0 at both ends is 0 throughout
+    out = _step_mean(t0, root_a, r0, r1, q)
+    out *= l1
     flat = w0 >= a / _A_EPS  # A <= 1e-14 W2: the leash is constant along the step
     if flat.any():
-        out[flat] = (0.5 * l1) * rs[flat]
+        out[flat] = (0.5 * l1) * (r0[flat] + r1[flat])
     return out
 
 
@@ -281,7 +298,7 @@ def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal
     (u x v) deta), of squared length A, so along it the squared leash is
     tau^2 + Q with tau running from tau0, the leash's component along that
     move, over a length sqrt(A), and Q = W2 - tau0^2; the step is
-    integrated as in :func:`_unit_step`, with R at both ends.  The
+    integrated by :func:`_step_mean`, with R at both ends.  The
     trapezoid weighs steps where A <= 1e-14 W2 and all of them when
     A == 0.  Raises :class:`NegativeRadicand` as :func:`arsinh_form` does.
     """

@@ -70,9 +70,6 @@ class MonotonePath:
     def end(self):
         return tuple(self.vertices[-1])
 
-    def legs(self):
-        return zip(self.vertices[:-1], self.vertices[1:])
-
 
 def _as_path(path) -> MonotonePath:
     return path if isinstance(path, MonotonePath) else MonotonePath.from_points(path)

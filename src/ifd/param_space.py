@@ -21,6 +21,7 @@ axis (slope +1) carries the in-cell shortest paths.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -77,7 +78,6 @@ class ParameterCell:
     kind: str              # 'generic' | 'parallel' | 'antiparallel'
     du: float = field(repr=False, default=0.0)   # d0 . u
     dv: float = field(repr=False, default=0.0)   # d0 . v
-    d0sq: float = field(repr=False, default=0.0)  # |d0|^2
 
     @property
     def width(self) -> float:
@@ -87,12 +87,10 @@ class ParameterCell:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    def local(self, x, y):
-        return x - self.x0, y - self.y0
-
     def leash(self, x, y) -> np.ndarray:
         """Vector T2(y) - T1(x) for a point of this cell (scalar or array input)."""
-        xi, eta = self.local(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        xi = np.asarray(x, dtype=float) - self.x0
+        eta = np.asarray(y, dtype=float) - self.y0
         return (self.b0 + eta[..., None] * self.v) - (self.a0 + xi[..., None] * self.u)
 
     def weight_sq(self, x, y):
@@ -152,27 +150,41 @@ class GridEdge:
 
     A vertical edge lies on the line x = ``fixed`` and spans
     [``lo``, ``hi``] in y; a horizontal edge swaps the roles.
-    ``line_index`` is the index of the parameter line, ``span_index`` the
-    segment index along the other curve.
+    ``span_index`` is the segment index along the other curve.
     """
 
     vertical: bool
     fixed: float
     lo: float
     hi: float
-    line_index: int
     span_index: int
 
 
 @dataclass(frozen=True)
 class CellGrid:
-    """All parameter cells of a curve pair plus coordinate lookups."""
+    """The parameter cells of a curve pair plus coordinate lookups.
+
+    The grid is its two curves: the cuts are their vertex arc lengths, and
+    the table of cells is built on first use, so callers that only cut
+    paths at the parameter lines never build it.
+    """
 
     t1: PolygonalCurve
     t2: PolygonalCurve
-    x_cuts: np.ndarray
-    y_cuts: np.ndarray
-    cells: list
+
+    @property
+    def x_cuts(self) -> np.ndarray:
+        return self.t1.cum_length
+
+    @property
+    def y_cuts(self) -> np.ndarray:
+        return self.t2.cum_length
+
+    @cached_property
+    def cells(self) -> list:
+        """``cells[i][j]``: one cell per segment pair, columns follow T1, rows follow T2."""
+        return [[_make_cell(self.t1, self.t2, i, j) for j in range(self.n_rows)]
+                for i in range(self.n_cols)]
 
     @property
     def n_cols(self) -> int:
@@ -185,14 +197,6 @@ class CellGrid:
     @property
     def extent(self):
         return float(self.x_cuts[-1]), float(self.y_cuts[-1])
-
-    @property
-    def source(self) -> ParameterPoint:
-        return ParameterPoint(0.0, 0.0)
-
-    @property
-    def sink(self) -> ParameterPoint:
-        return ParameterPoint(float(self.x_cuts[-1]), float(self.y_cuts[-1]))
 
     def cell(self, i: int, j: int) -> ParameterCell:
         return self.cells[i][j]
@@ -209,17 +213,16 @@ class CellGrid:
         )
 
     def cell_at(self, p, prefer_lower: bool = False) -> ParameterCell:
-        i, j = self.locate(p[0], p[1], prefer_lower=prefer_lower)
-        return self.cells[i][j]
+        return self.cell(*self.locate(p[0], p[1], prefer_lower=prefer_lower))
 
     def edges(self) -> Iterator[GridEdge]:
         """All cell-boundary edges, including the ones on the outer boundary."""
-        for li, x in enumerate(self.x_cuts):
+        for x in self.x_cuts:
             for j in range(self.n_rows):
-                yield GridEdge(True, float(x), float(self.y_cuts[j]), float(self.y_cuts[j + 1]), li, j)
-        for lj, y in enumerate(self.y_cuts):
+                yield GridEdge(True, float(x), float(self.y_cuts[j]), float(self.y_cuts[j + 1]), j)
+        for y in self.y_cuts:
             for i in range(self.n_cols):
-                yield GridEdge(False, float(y), float(self.x_cuts[i]), float(self.x_cuts[i + 1]), lj, i)
+                yield GridEdge(False, float(y), float(self.x_cuts[i]), float(self.x_cuts[i + 1]), i)
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,6 @@ class FreeSpaceAxes:
 
     cell: ParameterCell
     center: ParameterPoint
-    intercept: float        # k of the axis line y = x + k
     slope: float            # dw per unit of L1 travel along ell: |u - v| / 2
     w_center: float
     ell: Optional[tuple]
@@ -265,7 +267,7 @@ def weight(t1: PolygonalCurve, t2: PolygonalCurve, p):
     return float(w) if p.ndim == 1 else w
 
 
-def _make_cell(t1, t2, i, j, x_cuts, y_cuts) -> ParameterCell:
+def _make_cell(t1, t2, i, j) -> ParameterCell:
     u = t1.directions[i]
     v = t2.directions[j]
     c = float(np.dot(u, v))
@@ -280,23 +282,17 @@ def _make_cell(t1, t2, i, j, x_cuts, y_cuts) -> ParameterCell:
         kind = "generic"
     return ParameterCell(
         i=i, j=j,
-        x0=float(x_cuts[i]), x1=float(x_cuts[i + 1]),
-        y0=float(y_cuts[j]), y1=float(y_cuts[j + 1]),
+        x0=float(t1.cum_length[i]), x1=float(t1.cum_length[i + 1]),
+        y0=float(t2.cum_length[j]), y1=float(t2.cum_length[j + 1]),
         a0=t1.vertices[i], u=u, b0=t2.vertices[j], v=v,
         c=c, kind=kind,
-        du=float(np.dot(d0, u)), dv=float(np.dot(d0, v)), d0sq=float(np.dot(d0, d0)),
+        du=float(np.dot(d0, u)), dv=float(np.dot(d0, v)),
     )
 
 
 def build_cells(t1: PolygonalCurve, t2: PolygonalCurve) -> CellGrid:
-    """One cell per segment pair: columns follow T1, rows follow T2."""
-    x_cuts = t1.cum_length
-    y_cuts = t2.cum_length
-    cells = [
-        [_make_cell(t1, t2, i, j, x_cuts, y_cuts) for j in range(t2.n_segments)]
-        for i in range(t1.n_segments)
-    ]
-    return CellGrid(t1=t1, t2=t2, x_cuts=x_cuts, y_cuts=y_cuts, cells=cells)
+    """The cell grid of a curve pair; its cells are built on first use."""
+    return CellGrid(t1, t2)
 
 
 def _clip_slope1(k: float, x0, x1, y0, y1):
@@ -352,7 +348,7 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
         hbar = _clip_slope_neg1(center.x + center.y, cell.x0, cell.x1, cell.y0, cell.y1)
     ell = _clip_slope1(k, cell.x0, cell.x1, cell.y0, cell.y1)
     return FreeSpaceAxes(
-        cell=cell, center=center, intercept=k, slope=slope,
+        cell=cell, center=center, slope=slope,
         w_center=w_center, ell=ell, hbar=hbar,
     )
 
@@ -408,15 +404,12 @@ def edge_min(grid: CellGrid, edge: GridEdge):
 class EllipseSlice:
     """Sublevel set {w <= delta} of one cell, described by its boundary crossings.
 
-    ``coeffs`` are the four free coefficients of the local quadratic
-    (c, -2 du, +2 dv, |d0|^2) with the unit diagonal implied; ``crossings``
-    maps each cell side to the parameter values (global coordinates along
-    that side) where w == delta.
+    ``crossings`` maps each cell side to the parameter values (global
+    coordinates along that side) where w == delta.
     """
 
     cell: ParameterCell
     delta: float
-    coeffs: tuple
     crossings: dict
 
     @property
@@ -449,5 +442,4 @@ def ellipse_slice(cell: ParameterCell, delta: float) -> EllipseSlice:
             roots = [start + min(max(t, 0.0), length)
                      for t in (along - r, along + r) if -tol <= t <= length + tol]
         crossings[name] = sorted(set(roots))
-    coeffs = (cell.c, -2.0 * cell.du, 2.0 * cell.dv, cell.d0sq)
-    return EllipseSlice(cell=cell, delta=delta, coeffs=coeffs, crossings=crossings)
+    return EllipseSlice(cell=cell, delta=delta, crossings=crossings)

@@ -7,11 +7,12 @@ path is reconstructed backwards with ties broken toward the smallest
 vertex id.  Rectangular lattices (the uniform grid g1, the dense
 snapped-grid oracle and the per-cell staircase of
 ``cell_paths.staircase_fallback_path``) share one weight
-generator, one row-by-row dynamic program over right/up(/diagonal) moves
-and one backtrack over its move table.  The generator calls one kernel,
-``integrals._tile_weights``, per tile of at most ``_ROW_CHUNK`` rows by
-``_COL_CHUNK`` columns inside one cell; every edge weight is an exact
-closed form.
+generator and one row-by-row dynamic program over right/up(/diagonal)
+moves.  Every sweep records the move into each point in a one-byte table
+and backtracks over it, so every caller gets the path with the value.
+The generator calls one kernel, ``integrals._tile_weights``, per tile of
+at most ``_ROW_CHUNK`` rows by ``_COL_CHUNK`` columns inside one cell;
+every edge weight is an exact closed form.
 """
 
 import math
@@ -278,46 +279,41 @@ def _row_update(prev, up, diag, r, moves, out, best):
     """One DP row into ``out``: enter from below or diagonally, then sweep right.
 
     ``r`` holds the running sums of the row's rightward weights (0 first)
-    and ``best`` is scratch of the row's length.  ``moves``, when given,
-    receives the move that reached each point; ties go to the move that
-    enters the row.
+    and ``best`` is scratch of the row's length.  ``moves`` receives the
+    move that reached each point; ties go to the move that enters the row.
     """
     np.add(prev, up, out=out)
-    if moves is not None:
-        moves[:] = _UP
+    moves[:] = _UP
     if diag is not None:
         via = np.add(prev[:-1], diag, out=best[1:])
-        if moves is not None:
-            moves[1:][via < out[1:]] = _DIAG
+        moves[1:][via < out[1:]] = _DIAG
         np.minimum(out[1:], via, out=out[1:])
     entered = np.subtract(out, r, out=out)
     np.minimum.accumulate(entered, out=best)
-    if moves is not None:
-        moves[best < entered] = _LEFT
+    moves[best < entered] = _LEFT
     return np.add(r, best, out=out)
 
 
-def lattice_dp(lat: Lattice, diagonal: bool, path: bool = False):
+def lattice_dp(lat: Lattice, diagonal: bool):
     """Best right/up(/diagonal) path from the first lattice point to the last: (value, points).
 
-    Streams the weights row chunk by row chunk, so memory stays linear in
-    the lattice width.  ``points`` is ``None`` unless ``path``, which adds
-    an int8 table of the moves and a backtrack over it.
+    Streams the weights row chunk by row chunk, records the move that
+    reached each point in an int8 table (one byte per lattice point) and
+    backtracks over it.
     """
     nx = len(lat.xs)
-    moves = np.empty((len(lat.ys), nx), dtype=np.int8) if path else None
+    moves = np.empty((len(lat.ys), nx), dtype=np.int8)
+    moves[0] = _LEFT
     prev, out, best = None, np.empty(nx), np.empty(nx)
     sums = np.zeros((_ROW_CHUNK + 1, nx))  # running sums of each row's rightward weights
     for r0, right, up, diag in lattice_weights(lat, diagonal):
         np.cumsum(right, axis=1, out=sums[:len(right), 1:])
         if prev is None:
             prev = sums[0].copy()
-            if moves is not None:
-                moves[0] = _LEFT
         for t in range(len(up)):
             prev, out = _row_update(prev, up[t], None if diag is None else diag[t], sums[t + 1],
-                                    None if moves is None else moves[r0 + t + 1], out, best), prev
-    return float(prev[-1]), None if moves is None else _backtrack(lat, moves)
+                                    moves[r0 + t + 1], out, best), prev
+    return float(prev[-1]), _backtrack(lat, moves)
 
 
 def _backtrack(lat: Lattice, moves) -> np.ndarray:
@@ -338,13 +334,13 @@ def dense_grid_oracle(t1: PolygonalCurve, t2: PolygonalCurve, h: float,
 
     An upper bound on the integral distance that never increases when the
     lattice is refined by a vertex superset.  Streams the dynamic program
-    row by row, so memory stays linear in the grid width.
+    row by row; beyond one row of distances it keeps the one-byte move
+    table of :func:`lattice_dp`.
     """
-    lat = grid_lattice(build_cells(t1, t2), h, max_points)
-    return lattice_dp(lat, diagonal=True)[0]
+    return dense_grid_oracle_path(t1, t2, h, max_points)[0]
 
 
 def dense_grid_oracle_path(t1, t2, h, max_points: int = 8_000_000):
     """(value, path points, lattice) of :func:`dense_grid_oracle`."""
     lat = grid_lattice(build_cells(t1, t2), h, max_points)
-    return (*lattice_dp(lat, diagonal=True, path=True), lat)
+    return (*lattice_dp(lat, diagonal=True), lat)

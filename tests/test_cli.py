@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,20 @@ def test_oracle_mode_cli(parallel_files, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "oracle projected" in err and "try raising --max-vertices" in err
+    # the oracle reads only the budget, and the hint never offers the mode that failed
+    hint = err.splitlines()[-1]
+    assert hint == "ifd: try raising --max-vertices"
+    for mode, knobs, absent in (("g1", ["--epsilon", "--c-g1"], ["--c-mesh", "--c-radius"]),
+                                ("g2", ["--epsilon", "--c-mesh", "--c-radius"], ["--c-g1"]),
+                                ("both", ["--epsilon", "--c-g1", "--c-mesh", "--c-radius"], [])):
+        code = main([
+            "compute", "--a", a, "--b", b, "--epsilon", "0.25",
+            "--mode", mode, "--max-vertices", "1", "--out", str(out),
+        ])
+        assert code == 3
+        hint = capsys.readouterr().err.splitlines()[-1]
+        assert hint.startswith("ifd: try raising --max-vertices") and "--mode oracle" in hint
+        assert all(k in hint for k in knobs) and not any(k in hint for k in absent), hint
 
 
 def test_svg_deterministic(parallel_files, tmp_path):
@@ -191,6 +206,30 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_each_module_imports_first():
+    # no import cycle: every module loads as the first one of the package
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    names = sorted(m.name for m in pkgutil.iter_modules(ifd.__path__))
+    assert "cell_paths" in names and "shortest_path" in names
+    for name in names:
+        out = subprocess.run([sys.executable, "-c", f"import ifd.{name}"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, (name, out.stderr)
+
+
+def test_lattice_speed_runs_once():
+    # --help never reaches the library calls; one timed pass does
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "lattice_speed.py"
+    out = subprocess.run([sys.executable, str(script), "--repeat", "1"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split()[0] for line in out.stdout.splitlines()[1:]]
+    assert rows == ["g1", "g1", "oracle"]
 
 
 def test_scripts_show_help():

@@ -46,6 +46,21 @@ def test_point_at_out_of_range():
     assert np.allclose(c.point_at(1.0 + 1e-10), (1.0, 0.0))
 
 
+@pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 30], ids=["2^-40", "1", "2^30"])
+def test_point_at_slack_is_relative(s):
+    # a curve of length 28 s: the slack is 1e-9 of the length at every scale
+    c = ifd.build_curve(np.array([(0.0, 0.0), (12.0, 0.0), (12.0, 16.0)]) * s)
+    end, start = c.vertices[-1], c.vertices[0]
+    assert np.array_equal(c.point_at(np.nextafter(c.length, np.inf)), end)
+    assert np.array_equal(c.point_at(c.length * (1.0 + 5e-10)), end)
+    assert np.array_equal(c.point_at(-5e-10 * c.length), start)
+    for outside in (c.length * (1.0 + 1e-8), -1e-8 * c.length, -100.0 * c.length):
+        with pytest.raises(OutOfRange):
+            c.point_at(outside)
+        with pytest.raises(OutOfRange):
+            c.point_at([0.0, outside])
+
+
 def test_points_at_matches_scalar():
     rng = np.random.default_rng(0)
     c = random_curve(rng, 5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -285,6 +286,25 @@ def test_array_form_matches_per_segment_calls():
         np.testing.assert_array_equal(got, np.concatenate([s[k] for s in single]))
     empty = ifd.segment_weighted_length(g, np.empty((0, 2)), np.empty((0, 2)))
     assert empty.shape == (0,)
+
+
+def test_cutting_builds_no_cells():
+    # the grid is its two curves; weighing and cutting segments reads only
+    # the cuts and the curves, so the table of cells stays unbuilt
+    assert [f.name for f in dataclasses.fields(ifd.CellGrid)] == ["t1", "t2"]
+    rng = np.random.default_rng(15)
+    t1 = ifd.build_curve([(0, 0), (1, 0.2), (2.2, 0.1), (2.9, 0.8)])
+    t2 = ifd.build_curve([(0, 1), (0.7, 1.3), (1.5, 0.9), (2.4, 1.6)])
+    g = ifd.build_cells(t1, t2)
+    assert g.x_cuts is t1.cum_length and g.y_cuts is t2.cum_length
+    a, b = _multi_cell_segments(rng, t1, t2, 20)
+    ifd.segment_weighted_length(g, a, b)
+    ifd.segment_weighted_length(g, a[0], b[0])
+    _split(g, a, b)
+    assert "cells" not in vars(g)
+    cell = g.cell(2, 1)
+    assert "cells" in vars(g) and g.cells[2][1] is cell
+    assert (cell.i, cell.j, cell.x0, cell.y1) == (2, 1, t1.cum_length[2], t2.cum_length[2])
 
 
 def test_simpson_depth_limit():

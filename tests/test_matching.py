@@ -166,6 +166,22 @@ def test_max_leash_examples():
     assert ifd.max_leash(t1p, t2p, [(0, 0), (1, 1)]) == pytest.approx(math.sqrt(2))
 
 
+@pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 30], ids=["2^-40", "1", "2^30"])
+def test_max_leash_of_optimized_oracle_path(s):
+    # pairs 41 and 155 of this stream: the optimized path's last leg ends a
+    # few ulps past the curves' ends at s = 2^30
+    rng = np.random.default_rng(3)
+    pairs = [(np.cumsum(rng.normal(size=(4, 2)), axis=0),
+              np.cumsum(rng.normal(size=(3, 2)), axis=0) + 0.3) for _ in range(156)]
+    cfg = ifd.GraphConfig.desk(0.5, mode="oracle", max_vertices=20000)
+    for a, b in (pairs[41], pairs[155]):
+        t1, t2 = ifd.build_curve(a * s), ifd.build_curve(b * s)
+        path = ifd.locally_optimize(t1, t2, ifd.approximate_integral_frechet(t1, t2, cfg).path)
+        assert path.vertices[-1] == pytest.approx((t1.length, t2.length), rel=1e-12)
+        end_leash = np.linalg.norm(t2.vertices[-1] - t1.vertices[-1])
+        assert ifd.max_leash(t1, t2, path) >= end_leash * (1.0 - 1e-12)
+
+
 def test_monotone_path_validation():
     with pytest.raises(NotMonotone):
         ifd.MonotonePath.from_points([(0, 0), (1, 1), (0.5, 2)])

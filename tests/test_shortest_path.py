@@ -5,7 +5,13 @@ import pytest
 
 import ifd
 from ifd.errors import BudgetExceeded
-from ifd.shortest_path import Lattice, _staircase_lattice, lattice_weights, snapped_axis
+from ifd.shortest_path import (
+    Lattice,
+    _staircase_lattice,
+    dense_grid_oracle_path,
+    lattice_weights,
+    snapped_axis,
+)
 
 from helpers import (
     ARRANGEMENT_PAIR,
@@ -216,6 +222,8 @@ def test_dense_oracle_refinement_monotone():
     vals = []
     for h in (1 / 4, 1 / 8, 1 / 16):
         vals.append(ifd.dense_grid_oracle(t1, t2, h * min(t1.length, t2.length)))
+        # the value is the one of the sweep that also returns the path
+        assert vals[-1] == dense_grid_oracle_path(t1, t2, h * min(t1.length, t2.length))[0]
     assert vals[1] <= vals[0] + 1e-12
     assert vals[2] <= vals[1] + 1e-12
 
@@ -325,7 +333,8 @@ def test_lattice_kernel_matches_closed_form():
     assert "parallel" in kinds["parallel"] and "antiparallel" in kinds["antiparallel"]
     assert kinds["nearly parallel"] == {"parallel"}
     crossing = ifd.build_cells(*curve_pair(KERNEL_PAIRS["crossing"]))
-    assert crossing.cell(0, 1).d0sq == crossing.cell(0, 1).du ** 2
+    d0 = crossing.cell(0, 1).b0 - crossing.cell(0, 1).a0
+    assert d0 @ d0 == crossing.cell(0, 1).du ** 2
     rng = np.random.default_rng(35)
     for name, pair in KERNEL_PAIRS.items():
         unit = None
