@@ -12,6 +12,7 @@ similarity at every threshold, which is what the profile type captures.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,10 +45,17 @@ class CellPath:
     vertices: tuple
     branch: str  # 'through_axis' | 'around_corner' | 'degenerate_fallback'
     weighted_length: float
-    cells: tuple
 
 
-def _dedupe(points, tol=1e-15):
+def _dedupe(points):
+    """Merge consecutive points that agree within 1e-15 times the largest
+    |coordinate| among ``points``; the first of a run stays.
+
+    The tolerance comes from the points themselves, so the cleanup scales
+    with the curves.  When everything merges into the first point, the last
+    point is kept as well, so the path keeps two ends.
+    """
+    tol = 1e-15 * max(map(abs, chain.from_iterable(points)))
     out = [points[0]]
     for p in points[1:]:
         if abs(p[0] - out[-1][0]) > tol or abs(p[1] - out[-1][1]) > tol:
@@ -64,14 +72,12 @@ def _polyline_length(cell, points):
 def _shortest_vertices(cell: ParameterCell, a, b):
     """(vertices, branch) of the shortest monotone path from a to b inside one cell.
 
-    Pure geometry, no weights.  The dominance check and the vertex dedupe
-    are relative to ``max(|x1|, |y1|)`` of the cell, so the path scales
-    with the curves.
+    Pure geometry, no weights.  The dominance check is relative to
+    ``max(|x1|, |y1|)`` of the cell, so the path scales with the curves.
     """
     a = ParameterPoint(float(a[0]), float(a[1]))
     b = ParameterPoint(float(b[0]), float(b[1]))
-    scale = max(abs(cell.x1), abs(cell.y1))
-    if not dominates(a, b, tol=1e-12 * scale):
+    if not dominates(a, b, tol=1e-12 * max(abs(cell.x1), abs(cell.y1))):
         raise NotMonotone(f"{a} does not dominate {b}")
     if cell.kind == "antiparallel":
         raise AntiparallelCell(f"cell ({cell.i},{cell.j}) is antiparallel")
@@ -82,12 +88,12 @@ def _shortest_vertices(cell: ParameterCell, a, b):
     if lo <= hi:
         c1 = ParameterPoint(lo, lo + k)
         c2 = ParameterPoint(hi, hi + k)
-        return _dedupe([a, c1, c2, b], 1e-15 * scale), "through_axis"
+        return _dedupe([a, c1, c2, b]), "through_axis"
     if k > b.y - a.x:
         corner = ParameterPoint(a.x, b.y)  # axis passes above-left
     else:
         corner = ParameterPoint(b.x, a.y)  # axis passes below-right
-    return _dedupe([a, corner, b], 1e-15 * scale), "around_corner"
+    return _dedupe([a, corner, b]), "around_corner"
 
 
 def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
@@ -102,7 +108,6 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
         vertices=verts,
         branch=branch,
         weighted_length=_polyline_length(cell, verts),
-        cells=(cell,),
     )
 
 
@@ -119,7 +124,6 @@ def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath
         vertices=_dedupe([ParameterPoint(*p) for p in points]),
         branch="degenerate_fallback",
         weighted_length=value,
-        cells=(cell,),
     )
 
 
@@ -131,13 +135,12 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     Otherwise the crossing point on the edge is found by ternary search
     (with a 64-point scan to bracket the minimum first) over the exact
     per-side in-cell optima, which makes the middle piece cross the edge
-    perpendicularly.  The tolerances are relative to the parameter
-    extent, so the path scales with the curves.
+    perpendicularly.  The dominance and on-edge tolerances are relative to
+    the parameter extent, so the path scales with the curves.
     """
     o = ParameterPoint(float(o[0]), float(o[1]))
     p = ParameterPoint(float(p[0]), float(p[1]))
     scale = max(grid.extent)
-    tol = 1e-15 * scale  # vertex dedupe
     if not dominates(o, p, tol=1e-12 * scale):
         raise NotMonotone(f"{o} does not dominate {p}")
     mid = 0.5 * (edge.lo + edge.hi)
@@ -162,15 +165,14 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
         c_o = ell_o[1]  # top-right endpoint of the first cell's clipped axis
         c_p = ell_p[0]  # bottom-left endpoint of the second cell's clipped axis
         if on_edge(c_o) and on_edge(c_p) and dominates(c_o, c_p, tol=1e-12 * scale):
-            verts = _dedupe([o, c_o, c_p, p], tol)
+            verts = _dedupe([o, c_o, c_p, p])
             # the piece along the shared edge evaluates identically in either cell
             length = (
-                _polyline_length(cell_o, _dedupe([o, c_o], tol))
+                _polyline_length(cell_o, [o, c_o])
                 + _polyline_length(cell_o, [c_o, c_p])
-                + _polyline_length(cell_p, _dedupe([c_p, p], tol))
+                + _polyline_length(cell_p, [c_p, p])
             )
-            return CellPath(vertices=verts, branch="through_axis",
-                            weighted_length=length, cells=(cell_o, cell_p))
+            return CellPath(vertices=verts, branch="through_axis", weighted_length=length)
 
     # crossing-point search along the shared edge
     if edge.vertical:
@@ -211,12 +213,11 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     z = mk(best)
     left = cell_shortest_path(cell_o, o, z)
     right = cell_shortest_path(cell_p, z, p)
-    verts = _dedupe(list(left.vertices) + list(right.vertices)[1:], tol)
+    verts = _dedupe(list(left.vertices) + list(right.vertices)[1:])
     return CellPath(
         vertices=verts,
         branch="around_corner",
         weighted_length=left.weighted_length + right.weighted_length,
-        cells=(cell_o, cell_p),
     )
 
 
@@ -239,7 +240,8 @@ class SimilarityProfile:
                 continue
             d2 = deltas * deltas
             if A <= _A_EPS * C:
-                out += np.where(C <= d2 + 1e-15, l1len, 0.0)
+                # flat piece: the slack is relative to C, so it scales with the curves
+                out += np.where(C <= d2 + 1e-15 * C, l1len, 0.0)
                 continue
             disc = B * B - 4.0 * A * (C - d2)
             r = np.sqrt(np.maximum(disc, 0.0))

@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     TooFewVertices,
 )
-from .graphs import GraphConfig, approximate_integral_frechet
+from .graphs import MODES, GraphConfig, approximate_integral_frechet
 from .matching import MonotonePath, locally_optimize, matching_cost
 from .param_space import _clip_slope1, build_cells, free_space_axes
 
@@ -66,14 +66,7 @@ def build_report(result, cfg, runtime_ms, extra=None) -> dict:
         "winning_mode": result.winning_mode,
         "path": [[float(x), float(y)] for x, y in result.path.vertices],
         "graph_stats": result.graph_stats,
-        "config": {
-            "epsilon": cfg.epsilon,
-            "c_g1": cfg.c_g1,
-            "c_radius": cfg.c_radius,
-            "c_mesh": cfg.c_mesh,
-            "max_vertices": cfg.max_vertices,
-            "mode": cfg.mode,
-        },
+        "config": dataclasses.asdict(cfg),
     }
     if extra:
         report.update(extra)
@@ -176,7 +169,7 @@ def _slice_outline(cell, delta, samples: int = 96):
     e1 = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     e2 = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
     cx, cy = axes.center
-    if lam1 <= 1e-12:
+    if cell.kind == "parallel":
         # parallel cell: the level set is a pair of slope +1 lines
         b = math.sqrt(rad_sq / lam2)
         for sgn in (-1.0, 1.0):
@@ -219,7 +212,7 @@ def _make_parser():
     c.add_argument("--a", required=True, help="first curve file (JSON or CSV)")
     c.add_argument("--b", required=True, help="second curve file (JSON or CSV)")
     c.add_argument("--epsilon", type=float, required=True)
-    c.add_argument("--mode", choices=["g1", "g2", "both", "oracle"], default="both")
+    c.add_argument("--mode", choices=list(MODES), default="both")
     c.add_argument("--c-g1", type=float, default=None)
     c.add_argument("--c-radius", type=float, default=None)
     c.add_argument("--c-mesh", type=float, default=None)

@@ -43,6 +43,7 @@ from .shortest_path import (
 )
 
 __all__ = [
+    "MODES",
     "GraphConfig",
     "MonotoneDigraph",
     "ApproxResult",
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 _PAIR_BLOCK = 1 << 18  # candidate crossings tested per numpy block
+
+# each mode and the searches it runs, in order; the smaller value wins
+MODES = {"g1": ("g1",), "g2": ("g2",), "both": ("g1", "g2"), "oracle": ("oracle",)}
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class GraphConfig:
     c_radius: float = 62.0    # ball radius multiple of the edge-minimum weight
     c_mesh: float = 456.0     # ball mesh divisor: mesh = eps*w(u)/c_mesh
     max_vertices: int = 10_000_000
-    mode: str = "both"        # g1 | g2 | both | oracle
+    mode: str = "both"        # a key of MODES
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -78,7 +82,7 @@ class GraphConfig:
             raise ValueError("graph constants must be positive")
         if self.max_vertices <= 0:
             raise ValueError("max_vertices must be positive")
-        if self.mode not in ("g1", "g2", "both", "oracle"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @classmethod
@@ -541,10 +545,9 @@ def approximate_integral_frechet(t1: PolygonalCurve, t2: PolygonalCurve,
     :class:`NoFeasibleGraph` when every requested search exceeds the
     budget and :class:`Disconnected` when none reaches the sink.
     """
-    wanted = ("g1", "g2") if cfg.mode == "both" else (cfg.mode,)
     graph_stats = {}
     best = None
-    for name in wanted:
+    for name in MODES[cfg.mode]:
         try:
             distance, pts, sizes = _SEARCHES[name](t1, t2, cfg)
         except BudgetExceeded as exc:

@@ -117,7 +117,7 @@ def _substitute_once(grid, p: MonotonePath) -> MonotonePath:
             out.append(b[hi])
         else:
             out.extend(_shortest_vertices(cell, a[lo], b[hi])[0][1:])
-    return MonotonePath.from_points(_dedupe(out, 1e-15 * max(grid.extent)))
+    return MonotonePath.from_points(_dedupe(out))
 
 
 def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePath:

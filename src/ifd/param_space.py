@@ -165,8 +165,8 @@ class CellGrid:
     """The parameter cells of a curve pair plus coordinate lookups.
 
     The grid is its two curves: the cuts are their vertex arc lengths, and
-    the table of cells is built on first use, so callers that only cut
-    paths at the parameter lines never build it.
+    each cell is built on first use and cached, so a caller builds only
+    the cells it asks for.
     """
 
     t1: PolygonalCurve
@@ -181,10 +181,14 @@ class CellGrid:
         return self.t2.cum_length
 
     @cached_property
+    def _built(self) -> dict:
+        """The cells built so far, keyed by (i, j)."""
+        return {}
+
+    @property
     def cells(self) -> list:
         """``cells[i][j]``: one cell per segment pair, columns follow T1, rows follow T2."""
-        return [[_make_cell(self.t1, self.t2, i, j) for j in range(self.n_rows)]
-                for i in range(self.n_cols)]
+        return [[self.cell(i, j) for j in range(self.n_rows)] for i in range(self.n_cols)]
 
     @property
     def n_cols(self) -> int:
@@ -199,7 +203,14 @@ class CellGrid:
         return float(self.x_cuts[-1]), float(self.y_cuts[-1])
 
     def cell(self, i: int, j: int) -> ParameterCell:
-        return self.cells[i][j]
+        """Cell (i, j), built on first use; indices work as in ``cells[i][j]``."""
+        cell = self._built.get((i, j))
+        if cell is None:
+            key = range(self.n_cols)[i], range(self.n_rows)[j]
+            cell = self._built.get(key)
+            if cell is None:
+                cell = self._built[key] = _make_cell(self.t1, self.t2, *key)
+        return cell
 
     def locate(self, x: float, y: float, prefer_lower: bool = False):
         """Cell indices (i, j) containing (x, y); boundaries resolve upward
@@ -238,7 +249,6 @@ class FreeSpaceAxes:
     because w_center is zero for every non-parallel cell.
     """
 
-    cell: ParameterCell
     center: ParameterPoint
     slope: float            # dw per unit of L1 travel along ell: |u - v| / 2
     w_center: float
@@ -347,10 +357,7 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
         w_center = 0.0
         hbar = _clip_slope_neg1(center.x + center.y, cell.x0, cell.x1, cell.y0, cell.y1)
     ell = _clip_slope1(k, cell.x0, cell.x1, cell.y0, cell.y1)
-    return FreeSpaceAxes(
-        cell=cell, center=center, slope=slope,
-        w_center=w_center, ell=ell, hbar=hbar,
-    )
+    return FreeSpaceAxes(center=center, slope=slope, w_center=w_center, ell=ell, hbar=hbar)
 
 
 def _cell_tol(cell: ParameterCell) -> float:

@@ -28,6 +28,7 @@ from .param_space import ParameterCell, build_cells
 
 _ROW_CHUNK = 64    # lattice rows per weight block
 _COL_CHUNK = 256   # lattice columns per kernel tile, so its temporaries stay in cache
+_ORACLE_POINTS = 16_000_000  # default lattice budget of the dense oracle
 
 __all__ = [
     "PathResult",
@@ -45,22 +46,10 @@ class PathResult:
     distance: float
     vertex_ids: tuple
     points: np.ndarray
-    kahan_length: float  # compensated re-sum of the path's edge weights
 
     @property
     def reachable(self) -> bool:
         return math.isfinite(self.distance)
-
-
-def _kahan_sum(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 class Adjacency(NamedTuple):
@@ -151,7 +140,7 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     dist = _sweep_distances(adj, s)
     d = float(dist[t])
     if not math.isfinite(d):
-        return PathResult(math.inf, (), np.empty((0, 2)), 0.0)
+        return PathResult(math.inf, (), np.empty((0, 2)))
     # tight in-edges of every reached vertex; edge ids run in (tail, head)
     # order, so the smallest tight edge id into a head is its smallest
     # tight predecessor
@@ -164,17 +153,13 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     pred_edge = np.full(n, adj.nnz, dtype=np.int64)
     np.minimum.at(pred_edge, head[tight], reached[tight])
     path = [t]
-    weights_used = []
     cur = t
     while cur != s:
-        e = pred_edge[cur]
-        weights_used.append(float(adj.data[e]))
-        cur = int(tails[e])
+        cur = int(tails[pred_edge[cur]])
         path.append(cur)
     path.reverse()
-    weights_used.reverse()
     pts = np.column_stack([graph.xs[path], graph.ys[path]])
-    return PathResult(d, tuple(path), pts, _kahan_sum(weights_used))
+    return PathResult(d, tuple(path), pts)
 
 
 def _axis_steps(cuts, spacing):
@@ -329,7 +314,7 @@ def _backtrack(lat: Lattice, moves) -> np.ndarray:
 
 
 def dense_grid_oracle(t1: PolygonalCurve, t2: PolygonalCurve, h: float,
-                      max_points: int = 16_000_000) -> float:
+                      max_points: int = _ORACLE_POINTS) -> float:
     """Best monotone right/up/diagonal lattice path over the snapped grid.
 
     An upper bound on the integral distance that never increases when the
@@ -340,7 +325,7 @@ def dense_grid_oracle(t1: PolygonalCurve, t2: PolygonalCurve, h: float,
     return dense_grid_oracle_path(t1, t2, h, max_points)[0]
 
 
-def dense_grid_oracle_path(t1, t2, h, max_points: int = 8_000_000):
+def dense_grid_oracle_path(t1, t2, h, max_points: int = _ORACLE_POINTS):
     """(value, path points, lattice) of :func:`dense_grid_oracle`."""
     lat = grid_lattice(build_cells(t1, t2), h, max_points)
     return (*lattice_dp(lat, diagonal=True), lat)

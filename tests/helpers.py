@@ -4,8 +4,20 @@ import bisect
 import math
 
 import numpy as np
+import pytest
 
 import ifd
+
+# powers of two scale every float exactly, so under s values/s and costs/s^2 must not move
+SCALES = (2.0 ** -40, 1.0, 2.0 ** 30)
+
+
+def scale_id(s):
+    """Test id of a power-of-two scale: '2^-40', '1', '2^30'."""
+    return "1" if s == 1.0 else f"2^{math.frexp(s)[1] - 1}"
+
+
+over_scales = pytest.mark.parametrize("s", SCALES, ids=scale_id)
 
 
 def random_curve(rng, n_segments, scale=1.0, equalize=False, origin=None):

@@ -9,12 +9,16 @@ from ifd.errors import AntiparallelCell
 from helpers import (
     ANTIPARALLEL,
     PARALLEL,
+    PERPENDICULAR,
+    SCALES,
     curve_pair,
     lattice_oracle,
+    over_scales,
     quadrature_weighted_length,
     random_cell,
     random_monotone_pair,
     random_staircase,
+    scale_id,
 )
 
 # frozen from the arsinh antiderivative, cross-checked by quadrature below
@@ -108,10 +112,6 @@ def _shared_edge(grid, vertical, fixed):
     ][0]
 
 
-# powers of two scale every coordinate exactly, so values/s and costs/s^2 must not move
-SCALES = pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 30], ids=["2^-40", "1", "2^30"])
-
-
 def _scaled_curve(points, s):
     return ifd.build_curve(s * np.asarray(points, dtype=float))
 
@@ -128,7 +128,7 @@ def test_two_cell_coincident_axis_endpoints():
     assert p.weighted_length == pytest.approx(3.0, abs=1e-12)
 
 
-@SCALES
+@over_scales
 def test_two_cell_canonical_four_vertices(s):
     # axes of the two side-by-side cells end on the shared edge, ordered
     t1 = _scaled_curve([(0, 0), (1, 0), (1, -1)], s)
@@ -145,7 +145,7 @@ def test_two_cell_canonical_four_vertices(s):
     assert path.weighted_length / s**2 <= oracle / s**2 + 1e-10
 
 
-@SCALES
+@over_scales
 def test_two_cell_search_branch_crosses_perpendicularly(s):
     # first cell's axis tops out on the shared edge above the second's start
     t1 = _scaled_curve([(0, 0), (1, 0), (1, 1)], s)
@@ -244,3 +244,40 @@ def test_profile_nondecreasing_and_dominant():
             alt = random_staircase(rng, a, b, steps=3)
             alt_prof = ifd.partial_similarity_profile(cell, alt.vertices)
             assert np.all(best_prof.value_at(deltas) >= alt_prof.value_at(deltas) - 1e-9)
+
+
+STAIRCASE_PAIR = ([(0, 0), (1, 0.3)], [(0, 0.5), (1.2, 0.9)])
+
+
+def _corner_staircase(s, k=64):
+    t1, t2 = (_scaled_curve(pts, s) for pts in STAIRCASE_PAIR)
+    cell = ifd.build_cells(t1, t2).cell(0, 0)
+    return t1, t2, ifd.staircase_fallback_path(cell, (0.0, 0.0), (t1.length, t2.length), k=k)
+
+
+@pytest.mark.parametrize("s", SCALES + (2.0 ** -50,), ids=scale_id)
+def test_staircase_fallback_is_scale_free(s):
+    # the vertex cleanup is relative to the path's own points; an absolute
+    # 1e-15 merged the lattice steps from s = 2^-45 down and cut the path
+    # short of b at 2^-50
+    n_unit = len(_corner_staircase(1.0)[2].vertices)
+    t1, t2, path = _corner_staircase(s)
+    assert len(path.vertices) == n_unit > 2
+    assert tuple(path.vertices[-1]) == (t1.length, t2.length)
+    cost = ifd.matching_cost(t1, t2, path.vertices)
+    assert cost / s**2 == pytest.approx(path.weighted_length / s**2, rel=1e-12)
+
+
+@over_scales
+def test_profile_is_scale_free(s):
+    # a flat piece counts only where its own weight is within delta: the
+    # slack is relative, where an absolute 1e-15 on squared weights swamped
+    # s^2 at s = 2^-40
+    deltas = np.array([0.25, 0.5, 0.999, 1.0, 1.5])
+    expected = {"parallel": np.where(deltas >= 1.0, 2.0, 0.0),
+                "perpendicular": 2.0 * np.minimum(1.0, deltas / np.sqrt(2.0))}
+    for name, pair in (("parallel", PARALLEL), ("perpendicular", PERPENDICULAR)):
+        t1, t2 = (_scaled_curve(pts, s) for pts in pair)
+        cell = ifd.build_cells(t1, t2).cell(0, 0)
+        prof = ifd.partial_similarity_profile(cell, ifd.cell_shortest_path(cell, (0, 0), (s, s)))
+        np.testing.assert_allclose(prof.value_at(deltas * s) / s, expected[name], rtol=1e-12)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 import ifd
+from ifd import cli
 from ifd.cli import load_curve, main, render_svg
+from ifd.graphs import MODES
 
 from helpers import PARALLEL, curve_pair
 
@@ -51,6 +55,18 @@ def test_report_round_trip(parallel_files, tmp_path):
     t1, t2 = curve_pair(PARALLEL)
     cost = ifd.matching_cost(t1, t2, report["path"])
     assert cost == pytest.approx(report["integral"], rel=1e-9)
+    # the config block is the dataclass itself, field by field in declaration order
+    config = dataclasses.asdict(ifd.GraphConfig.desk(0.25))
+    assert list(report["config"].items()) == list(config.items())
+    assert list(config) == ["epsilon", "c_g1", "c_radius", "c_mesh", "max_vertices", "mode"]
+
+
+def test_modes_come_from_one_table():
+    # the parser's choices and the infeasibility hints are keyed by MODES
+    compute = cli._make_parser()._subparsers._group_actions[0].choices["compute"]
+    mode = next(a for a in compute._actions if a.dest == "mode")
+    assert mode.choices == list(MODES) and mode.default in MODES
+    assert set(cli._KNOBS) == set(MODES)
 
 
 def test_json_and_csv_ingest_identically(tmp_path):
@@ -230,6 +246,19 @@ def test_lattice_speed_runs_once():
     assert out.returncode == 0, out.stderr
     rows = [line.split()[0] for line in out.stdout.splitlines()[1:]]
     assert rows == ["g1", "g1", "oracle"]
+
+
+def test_band_experiment_runs_once():
+    # one pair at one epsilon reaches graph_stats, the g2 budget and the dense oracle
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_band_experiment.py"
+    out = subprocess.run([sys.executable, str(script), "--pairs", "1", "--epsilons", "0.25"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    assert len(rows) == 1 and rows[0][:2] == ["0.25", "0"]
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in rows[0][2:5])
 
 
 def test_scripts_show_help():

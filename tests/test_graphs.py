@@ -7,6 +7,7 @@ import pytest
 
 import ifd
 from ifd.errors import BudgetExceeded, DegenerateBall, Disconnected, NoFeasibleGraph
+from ifd.graphs import MODES
 from ifd.shortest_path import snapped_axis
 
 from helpers import (
@@ -24,8 +25,12 @@ def test_config_validation():
         ifd.GraphConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ifd.GraphConfig(epsilon=0.1, c_g1=-1)
-    with pytest.raises(ValueError):
-        ifd.GraphConfig(epsilon=0.1, mode="warp")
+    # the modes are the keys of one table, and each one is accepted
+    assert list(MODES) == ["g1", "g2", "both", "oracle"]
+    for mode in ("warp", "G1", "g1,g2"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            ifd.GraphConfig(epsilon=0.1, mode=mode)
+    assert [ifd.GraphConfig(0.1, mode=mode).mode for mode in MODES] == list(MODES)
     desk = ifd.GraphConfig.desk(0.25)
     assert (desk.c_g1, desk.c_radius, desk.c_mesh) == (40.0, 62.0, 8.0)
     worst = ifd.GraphConfig(0.25)

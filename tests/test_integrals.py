@@ -290,7 +290,8 @@ def test_array_form_matches_per_segment_calls():
 
 def test_cutting_builds_no_cells():
     # the grid is its two curves; weighing and cutting segments reads only
-    # the cuts and the curves, so the table of cells stays unbuilt
+    # the cuts and the curves, so no cell is built, and asking for one
+    # builds that one
     assert [f.name for f in dataclasses.fields(ifd.CellGrid)] == ["t1", "t2"]
     rng = np.random.default_rng(15)
     t1 = ifd.build_curve([(0, 0), (1, 0.2), (2.2, 0.1), (2.9, 0.8)])
@@ -301,10 +302,16 @@ def test_cutting_builds_no_cells():
     ifd.segment_weighted_length(g, a, b)
     ifd.segment_weighted_length(g, a[0], b[0])
     _split(g, a, b)
-    assert "cells" not in vars(g)
+    assert not vars(g).get("_built")
     cell = g.cell(2, 1)
-    assert "cells" in vars(g) and g.cells[2][1] is cell
+    assert list(g._built) == [(2, 1)] and g.cell(-1, 1) is cell
     assert (cell.i, cell.j, cell.x0, cell.y1) == (2, 1, t1.cum_length[2], t2.cum_length[2])
+    # the table reuses the built cell and builds the rest, in cells[i][j] order
+    table = g.cells
+    assert table[2][1] is cell and len(g._built) == g.n_cols * g.n_rows
+    assert [[(c.i, c.j) for c in col] for col in table] == [
+        [(i, j) for j in range(g.n_rows)] for i in range(g.n_cols)]
+    assert all(c is g.cell(c.i, c.j) for col in table for c in col)
 
 
 def test_simpson_depth_limit():

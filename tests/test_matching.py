@@ -8,7 +8,15 @@ import ifd
 from ifd.errors import NotMonotone
 from ifd.integrals import _split
 
-from helpers import ANTIPARALLEL, PARALLEL, curve_pair, random_curve, random_staircase
+from helpers import (
+    ANTIPARALLEL,
+    PARALLEL,
+    SCALES,
+    curve_pair,
+    over_scales,
+    random_curve,
+    random_staircase,
+)
 
 LPATH_COST = 2.295587149392638  # two arsinh integrals, frozen via quadrature
 
@@ -166,7 +174,7 @@ def test_max_leash_examples():
     assert ifd.max_leash(t1p, t2p, [(0, 0), (1, 1)]) == pytest.approx(math.sqrt(2))
 
 
-@pytest.mark.parametrize("s", [2.0 ** -40, 1.0, 2.0 ** 30], ids=["2^-40", "1", "2^30"])
+@over_scales
 def test_max_leash_of_optimized_oracle_path(s):
     # pairs 41 and 155 of this stream: the optimized path's last leg ends a
     # few ulps past the curves' ends at s = 2^30
@@ -187,7 +195,7 @@ def test_monotone_path_validation():
         ifd.MonotonePath.from_points([(0, 0), (1, 1), (0.5, 2)])
     # the tolerance is relative to the largest coordinate: a step back by half
     # the extent fails and one of 1e-12 of it is clamped, at every scale
-    for s in (2.0 ** -40, 1.0, 2.0 ** 30):
+    for s in SCALES:
         with pytest.raises(NotMonotone):
             ifd.MonotonePath.from_points(s * np.array([(0, 0), (2, 1), (1, 2)]))
         dust = ifd.MonotonePath.from_points(s * np.array([(0, 0), (1, 1), (1 - 1e-12, 2)]))
@@ -195,3 +203,17 @@ def test_monotone_path_validation():
     p = ifd.MonotonePath.from_points([(0, 0), (1, 0), (1, 1)])
     assert p.total_l1 == pytest.approx(2.0)
     assert p.start == (0.0, 0.0) and p.end == (1.0, 1.0)
+
+
+def test_substitution_builds_only_visited_cells():
+    # an L-shaped path over two 40-segment walks visits 79 of the 1600
+    # cells; the sweep builds those and no others
+    rng = np.random.default_rng(1)
+    t1, t2 = (ifd.build_curve(np.cumsum(rng.normal(size=(41, 2)), axis=0)) for _ in range(2))
+    path = ifd.MonotonePath.from_points([(0, 0), (t1.length, 0), (t1.length, t2.length)])
+    grid = ifd.build_cells(t1, t2)
+    swept = ifd.matching._substitute_once(grid, path)
+    _, _, _, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
+    assert set(grid._built) == set(zip(i.tolist(), j.tolist()))
+    assert len(grid._built) < grid.n_cols * grid.n_rows
+    assert ifd.matching_cost(t1, t2, swept) <= ifd.matching_cost(t1, t2, path)

@@ -10,6 +10,7 @@ from helpers import (
     ANTIPARALLEL,
     PARALLEL,
     PERPENDICULAR,
+    SCALES,
     curve_pair,
     random_cell,
     random_curve,
@@ -296,7 +297,7 @@ def test_ellipse_slice_is_scale_free():
         lo, hi = cell.min_weight(), cell.max_corner_weight()
         for delta in (lo, hi, float(rng.uniform(lo, hi)), 0.5 * (lo + hi)):
             seen = []
-            for s in (2.0 ** -40, 1.0, 2.0 ** 30):
+            for s in SCALES:
                 scaled = ifd.build_cells(ifd.build_curve(s * np.asarray(pts1)),
                                          ifd.build_curve(s * np.asarray(pts2))).cell(0, 0)
                 sl = ifd.ellipse_slice(scaled, s * delta)

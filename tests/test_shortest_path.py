@@ -74,8 +74,12 @@ def test_path_weights_sum_to_distance():
     for _ in range(6):
         t1 = random_curve(rng, int(rng.integers(1, 4)))
         t2 = random_curve(rng, int(rng.integers(1, 4)))
-        r = ifd.dijkstra(ifd.build_g1(t1, t2, cfg))
-        assert r.kahan_length == pytest.approx(r.distance, rel=1e-9)
+        g = ifd.build_g1(t1, t2, cfg)
+        r = ifd.dijkstra(g)
+        # g1 has no parallel edges, so each step of the path is one edge
+        weight_of = dict(zip(zip(g.tails.tolist(), g.heads.tolist()), g.weights.tolist()))
+        used = [weight_of[e] for e in zip(r.vertex_ids[:-1], r.vertex_ids[1:])]
+        assert math.fsum(used) == pytest.approx(r.distance, rel=1e-9)
         sweep = ifd.approximate_integral_frechet(t1, t2, cfg)
         assert sweep.value == pytest.approx(r.distance, rel=1e-12)
         assert ifd.matching_cost(t1, t2, sweep.path) == pytest.approx(sweep.value, rel=1e-12)
@@ -124,20 +128,17 @@ def _reference_search(g, s, t):
     csr = csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
     dist = csgraph_dijkstra(csr, directed=True, indices=s)
     if not math.isfinite(dist[t]):
-        return dist, (), 0.0
+        return dist, ()
     csc = csr.tocsc()
-    path, used, cur = [t], [], t
+    path, cur = [t], t
     while cur != s:
         lo, hi = csc.indptr[cur], csc.indptr[cur + 1]
         preds, wts = csc.indices[lo:hi], csc.data[lo:hi]
         slack = dist[preds] + wts - dist[cur]
         ok = np.flatnonzero(slack <= 1e-12 * abs(dist[cur]))
-        pick = ok[np.argmin(preds[ok])]
-        used.append(float(wts[pick]))
-        cur = int(preds[pick])
+        cur = int(preds[ok[np.argmin(preds[ok])]])
         path.append(cur)
-    kahan = ifd.shortest_path._kahan_sum(used[::-1])
-    return dist, tuple(path[::-1]), kahan
+    return dist, tuple(path[::-1])
 
 
 def _random_monotone_dag(rng):
@@ -172,24 +173,23 @@ def test_sweep_matches_scipy_dijkstra():
     for _ in range(40):
         g = _random_monotone_dag(rng)
         r = ifd.dijkstra(g)
-        dist, ids, kahan = _reference_search(g, g.source, g.sink)
-        assert (r.distance, r.vertex_ids, r.kahan_length) == (dist[g.sink], ids, kahan)
+        dist, ids = _reference_search(g, g.source, g.sink)
+        assert (r.distance, r.vertex_ids) == (dist[g.sink], ids)
         for source in (g.source, int(rng.integers(0, g.n_vertices))):
             bf = bellman_ford(g, source=source)
             for target in range(g.n_vertices):
-                dist, ids, kahan = _reference_search(g, source, target)
+                dist, ids = _reference_search(g, source, target)
                 r = ifd.dijkstra(g, source=source, target=target)
                 assert r.distance == dist[target] == bf[target]
                 assert r.vertex_ids == ids
-                assert r.kahan_length == kahan
                 unreachable += not r.reachable
     assert unreachable > 0
 
     t1, t2 = curve_pair(ARRANGEMENT_PAIR)
     g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25))
-    dist, ids, kahan = _reference_search(g, g.source, g.sink)
+    dist, ids = _reference_search(g, g.source, g.sink)
     r = ifd.dijkstra(g)
-    assert (r.distance, r.vertex_ids, r.kahan_length) == (dist[g.sink], ids, kahan)
+    assert (r.distance, r.vertex_ids) == (dist[g.sink], ids)
     assert np.array_equal(bellman_ford(g), dist)
 
 
