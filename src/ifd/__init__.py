@@ -25,7 +25,7 @@ from .graphs import (
     build_g2,
     build_grid_ball,
 )
-from .integrals import arsinh_form, piece_weights, segment_weighted_length
+from .integrals import piece_weights, segment_weighted_length
 from .matching import (
     MonotonePath,
     evaluate_matching,
@@ -56,7 +56,7 @@ __all__ = [
     "ParameterPoint", "ParameterCell", "CellGrid", "FreeSpaceAxes",
     "EllipseSlice", "GridEdge", "weight", "build_cells", "free_space_axes",
     "edge_min", "ellipse_slice",
-    "arsinh_form", "piece_weights", "segment_weighted_length",
+    "piece_weights", "segment_weighted_length",
     "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
     "partial_similarity_profile", "staircase_fallback_path",
     "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",

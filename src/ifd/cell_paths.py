@@ -17,12 +17,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import AntiparallelCell, NotMonotone
-from .integrals import _A_EPS, piece_quadratics, piece_weights
+from .integrals import _piece_frame, piece_weights
 from .param_space import (
     CellGrid,
     GridEdge,
     ParameterCell,
     ParameterPoint,
+    _level_roots,
     dominates,
     free_space_axes,
 )
@@ -225,37 +226,33 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
 class SimilarityProfile:
     """delta -> L1 length of the sub-path where the weight stays below delta.
 
-    Exact per straight piece: the squared weight is quadratic in the piece
-    parameter, so the sublevel set is an interval with algebraic endpoints.
+    Exact per straight piece: along it the leash is sqrt(tau^2 + p^2) for
+    tau over [t0, t0 + step], so the sublevel set is the part of that
+    interval where |tau| <= sqrt(delta^2 - p^2).
     """
 
-    pieces: tuple  # (A, B, C, l1len) per straight piece
+    pieces: tuple  # (t0, p, step, l1len) per straight piece
     total_l1: float
 
     def value_at(self, delta):
         deltas = np.atleast_1d(np.asarray(delta, dtype=float))
         out = np.zeros_like(deltas)
-        for A, B, C, l1len in self.pieces:
-            if l1len == 0.0:
-                continue
-            d2 = deltas * deltas
-            if A <= _A_EPS * C:
-                # flat piece: the slack is relative to C, so it scales with the curves
-                out += np.where(C <= d2 + 1e-15 * C, l1len, 0.0)
-                continue
-            disc = B * B - 4.0 * A * (C - d2)
-            r = np.sqrt(np.maximum(disc, 0.0))
-            s_lo = np.clip((-B - r) / (2.0 * A), 0.0, 1.0)
-            s_hi = np.clip((-B + r) / (2.0 * A), 0.0, 1.0)
-            out += np.where(disc >= 0.0, (s_hi - s_lo) * l1len, 0.0)
+        for t0, p, step, l1len in self.pieces:
+            # the roots in the piece parameter s = tau - t0, NaN where delta < |p|
+            lo, hi = _level_roots(-t0, p, deltas)
+            if step == 0.0:
+                out += np.where(lo <= hi, l1len, 0.0)  # the leash does not move
+            else:
+                share = np.clip(hi, 0.0, step) - np.clip(lo, 0.0, step)
+                out += np.where(lo <= hi, share * (l1len / step), 0.0)
         return out if np.ndim(delta) else float(out[0])
 
 
 def partial_similarity_profile(cell: ParameterCell, path) -> SimilarityProfile:
     """Exact partial-similarity profile of a path that stays within one cell."""
     vertices = np.asarray(getattr(path, "vertices", path), dtype=float)
-    A, B, C, l1len = piece_quadratics(cell, vertices[:-1], vertices[1:])
-    pieces = tuple(zip(A.tolist(), B.tolist(), C.tolist(), l1len.tolist()))
+    t0, p, step, _, _, l1len = _piece_frame(cell, vertices[:-1], vertices[1:])
+    pieces = tuple(zip(t0.tolist(), p.tolist(), step.tolist(), l1len.tolist()))
     total = 0.0
     for *_, length in pieces:
         total += length

@@ -10,15 +10,15 @@ exceeded / no feasible graph, 4 internal numeric error.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
+
+import numpy as np
 
 from .curves import PolygonalCurve, build_curve
 from .errors import (
     BudgetExceeded,
     Disconnected,
-    NegativeRadicand,
     NoFeasibleGraph,
     NotMonotone,
     OutOfRange,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graphs import MODES, GraphConfig, approximate_integral_frechet
 from .matching import MonotonePath, locally_optimize, matching_cost
-from .param_space import _clip_slope1, build_cells, free_space_axes
+from .param_space import _cross, _level_roots, build_cells, free_space_axes
 
 __all__ = ["main", "load_curve", "render_svg", "build_report"]
 
@@ -157,42 +157,34 @@ def render_svg(t1: PolygonalCurve, t2: PolygonalCurve, overlays=None) -> str:
 
 
 def _slice_outline(cell, delta, samples: int = 96):
-    """Sampled boundary of {w = delta} within a cell, as in-cell point runs."""
-    if cell.kind == "antiparallel":
+    """Sampled boundary of {w = delta} within a cell, as in-cell point runs.
+
+    On the row at height eta the leash runs along T1's segment from the
+    pinned point T2(y), so the row meets the level where x - x0 =
+    along -+ sqrt(delta^2 - off^2); along and off are linear in eta.  The
+    rows are spread over the heights where |off| <= delta, so a small
+    slice keeps its resolution; each root gives one run of points.
+    """
+    cross = _cross(cell.u, cell.v)
+    off0 = _cross(cell.u, cell.b0 - cell.a0)
+    lo, hi = 0.0, cell.height
+    if cross != 0.0:
+        ends = sorted(((-delta - off0) / cross, (delta - off0) / cross))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    if lo > hi or (cross == 0.0 and abs(off0) > delta):
         return
-    lam1 = 1.0 - cell.c  # curvature along (1, 1)/sqrt(2)
-    lam2 = 1.0 + cell.c
-    axes = free_space_axes(cell)
-    rad_sq = delta * delta - axes.w_center * axes.w_center
-    if rad_sq <= 0:
-        return
-    e1 = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    e2 = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
-    cx, cy = axes.center
-    if cell.kind == "parallel":
-        # parallel cell: the level set is a pair of slope +1 lines
-        b = math.sqrt(rad_sq / lam2)
-        for sgn in (-1.0, 1.0):
-            ox = cx + sgn * b * e2[0]
-            oy = cy + sgn * b * e2[1]
-            run = _clip_slope1(oy - ox, cell.x0, cell.x1, cell.y0, cell.y1)
-            if run:
-                yield run
-        return
-    r1 = math.sqrt(rad_sq / lam1)
-    r2 = math.sqrt(rad_sq / lam2)
-    run = []
-    for t in range(samples + 1):
-        th = 2.0 * math.pi * t / samples
-        x = cx + math.cos(th) * r1 * e1[0] + math.sin(th) * r2 * e2[0]
-        y = cy + math.cos(th) * r1 * e1[1] + math.sin(th) * r2 * e2[1]
-        if cell.contains((x, y)):
-            run.append((x, y))
-        elif run:
-            yield run
-            run = []
-    if run:
-        yield run
+    eta = np.linspace(lo, hi, samples + 1)
+    # the pinned point's offsets along and across u; the clip keeps the
+    # rows at the ends of the range from rounding off the level
+    along = cell.du + eta * float(cell.u @ cell.v)
+    off = np.clip(off0 + eta * cross, -delta, delta)
+    ys = (cell.y0 + eta).tolist()
+    for root in _level_roots(along, off, delta):
+        inside = np.concatenate(([0], (root >= 0.0) & (root <= cell.width), [0]))
+        ends = np.flatnonzero(np.diff(inside)).tolist()  # where runs start and stop
+        xs = (cell.x0 + root).tolist()
+        for start, stop in zip(ends[::2], ends[1::2]):
+            yield list(zip(xs[start:stop], ys[start:stop]))
 
 
 # the knobs that each mode's searches read: g1 its mesh divisor, g2 its
@@ -268,7 +260,7 @@ def main(argv=None) -> int:
         hint = "; --mode oracle also works on small inputs" if cfg.mode != "oracle" else ""
         print(f"ifd: try {_KNOBS[cfg.mode]}{hint}", file=sys.stderr)
         return 3
-    except (NegativeRadicand, OutOfRange, FloatingPointError) as exc:
+    except (OutOfRange, FloatingPointError) as exc:
         print(f"ifd: numeric error: {exc}", file=sys.stderr)
         return 4
     runtime_ms = 1000.0 * (time.perf_counter() - started)

@@ -17,10 +17,6 @@ class AntiparallelCell(IfdError):
     """The cell's segments point in opposite directions; it has no monotone axis."""
 
 
-class NegativeRadicand(IfdError):
-    """The quadratic under the square root dips below zero; coefficients are inconsistent."""
-
-
 class BudgetExceeded(IfdError):
     """Building the requested structure would exceed the vertex budget."""
 

@@ -1,25 +1,19 @@
 """Exact weighted lengths of straight segments in parameter space.
 
 The weighted length of a segment is the integral of the weight against L1
-speed.  Within one cell the squared weight along a straight piece is a
-quadratic A s^2 + B s + C in the normalized parameter, so
-
-    integral sqrt(A s^2 + B s + C) ds
-
-has the standard arsinh antiderivative.  :func:`arsinh_form` is the one
-closed form for straight pieces, vectorized: :func:`piece_weights` feeds it
-in-cell pieces, and :func:`segment_weighted_length` feeds it any segments
-(two points, or two (n, 2) arrays) after cutting them all at the parameter
-lines in one pass.  Lattices have their own kernel, :func:`_tile_weights`:
-it weighs the right, up and diagonal edges of a tile of lattice points
-from one leash length per point.
-
-Along any straight step the leash is sqrt(tau^2 + q) for tau running over
-an interval, and one step form, :func:`_step_mean`, integrates it for both
-pieces (a unit step after completing the square) and lattice diagonals (a
-step of length sqrt(A)); one guard, :func:`_check_radicand`, rejects a q
-that dips below zero.  Right and up lattice edges keep the difference of
-two primitives, :func:`_primitives`, shared by a whole row or column.
+speed.  Along any straight step inside a cell the leash T2(y) - T1(x)
+moves on a straight line, so its length is sqrt(tau^2 + p^2): tau is the
+leash's component along the move, running over a step as long as the
+move, and p its component across it, a cross product, so the radicand is
+a sum of squares by construction.  One step form, :func:`_step_mean`,
+integrates that root for in-cell pieces (:func:`piece_weights`, framed by
+:func:`_piece_frame`) and for lattice diagonals.
+:func:`segment_weighted_length` weighs any segments (two points, or two
+(n, 2) arrays) after cutting them all at the parameter lines in one pass.
+Lattices have their own kernel, :func:`_tile_weights`: it weighs the
+right, up and diagonal edges of a tile of lattice points from one leash
+length per point; right and up edges keep the difference of two
+primitives, :func:`_primitives`, shared by a whole row or column.
 """
 
 import math
@@ -27,20 +21,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NegativeRadicand
 from .param_space import CellGrid, ParameterCell
 
 __all__ = [
-    "arsinh_form",
-    "piece_quadratics",
     "piece_weights",
     "segment_weighted_length",
 ]
 
-_A_EPS = 1e-14       # A below this times C: the leash is constant along the piece
-_Q_NEG_TOL = 1e-9    # w^2 below -this times the endpoint w^2 signals bad coefficients
 _BLOCK = 4096        # segments per pass, so temporaries stay small for any batch
-_HUGE = 2.0 ** 200   # coefficients past this (or nonflat A below its inverse) are rescaled
 
 
 def _step_mean(t0, d, r0, r1, q):
@@ -78,82 +66,25 @@ def _step_mean(t0, d, r0, r1, q):
     return out
 
 
-def _check_radicand(q, t0, d, scale, ends):
-    """Raise :class:`NegativeRadicand` where the squared leash ``scale (tau^2 + q)`` of a step
-    tau = t0 .. t0 + d, at the point nearest its foot, is below -1e-9 ``ends``.
-
-    ``ends`` is the larger squared leash at the step's two ends.  Callers
-    clamp ``q`` at 0 afterwards: a smaller dip is rounding.
-    """
-    foot = np.minimum(np.maximum(t0, 0.0), t0 + d)  # argmin of |tau| on the step
-    low = scale * (foot * foot + q)
-    bad = low < -_Q_NEG_TOL * ends
-    if bad.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = float((low[bad] / ends[bad]).min())
-        raise NegativeRadicand(f"w^2 dips to {ratio:.3e} times its endpoint value along a step")
-
-
-def arsinh_form(A, B, C, l1len):
-    """``l1len * integral_0^1 sqrt(A s^2 + B s + C) ds``, elementwise over broadcast arrays.
-
-    Completing the square gives A ((s + t0)^2 + hsq) with t0 = B / 2A and
-    hsq = (4AC - B^2) / 4A^2, whose root is integrated over the unit step
-    from t0 by :func:`_step_mean`.
-    Where A <= 1e-14 C the weight is constant to that relative precision
-    and the trapezoid rule is used instead.  Both tests are scale-free.
-    Raises :class:`NegativeRadicand` when the quadratic dips below zero on
-    [0, 1] by more than 1e-9 of its endpoint values.
-
-    When some coefficient exceeds 2^200, or some A outside the trapezoid
-    case is below 2^-200 (a very short or very far piece), each piece's
-    A, B and C are scaled by the power of four 4^-m that brings the largest
-    of them into [1/2, 2), and its result is scaled back by 2^m, so that
-    4AC, B^2 and 4A^2 neither underflow nor overflow.  Both scalings are
-    exact, so they change no result that was finite without them.
-    """
-    A, B, C, l1len = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (A, B, C, l1len)))
-    shape = A.shape
-    A, B, C, l1len = (v.reshape(-1) for v in (A, B, C, l1len))  # 1-d, so masked writes work
-    flat = A <= _A_EPS * C
-    top = np.maximum(np.maximum(A, np.abs(B)), C)
-    half = 0
-    if top.max(initial=0.0) > _HUGE or np.where(flat, 1.0, A).min(initial=1.0) < 1.0 / _HUGE:
-        half = np.frexp(top)[1] // 2
-        A, B, C = (np.ldexp(v, -2 * half) for v in (A, B, C))
-        l1len = np.ldexp(l1len, half)
-        flat = A <= _A_EPS * C
-    any_flat = bool(flat.any())
-    a_safe = np.where(flat, 1.0, A) if any_flat else A
-    t0 = B / (2.0 * a_safe)
-    hsq = (4.0 * a_safe * C - B * B) / (4.0 * a_safe * a_safe)
-    if (hsq < 0.0).any():
-        # only a negative hsq lets the quadratic's minimum on [0, 1] go below zero
-        _check_radicand(hsq, t0, 1.0, np.where(flat, 0.0, a_safe), np.maximum(C, A + B + C))
-        hsq = np.maximum(hsq, 0.0)
-    r0 = np.sqrt(t0 * t0 + hsq)
-    t1 = t0 + 1.0
-    r1 = np.sqrt(t1 * t1 + hsq)
-    out = l1len * np.sqrt(a_safe) * _step_mean(t0, 1.0, r0, r1, hsq)
-    if any_flat:
-        trap = l1len * 0.5 * (np.sqrt(np.maximum(C, 0.0)) + np.sqrt(np.maximum(A + B + C, 0.0)))
-        out = np.where(flat, trap, out)
-    return out.reshape(shape)[()]
-
-
 def _cell_table(grid: CellGrid, i, j):
-    """The fields of cell (i[k], j[k]) that :func:`piece_quadratics` reads, one row per k."""
+    """The fields of cell (i[k], j[k]) that :func:`_piece_frame` reads, one row per k."""
     t1, t2 = grid.t1, grid.t2
     return SimpleNamespace(x0=grid.x_cuts[i], y0=grid.y_cuts[j], a0=t1.vertices[i],
                            u=t1.directions[i], b0=t2.vertices[j], v=t2.directions[j])
 
 
-def piece_quadratics(cell, a, b):
-    """(A, B, C, l1len) arrays with w^2(s) = A s^2 + B s + C along each piece a -> b.
+def _piece_frame(cell, a, b):
+    """The leash frame of each in-cell piece a -> b: ``(t0, p, step, r0, r1, l1len)`` arrays.
 
     ``a`` and ``b`` are (n, 2) arrays of global parameter points.  ``cell``
     is one :class:`ParameterCell` holding every piece, or any object with
     its fields ``x0, y0, a0, u, b0, v`` holding one row per piece.
+
+    Along the piece the leash runs from ``lead`` (at a) to ``lead + move``
+    (at b), so its length is sqrt(tau^2 + p^2) for tau = t0 .. t0 + step,
+    with step = |move|, t0 = lead . move / step and p = lead x move / step;
+    r0 and r1 are the leash lengths at a and b.  Where the leash does not
+    move (step == 0), t0 = 0 and p = r0.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -161,16 +92,23 @@ def piece_quadratics(cell, a, b):
     xi = (a[:, 0] - cell.x0)[:, None]
     eta = (a[:, 1] - cell.y0)[:, None]
     lead = (cell.b0 + eta * cell.v) - (cell.a0 + xi * cell.u)  # leash at a
-    vel = d[:, 1:] * cell.v - d[:, :1] * cell.u                # leash velocity
-    A = np.einsum("ij,ij->i", vel, vel)
-    B = 2.0 * np.einsum("ij,ij->i", lead, vel)
-    C = np.einsum("ij,ij->i", lead, lead)
-    return A, B, C, np.abs(d).sum(axis=1)
+    move = d[:, 1:] * cell.v - d[:, :1] * cell.u
+    step = np.hypot(*move.T)
+    r0, r1 = np.hypot(*lead.T), np.hypot(*(lead + move).T)
+    moving = step > 0.0
+    unit = move / np.where(moving, step, 1.0)[:, None]
+    t0 = lead[:, 0] * unit[:, 0] + lead[:, 1] * unit[:, 1]
+    p = np.where(moving, lead[:, 0] * unit[:, 1] - lead[:, 1] * unit[:, 0], r0)
+    return t0, p, step, r0, r1, np.abs(d).sum(axis=1)
 
 
 def piece_weights(cell, a, b) -> np.ndarray:
-    """Exact weighted lengths of the in-cell pieces a -> b; see :func:`piece_quadratics`."""
-    return arsinh_form(*piece_quadratics(cell, a, b))
+    """Exact weighted lengths of the in-cell pieces a -> b; see :func:`_piece_frame`."""
+    t0, p, step, r0, r1, l1len = _piece_frame(cell, a, b)
+    moving = step > 0.0
+    mean = r0.copy()  # a leash that does not move keeps its length
+    mean[moving] = _step_mean(t0[moving], step[moving], r0[moving], r1[moving], p[moving] ** 2)
+    return l1len * mean
 
 
 def _split(grid: CellGrid, a, b):
@@ -249,30 +187,25 @@ def _primitives(t, r, p):
     return out
 
 
-def _diagonal_steps(one_c, sin, xi, eta, t, p, w2, r):
+def _diagonal_steps(one_c, sin, xi, eta, t, p, r):
     """Weights of the diagonal steps of a tile; see :func:`_tile_weights`."""
     dx, dy = float(xi[1] - xi[0]), float(eta[1] - eta[0])
     l1 = abs(dx) + abs(dy)
-    # the leash (t, p) moves by (d_t, d_p) per step, so A >= 0, and A is
-    # exactly 0 on a parallel cell with a square mesh
+    # the leash (t, p) moves by (d_t, d_p) per step, exactly 0 on a parallel
+    # cell with a square mesh
     d_t, d_p = (dx - dy) + one_c * dy, sin * dy
-    a = d_t * d_t + d_p * d_p
-    w0, r0, r1 = w2[:-1, :-1], r[:-1, :-1], r[1:, 1:]
-    if a == 0.0:
+    move = math.hypot(d_t, d_p)
+    r0, r1 = r[:-1, :-1], r[1:, 1:]
+    if move == 0.0:
         return (0.5 * l1) * (r0 + r1)
-    root_a = math.sqrt(a)
-    # the leash along the step is sqrt(tau^2 + q) for tau from t0 to t0 + sqrt(A)
-    t0 = t[:-1, :-1] * (d_t / root_a) + (p[:-1] * (d_p / root_a))[:, None]
-    q = w0 - t0 * t0
-    neg = q < 0.0
-    if neg.any():
-        _check_radicand(q[neg], t0[neg], root_a, 1.0, np.maximum(w0[neg], w2[1:, 1:][neg]))
-        q[neg] = 0.0
-    out = _step_mean(t0, root_a, r0, r1, q)
+    e_t, e_p = d_t / move, d_p / move
+    # the leash's components along the move and across it
+    t_lo = t[:-1, :-1]
+    along = t_lo * e_t + (p[:-1] * e_p)[:, None]
+    across = t_lo * e_p - (p[:-1] * e_t)[:, None]
+    across *= across
+    out = _step_mean(along, move, r0, r1, across)
     out *= l1
-    flat = w0 >= a / _A_EPS  # A <= 1e-14 W2: the leash is constant along the step
-    if flat.any():
-        out[flat] = (0.5 * l1) * (r0[flat] + r1[flat])
     return out
 
 
@@ -295,12 +228,11 @@ def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal
 
     Right and up edges are differences of the arsinh primitive in T and S.
     A diagonal step (dxi, deta) moves the leash by (dxi - c deta,
-    (u x v) deta), of squared length A, so along it the squared leash is
-    tau^2 + Q with tau running from tau0, the leash's component along that
-    move, over a length sqrt(A), and Q = W2 - tau0^2; the step is
-    integrated by :func:`_step_mean`, with R at both ends.  The
-    trapezoid weighs steps where A <= 1e-14 W2 and all of them when
-    A == 0.  Raises :class:`NegativeRadicand` as :func:`arsinh_form` does.
+    (u x v) deta), so along it the leash is sqrt(tau^2 + Q): tau runs from
+    the leash's component along that move over the move's length, and Q is
+    the square of its component across it; :func:`_step_mean` integrates
+    the step, with R at both ends.  Where the leash does not move, the
+    step weighs its constant length.
     """
     du, dv, u, v = cell.du, cell.dv, cell.u, cell.v
     d0 = cell.b0 - cell.a0
@@ -319,7 +251,7 @@ def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal
     s = eta[:, None] - (c * xi - dv)
     up = _primitives(s, r, p_v)
     up = up[1:] - up[:-1]
-    diag = _diagonal_steps(one_c, sin, xi, eta, t, p_h, w2, r) if diagonal else None
+    diag = _diagonal_steps(one_c, sin, xi, eta, t, p_h, r) if diagonal else None
     return right, up, diag
 
 

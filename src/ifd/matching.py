@@ -132,7 +132,11 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     A replaced subpath can run along a cell boundary, in which case the
     next sweep may cut the path differently and shave a little more, so
     the substitution repeats until the sweep reproduces its input exactly;
-    returning that fixpoint makes the transform idempotent.
+    returning that fixpoint makes the transform idempotent.  Two paths that
+    differ by rounding at a vertex on a parameter line can map onto each
+    other instead; a sweep that reproduces the path from two sweeps earlier
+    returns that path, which is then a fixpoint of two sweeps and again
+    idempotent.
 
     The sweeps weigh nothing; take the cost of the result from
     :func:`matching_cost`.  Their tolerances are relative to the parameter
@@ -141,13 +145,13 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     """
     p = _as_path(path)
     grid = build_cells(t1, t2)
+    before = p
     for _ in range(32):
         new = _substitute_once(grid, p)
-        if len(new.vertices) == len(p.vertices) and np.array_equal(
-            new.vertices, p.vertices
-        ):
-            return p
-        p = new
+        # a fixpoint, or two paths a rounding apart that map onto each other
+        if np.array_equal(new.vertices, p.vertices) or np.array_equal(new.vertices, before.vertices):
+            return new
+        before, p = p, new
     return p
 
 

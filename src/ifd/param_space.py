@@ -381,6 +381,20 @@ def _pinned(q, base, d, length):
     return along, _cross(r, d), t, float(np.linalg.norm(q - (base + t * d)))
 
 
+def _level_roots(along, off, delta):
+    """Both t where sqrt((t - along)^2 + off^2) == delta: along -+ sqrt(delta^2 - off^2).
+
+    Elementwise over broadcast arrays.  The radicand is taken as
+    (delta - |off|)(delta + |off|), which does not cancel near the touching
+    level; both roots are NaN where delta < |off|, so every comparison
+    with them is false.
+    """
+    off = np.abs(off)
+    with np.errstate(invalid="ignore"):
+        r = np.sqrt((delta - off) * (delta + off))
+    return along - r, along + r
+
+
 def _sides(cell: ParameterCell):
     """Each side as (name, pinned point, segment start, direction, length, first coordinate)."""
     return (
@@ -440,13 +454,8 @@ def ellipse_slice(cell: ParameterCell, delta: float) -> EllipseSlice:
     tol = _cell_tol(cell)
     crossings = {}
     for name, q, base, d, length, start in _sides(cell):
-        # roots of |q - (base + t d)| = delta: along -+ sqrt(delta^2 - off^2)
         along, off, _, _ = _pinned(q, base, d, length)
-        gap = delta - abs(off)
-        roots = []
-        if gap >= 0.0:
-            r = math.sqrt(gap * (delta + abs(off)))
-            roots = [start + min(max(t, 0.0), length)
-                     for t in (along - r, along + r) if -tol <= t <= length + tol]
+        roots = [start + min(max(t, 0.0), length)
+                 for t in _level_roots(along, off, delta) if -tol <= t <= length + tol]
         crossings[name] = sorted(set(roots))
     return EllipseSlice(cell=cell, delta=delta, crossings=crossings)

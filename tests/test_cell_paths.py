@@ -166,6 +166,26 @@ def test_two_cell_search_branch_crosses_perpendicularly(s):
     assert path.weighted_length / s**2 <= oracle / s**2 + 1e-10
 
 
+@over_scales
+def test_two_cell_search_branch_across_a_horizontal_edge(s):
+    # the curves of the test above swapped: parameter space is transposed, so
+    # the search runs along the horizontal edge y = s and finds the mirror
+    # path.  The cost is flat at the crossing: a shift of 1e-8 changes it by
+    # about 1e-16, below its rounding, so the two searches stop up to ~1e-8
+    # apart and the vertices are compared to 1e-7
+    pts1, pts2 = [(0, 0), (1, 0), (1, 1)], [(0, 0.5), (1.5, 0.5)]
+    o, p = (0.3 * s, 0.3 * s), (1.7 * s, 1.2 * s)
+    grid = ifd.build_cells(_scaled_curve(pts1, s), _scaled_curve(pts2, s))
+    path = ifd.two_cell_path(o, p, _shared_edge(grid, vertical=True, fixed=s), grid)
+    swapped = ifd.build_cells(_scaled_curve(pts2, s), _scaled_curve(pts1, s))
+    mirror = ifd.two_cell_path(o[::-1], p[::-1], _shared_edge(swapped, vertical=False, fixed=s),
+                               swapped)
+    assert mirror.branch == path.branch == "around_corner"
+    np.testing.assert_allclose(np.asarray(mirror.vertices)[:, ::-1], np.asarray(path.vertices),
+                               rtol=0.0, atol=1e-7 * s)
+    assert mirror.weighted_length == pytest.approx(path.weighted_length, rel=1e-12)
+
+
 def test_two_cell_antiparallel_raises():
     t1 = ifd.build_curve([(0, 0), (1, 0)])
     t2 = ifd.build_curve([(1, 1), (0, 1), (0, 2)])

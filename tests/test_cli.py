@@ -15,7 +15,7 @@ from ifd import cli
 from ifd.cli import load_curve, main, render_svg
 from ifd.graphs import MODES
 
-from helpers import PARALLEL, curve_pair
+from helpers import ANTIPARALLEL, PARALLEL, curve_pair
 
 
 @pytest.fixture
@@ -234,6 +234,43 @@ def test_each_module_imports_first():
         out = subprocess.run([sys.executable, "-c", f"import ifd.{name}"], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, (name, out.stderr)
+
+
+OUTLINE_CELLS = {
+    "generic": ([(0.1, 0.2), (1.3, 0.6)], [(0.2, 1.0), (0.9, 0.7)]),
+    "perpendicular": ([(0.0, 0.0), (1.0, 0.0)], [(0.5, 0.3), (0.5, 1.3)]),
+    "parallel": PARALLEL,
+    "antiparallel": ANTIPARALLEL,
+}
+
+
+@pytest.mark.parametrize("kind", list(OUTLINE_CELLS))
+def test_slice_outline_lies_on_the_level(kind):
+    # below the cell's weight range and above it nothing is drawn; inside it
+    # every point is in the cell and on the level, antiparallel cells too
+    cell = ifd.build_cells(*curve_pair(OUTLINE_CELLS[kind])).cell(0, 0)
+    assert cell.kind == ("generic" if kind in ("generic", "perpendicular") else kind)
+    low, high = cell.min_weight(), cell.max_corner_weight()
+    assert 0.0 < low < high
+    for delta, drawn in ((0.5 * low, False), (0.5 * (low + high), True), (1.5 * high, False)):
+        runs = list(cli._slice_outline(cell, delta))
+        assert bool(runs) == drawn, delta
+        for run in runs:
+            pts = np.asarray(run)
+            assert all(cell.contains(q) for q in pts)
+            np.testing.assert_allclose(cell.weight_at(pts[:, 0], pts[:, 1]), delta,
+                                       rtol=0.0, atol=1e-12 * delta)
+
+
+def test_render_demo_draws_slices(tmp_path):
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_demo.py"
+    out = subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    for name in ("perpendicular", "bent_pair"):
+        assert 'stroke="#33aa55"' in (tmp_path / f"{name}.svg").read_text(), name
 
 
 def test_lattice_speed_runs_once():

@@ -334,7 +334,7 @@ def test_public_names_are_pinned():
         "ParameterPoint", "ParameterCell", "CellGrid", "FreeSpaceAxes",
         "EllipseSlice", "GridEdge", "weight", "build_cells", "free_space_axes",
         "edge_min", "ellipse_slice",
-        "arsinh_form", "piece_weights", "segment_weighted_length",
+        "piece_weights", "segment_weighted_length",
         "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
         "partial_similarity_profile", "staircase_fallback_path",
         "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",
@@ -343,7 +343,7 @@ def test_public_names_are_pinned():
         "MonotonePath", "matching_cost", "evaluate_matching", "locally_optimize",
         "max_leash",
     ])
-    assert len(ifd.__all__) == 40
+    assert len(ifd.__all__) == 39
     assert len(set(ifd.__all__)) == len(ifd.__all__)
     for name in ifd.__all__:
         assert getattr(ifd, name, None) is not None, name

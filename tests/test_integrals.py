@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifd
-from ifd.errors import NegativeRadicand
 from ifd.integrals import _split
 
 from helpers import (
@@ -228,28 +227,30 @@ def test_extension_never_decreases(f1, f2, f3):
         assert longer >= short - 1e-12
 
 
-def test_negative_radicand_detected():
-    with pytest.raises(NegativeRadicand):
-        ifd.arsinh_form(1.0, -4.0, 1.0, 1.0)  # min over [0,1] is -2
-    with pytest.raises(NegativeRadicand):
-        ifd.arsinh_form([1e-20, 1.0], [-4e-20, -2.0], [1e-20, 1.0], 1.0)  # any scale
-    assert float(ifd.arsinh_form(1.0, -2.0, 1.0, 1.0)) == pytest.approx(0.5)  # touches 0
-
-
-def test_arsinh_form_exact_at_extreme_scales():
-    # coefficients scaled by 4^p and lengths by 2^-p give the same bits, even
-    # where 4A^2 of the scaled coefficients underflows or overflows
+def test_piece_weights_exact_at_extreme_scales():
+    # curves and pieces scaled by 2^p give exactly 4^p times the weights, on
+    # pieces from 1e-6 to 1 of the cell, zero-length ones and one that
+    # starts where the segments cross (the leash is zero there)
     rng = np.random.default_rng(7)
-    lead, vel = rng.normal(size=(2, 200, 2))
-    vel *= 10.0 ** rng.uniform(-6, 6, (200, 1))
-    A, B, C = (vel * vel).sum(1), 2.0 * (lead * vel).sum(1), (lead * lead).sum(1)
-    length = rng.uniform(0.0, 3.0, 200)
-    ref = ifd.arsinh_form(A, B, C, length)
+    t1 = np.array([(-1.0, -0.2), (1.3, 0.4)])
+    t2 = np.array([(0.1, -1.1), (-0.2, 0.9)])
+    cell = ifd.build_cells(ifd.build_curve(t1), ifd.build_curve(t2)).cell(0, 0)
+    size = np.array([cell.width, cell.height])
+    a = rng.uniform(0.0, 1.0, (200, 2)) * size
+    b = a + (rng.uniform(0.0, 1.0, (200, 2)) * size - a) * 10.0 ** rng.uniform(-6, 0, (200, 1))
+    b[::9] = a[::9]
+    u, v = cell.u, cell.v
+    d0 = cell.b0 - cell.a0
+    cross = u[0] * v[1] - u[1] * v[0]
+    foot = np.array([(d0[0] * v[1] - d0[1] * v[0]) / cross, (d0[0] * u[1] - d0[1] * u[0]) / cross])
+    a[0], b[0] = foot, foot + 1e-6 * size
+    ref = ifd.piece_weights(cell, a, b)
+    assert ref[0] == pytest.approx(1e-6 * float(np.abs(size).sum()) * cell.weight_at(*b[0]) / 2, rel=1e-6)
     for p in (-300, -150, 150, 300):
-        got = ifd.arsinh_form(*(np.ldexp(v, 2 * p) for v in (A, B, C)), np.ldexp(length, -p))
-        np.testing.assert_array_equal(got, ref)
-    # a 1e-85-long piece from a point where the leash is zero: w grows linearly
-    assert float(ifd.arsinh_form(5.5e-171, 0.0, 0.0, 1e-85)) == pytest.approx(0.5e-85 * math.sqrt(5.5e-171))
+        s = 2.0 ** p
+        scaled = ifd.build_cells(ifd.build_curve(t1 * s), ifd.build_curve(t2 * s)).cell(0, 0)
+        got = ifd.piece_weights(scaled, a * s, b * s)
+        np.testing.assert_array_equal(got, np.ldexp(ref, 2 * p))
 
 
 def _multi_cell_segments(rng, t1, t2, n):
@@ -327,3 +328,6 @@ def test_public_names_in_step():
         assert gone not in ifd.__all__ and not hasattr(ifd, gone)
     assert not hasattr(ifd.errors, "NotOnAxis") and not hasattr(ifd.errors, "NonConvergence")
     assert not hasattr(ifd.integrals, "WeightedSegment")
+    for module, gone in ((ifd, "arsinh_form"), (ifd.integrals, "piece_quadratics"),
+                         (ifd.errors, "NegativeRadicand")):
+        assert not hasattr(module, gone), gone

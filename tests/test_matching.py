@@ -100,16 +100,126 @@ def test_locally_optimize_keeps_antiparallel_subpaths():
     )
 
 
+# staircases of the transform benchmark corpus, keyed (seed, case), on which
+# the sweeps alternated between two paths a rounding apart until they ran
+# out; each with T1, T2, the staircase and the cost returned then
+CYCLING = {
+    (7, 78): (
+        [
+            (0.4518362736760093, 0.9981648776274047), (-0.048157236883328736, 1.000712307420173),
+            (-0.5455905341400655, 1.0513098842424966),
+        ],
+        [
+            (0.6713195483904715, 1.4508480243093347), (0.47160560910292665, 1.4615411274254027),
+            (0.3324683954803254, 1.6052103161380096), (0.23119138684242307, 1.7776718119025954),
+            (0.1404655306379775, 1.9559099083241245), (0.029663977020360444, 2.1224122077554606),
+        ],
+        [
+            (0.0, 0.0), (0.0, 0.425326648147905), (0.21680151832503902, 0.425326648147905),
+            (0.3050182811848392, 0.425326648147905), (0.3050182811848392, 0.5337193022041963),
+            (0.3050182811848392, 0.5337193022041963), (0.3050182811848392, 0.6979366790202227),
+            (0.7494036705025251, 0.6979366790202227), (0.9618435391018161, 0.6979366790202227),
+            (0.9618435391018161, 0.9987951025983287), (0.9618435391018161, 0.9987951025983287),
+            (1.0, 1.0),
+        ],
+        1.5695169022081936,
+    ),
+    (7, 94): (
+        [
+            (0.05382913796190636, 0.6874125724882798), (0.1628764589497639, 0.8550690122255329),
+            (0.30164266703341824, 0.999096577275019), (0.3113120822420963, 1.1988626965483387),
+            (0.47073269525742023, 1.3196313520257361), (0.670694995655998, 1.3235144460638675),
+        ],
+        [
+            (-0.25361703117783285, 1.15484389517663), (-0.16538820717290473, 1.2962421002306024),
+            (-0.013504517374901909, 1.364865147023366), (0.06326950724058383, 1.5127959650503022),
+            (0.020544034575439615, 1.6738931772028338),
+            (-3.218145526559524e-05, 1.8392848248505778),
+            (-0.09235891669139755, 1.9780419930921318),
+        ],
+        [
+            (0.0, 0.0), (0.0, 0.20735623109599627), (0.3200941368646264, 0.20735623109599627),
+            (0.3200941368646264, 0.457804466602678), (0.38555122835957467, 0.457804466602678),
+            (0.38555122835957467, 0.7219274788304444), (0.5697330274215182, 0.7219274788304444),
+            (0.5697330274215182, 0.7410387176259166), (0.9081702300122613, 0.7410387176259166),
+            (1.0, 0.9999999999999997),
+        ],
+        1.2642300997717002,
+    ),
+    (301, 36): (
+        [
+            (0.7884294915650709, 0.8877469207313654), (0.9992972166287268, 0.7534532033560599),
+            (1.2122347573261358, 0.6224661667389226), (1.250043883866032, 0.3753417649687006),
+            (1.0854115022087352, 0.18720304245298305),
+        ],
+        [
+            (1.2453253693947417, 1.0259335473073496), (1.4442706619767611, 0.7584790994651689),
+            (1.7675743573879263, 0.6773259624672957), (2.0069019010256346, 0.44530562291179066),
+        ],
+        [
+            (0.0, 0.0), (0.0, 0.06100475226246503), (0.16412562916833826, 0.06100475226246503),
+            (0.21950585398268038, 0.06100475226246503), (0.21950585398268038, 0.4077920995357537),
+            (0.21950585398268038, 0.4077920995357537), (0.45125829919213795, 0.4077920995357537),
+            (0.45125829919213795, 0.7002709782192386), (0.45125829919213795, 0.7002709782192386),
+            (0.45125829919213795, 0.8137715847965512), (0.56023770269897, 0.8137715847965512),
+            (0.9999999999999999, 0.9999999999999998),
+        ],
+        1.0821532039490434,
+    ),
+    (301, 60): (
+        [
+            (0.1603432095081786, 0.7468061378306347), (0.38279693891717037, 0.8608865404948568),
+            (0.56650853560405, 1.0304449352818956), (0.5680122365763499, 1.2804404130077656),
+            (0.5984348452313982, 1.528582438635473),
+        ],
+        [
+            (0.4821157945614562, 0.3849406419422814), (0.6642985330814813, 0.8505686584805306),
+            (0.9199242114788921, 1.28028427670247),
+        ],
+        [
+            (0.0, 0.0), (0.26117946897285926, 0.0), (0.26117946897285926, 0.14431166835820874),
+            (0.26117946897285926, 0.14431166835820874), (0.26117946897285926, 0.6214006217855359),
+            (0.48614875422843573, 0.6214006217855359), (0.48614875422843573, 0.697164589825669),
+            (0.5110874315492895, 0.697164589825669), (0.868644744033652, 0.697164589825669),
+            (0.868644744033652, 0.8852632765746735), (0.868644744033652, 0.8852632765746735),
+            (1.0, 1.0),
+        ],
+        0.5901705646581262,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CYCLING), ids=lambda k: f"seed{k[0]}-case{k[1]}")
+def test_locally_optimize_stops_on_a_two_sweep_cycle(monkeypatch, key):
+    from ifd import matching
+
+    a, b, stairs, cost = CYCLING[key]
+    t1, t2 = ifd.build_curve(a), ifd.build_curve(b)
+    sweeps = []
+    sweep = matching._substitute_once
+
+    def counted(grid, p):
+        sweeps.append(len(p.vertices))
+        return sweep(grid, p)
+
+    monkeypatch.setattr(matching, "_substitute_once", counted)
+    out = ifd.locally_optimize(t1, t2, stairs)
+    assert len(sweeps) < 32
+    again = ifd.locally_optimize(t1, t2, out)
+    np.testing.assert_array_equal(again.vertices, out.vertices)
+    assert ifd.matching_cost(t1, t2, out) == pytest.approx(cost, rel=1e-15, abs=0.0)
+
+
 def test_locally_optimize_makes_no_weight_call(monkeypatch):
     # the sweeps are geometric: only matching_cost weighs, in one call
     from ifd import integrals
 
     calls = []
-    weigh = integrals.arsinh_form
+    weigh = integrals.piece_weights
 
-    def counted(*args):
-        calls.append(len(np.atleast_1d(args[0])))
-        return weigh(*args)
+    def counted(cell, a, b):
+        calls.append(len(a))
+        return weigh(cell, a, b)
 
     t1 = ifd.build_curve([(0, 0), (1, 0), (1.5, 1)])
     t2 = ifd.build_curve([(1, 0.5), (0, 0.5), (0.2, 1.5)])
@@ -117,7 +227,7 @@ def test_locally_optimize_makes_no_weight_call(monkeypatch):
     assert grid.cell(0, 0).kind == "antiparallel"
     path = [(0, 0), (0.6, 0.0), (0.6, 0.4), (t1.length, 0.4), (t1.length, t2.length)]
     before = ifd.matching_cost(t1, t2, path)
-    monkeypatch.setattr(integrals, "arsinh_form", counted)
+    monkeypatch.setattr(integrals, "piece_weights", counted)
     out = ifd.locally_optimize(t1, t2, path)
     assert calls == []
     assert ifd.matching_cost(t1, t2, out) <= before + 1e-12
