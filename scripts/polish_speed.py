@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time the in-cell polish (``locally_optimize``) and the matching cost.
+
+For each of three curve sizes (2, 4 and 6 segments per curve) builds
+``--pairs`` seeded curve pairs (random turning walks of length about 1,
+the second 0.4-0.6 to the side of the first) and one seeded monotone
+staircase per pair with twice as many steps as segments.  It then times
+one ``locally_optimize`` and one ``matching_cost`` of the staircase per
+pair, best of ``--repeat`` passes, and counts the substitution sweeps of
+one untimed pass:
+
+- ``optimize us``: microseconds per ``locally_optimize`` call;
+- ``sweeps``: substitution sweeps per call;
+- ``us/sweep``: the first divided by the second;
+- ``cost us``: microseconds per ``matching_cost`` call.
+
+Usage: PYTHONPATH=src python scripts/polish_speed.py [--seed S] [--pairs N] [--repeat N]
+"""
+
+import argparse
+import math
+import time
+
+import numpy as np
+
+import ifd
+from ifd import matching
+
+SIZES = (2, 4, 6)
+
+
+def _curve(rng, n_segments, start, heading):
+    pts = [np.asarray(start, dtype=float)]
+    for _ in range(n_segments):
+        heading += rng.uniform(-0.9, 0.9)
+        pts.append(pts[-1] + np.array([math.cos(heading), math.sin(heading)]) / n_segments)
+    return ifd.build_curve(pts)
+
+
+def _staircase(rng, end, steps):
+    xs = np.sort(rng.uniform(0.0, end[0], steps)).tolist()
+    ys = np.sort(rng.uniform(0.0, end[1], steps)).tolist()
+    pts = [(0.0, 0.0)]
+    for x, y in zip(xs, ys):
+        pts += [(x, pts[-1][1]), (x, y)]
+    pts.append(end)
+    return pts
+
+
+def cases(seed, n_segments, n_pairs):
+    """(t1, t2, staircase) for ``n_pairs`` seeded pairs of ``n_segments`` segments each."""
+    rng = np.random.default_rng([seed, n_segments])
+    out = []
+    for _ in range(n_pairs):
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        side = rng.uniform(0.4, 0.6) * np.array([-math.sin(heading), math.cos(heading)])
+        t1 = _curve(rng, n_segments, (0.0, 0.0), heading)
+        t2 = _curve(rng, n_segments, side, heading + rng.uniform(-0.25, 0.25))
+        out.append((t1, t2, _staircase(rng, (t1.length, t2.length), 2 * n_segments)))
+    return out
+
+
+def best_of(repeat, fn):
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def count_sweeps(pairs):
+    """Substitution sweeps that ``locally_optimize`` makes over ``pairs``."""
+    sweeps = 0
+    sweep = matching._substitute_once
+
+    def counted(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return sweep(*args)
+
+    matching._substitute_once = counted
+    try:
+        for t1, t2, path in pairs:
+            matching.locally_optimize(t1, t2, path)
+    finally:
+        matching._substitute_once = sweep
+    return sweeps
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=20)
+    ap.add_argument("--repeat", type=int, default=5)
+    args = ap.parse_args()
+
+    print(f"{'segments':<9} {'pairs':>6} {'optimize us':>12} {'sweeps':>7} {'us/sweep':>9} {'cost us':>8}")
+    for n in SIZES:
+        pairs = cases(args.seed, n, args.pairs)
+        polish = best_of(args.repeat, lambda: [ifd.locally_optimize(*c) for c in pairs])
+        cost = best_of(args.repeat, lambda: [ifd.matching_cost(*c) for c in pairs])
+        sweeps = count_sweeps(pairs) / len(pairs)
+        per_call = polish / len(pairs) * 1e6
+        print(f"{n:<9} {len(pairs):>6} {per_call:>12.1f} {sweeps:>7.2f} {per_call / sweeps:>9.1f} "
+              f"{cost / len(pairs) * 1e6:>8.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,6 @@ similarity at every threshold, which is what the profile type captures.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -56,11 +55,13 @@ def _dedupe(points):
     with the curves.  When everything merges into the first point, the last
     point is kept as well, so the path keeps two ends.
     """
-    tol = 1e-15 * max(map(abs, chain.from_iterable(points)))
-    out = [points[0]]
+    tol = 1e-15 * max(abs(c) for p in points for c in p)
+    last = points[0]
+    out = [last]
     for p in points[1:]:
-        if abs(p[0] - out[-1][0]) > tol or abs(p[1] - out[-1][1]) > tol:
+        if abs(p[0] - last[0]) > tol or abs(p[1] - last[1]) > tol:
             out.append(p)
+            last = p
     if len(out) == 1 and len(points) > 1:
         out.append(points[-1])
     return tuple(out)
@@ -73,28 +74,25 @@ def _polyline_length(cell, points):
 def _shortest_vertices(cell: ParameterCell, a, b):
     """(vertices, branch) of the shortest monotone path from a to b inside one cell.
 
-    Pure geometry, no weights.  The dominance check is relative to
-    ``max(|x1|, |y1|)`` of the cell, so the path scales with the curves.
+    Pure geometry on float pairs, no weights.  The dominance check is
+    relative to ``max(|x1|, |y1|)`` of the cell, so the path scales with
+    the curves.
     """
-    a = ParameterPoint(float(a[0]), float(a[1]))
-    b = ParameterPoint(float(b[0]), float(b[1]))
-    if not dominates(a, b, tol=1e-12 * max(abs(cell.x1), abs(cell.y1))):
-        raise NotMonotone(f"{a} does not dominate {b}")
+    ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+    tol = 1e-12 * max(abs(cell.x1), abs(cell.y1))
+    if not (ax <= bx + tol and ay <= by + tol):
+        raise NotMonotone(f"{ParameterPoint(ax, ay)} does not dominate {ParameterPoint(bx, by)}")
     if cell.kind == "antiparallel":
         raise AntiparallelCell(f"cell ({cell.i},{cell.j}) is antiparallel")
     k = cell.axis_intercept
     # axis line y = x + k against the rectangle spanned by a and b
-    lo = max(a.x, a.y - k)
-    hi = min(b.x, b.y - k)
+    lo = max(ax, ay - k)
+    hi = min(bx, by - k)
     if lo <= hi:
-        c1 = ParameterPoint(lo, lo + k)
-        c2 = ParameterPoint(hi, hi + k)
-        return _dedupe([a, c1, c2, b]), "through_axis"
-    if k > b.y - a.x:
-        corner = ParameterPoint(a.x, b.y)  # axis passes above-left
-    else:
-        corner = ParameterPoint(b.x, a.y)  # axis passes below-right
-    return _dedupe([a, corner, b]), "around_corner"
+        return _dedupe([(ax, ay), (lo, lo + k), (hi, hi + k), (bx, by)]), "through_axis"
+    # the corner closest to the axis: above-left when the axis passes there, else below-right
+    corner = (ax, by) if k > by - ax else (bx, ay)
+    return _dedupe([(ax, ay), corner, (bx, by)]), "around_corner"
 
 
 def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
@@ -106,7 +104,7 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     """
     verts, branch = _shortest_vertices(cell, a, b)
     return CellPath(
-        vertices=verts,
+        vertices=tuple(ParameterPoint(x, y) for x, y in verts),
         branch=branch,
         weighted_length=_polyline_length(cell, verts),
     )

@@ -58,7 +58,11 @@ def _step_mean(t0, d, r0, r1, q):
         out /= rs
         out += rs
         arc *= q
-        arc *= 2.0 / d
+        inv = 2.0 / d
+        if np.isfinite(inv).all():
+            arc *= inv
+        else:  # 2 / d overflows on steps below about 1.1e-308
+            arc = np.where(np.isfinite(inv), arc * inv, arc / d * 2.0)
         out += arc
     out *= 0.25
     if not rs.all():

@@ -10,7 +10,9 @@ substitution sweeps of :func:`locally_optimize` are geometric: the in-cell
 shortest path follows from the cell's monotone axis alone.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -100,24 +102,66 @@ def evaluate_matching(path, t: float):
     return (float(q[0]), float(q[1]))
 
 
-def _substitute_once(grid, p: MonotonePath) -> MonotonePath:
-    """One substitution sweep, geometry only: each in-cell run becomes the cell's shortest path."""
-    _, a, b, i, j = _split(grid, p.vertices[:-1], p.vertices[1:])
-    if not len(a):
-        return p
-    cut = np.flatnonzero((i[1:] != i[:-1]) | (j[1:] != j[:-1])) + 1
-    first = np.concatenate(([0], cut))
-    last = np.concatenate((cut, [len(a)])) - 1
-    a, b = a.tolist(), b.tolist()
-    out = [a[0]]
-    for lo, hi, ci, cj in zip(first.tolist(), last.tolist(), i[first].tolist(), j[first].tolist()):
-        cell = grid.cell(ci, cj)
-        if cell.kind == "antiparallel":
-            out.extend(a[lo + 1:hi + 1])
-            out.append(b[hi])
-        else:
-            out.extend(_shortest_vertices(cell, a[lo], b[hi])[0][1:])
-    return MonotonePath.from_points(_dedupe(out))
+def _runs(grid, verts):
+    """The maximal in-cell runs ``(i, j, pieces)`` of a path of float pairs.
+
+    The cuts are bit for bit those of :func:`integrals._split`: at the parameters
+    (cut - a) / d of the lines strictly inside each segment a -> b, at the points
+    a + s d, each piece in the cell of its midpoint (lower/left on a parameter
+    line).  ``pieces`` lists a run's ``(p, q)`` in path order.
+    """
+    xc, yc = grid.x_cuts.tolist(), grid.y_cuts.tolist()
+    xin, yin = xc[1:-1], yc[1:-1]
+    runs, cell = [], None
+    for (ax, ay), (bx, by) in zip(verts, verts[1:]):
+        dx, dy = bx - ax, by - ay
+        x0, x1 = (ax, bx) if dx >= 0.0 else (bx, ax)
+        y0, y1 = (ay, by) if dy >= 0.0 else (by, ay)
+        fx, ex = bisect_right(xc, x0), bisect_left(xc, x1)
+        fy, ey = bisect_right(yc, y0), bisect_left(yc, y1)
+        if fx < ex or fy < ey:
+            ss = sorted({0.0, 1.0, *[(c - ax) / dx for c in xc[fx:ex]],
+                         *[(c - ay) / dy for c in yc[fy:ey]]})
+            pts = [(ax + s * dx, ay + s * dy) for s in ss]
+            segment = zip(pts, pts[1:])
+        else:  # no parameter line strictly inside: one piece, ending at a + (b - a)
+            segment = (((ax + 0.0 * dx, ay + 0.0 * dy), (ax + dx, ay + dy)),)
+        for p, q in segment:
+            ij = bisect_left(xin, 0.5 * (p[0] + q[0])), bisect_left(yin, 0.5 * (p[1] + q[1]))
+            if ij != cell:
+                cell, pieces = ij, []
+                runs.append((*ij, pieces))
+            pieces.append((p, q))
+    return runs
+
+
+def _substitute_once(grid, verts, memo):
+    """One substitution sweep, geometry only: each in-cell run becomes the cell's shortest path.
+
+    Takes and returns lists of float pairs and checks ``verts`` as
+    :meth:`MonotonePath.from_points` does; ``memo`` keeps the substitute of
+    each run by ``(i, j, entry, exit)`` for the whole call.
+    """
+    xs, ys = zip(*verts)
+    back = min(min(map(sub, xs[1:], xs), default=0.0), min(map(sub, ys[1:], ys), default=0.0))
+    if back < -1e-9 * max(max(map(abs, xs)), max(map(abs, ys))):
+        raise NotMonotone(f"backward step of {back:.3e}")
+    runs = _runs(grid, verts)
+    if not runs:
+        return verts
+    out = [runs[0][2][0][0]]
+    for i, j, pieces in runs:
+        key = (i, j, pieces[0][0], pieces[-1][1])
+        tail = memo.get(key)
+        if tail is None:
+            cell = grid.cell(i, j)
+            if cell.kind == "antiparallel":
+                out.extend(p for p, _ in pieces[1:])
+                out.append(pieces[-1][1])
+                continue
+            tail = memo[key] = _shortest_vertices(cell, key[2], key[3])[0][1:]
+        out.extend(tail)
+    return list(_dedupe(out))
 
 
 def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePath:
@@ -143,16 +187,17 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     extent, so scaling both curves by a power of two scales the result
     exactly.
     """
-    p = _as_path(path)
+    p = [tuple(v) for v in _as_path(path).vertices.tolist()]
     grid = build_cells(t1, t2)
+    memo = {}
     before = p
     for _ in range(32):
-        new = _substitute_once(grid, p)
+        new = _substitute_once(grid, p, memo)
         # a fixpoint, or two paths a rounding apart that map onto each other
-        if np.array_equal(new.vertices, p.vertices) or np.array_equal(new.vertices, before.vertices):
-            return new
+        if new == p or new == before:
+            return MonotonePath.from_points(new)
         before, p = p, new
-    return p
+    return MonotonePath.from_points(p)
 
 
 def max_leash(t1: PolygonalCurve, t2: PolygonalCurve, path) -> float:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import ifd
+from ifd.cell_paths import _dedupe, _shortest_vertices
+from ifd.integrals import _split
 
 # powers of two scale every float exactly, so under s values/s and costs/s^2 must not move
 SCALES = (2.0 ** -40, 1.0, 2.0 ** 30)
@@ -139,6 +141,44 @@ def bellman_ford(graph, source=None):
             break
         np.minimum.at(dist, heads[better], cand[better])
     return dist
+
+
+def reference_sweep(grid, p):
+    """One substitution sweep grouped with numpy over :func:`integrals._split`'s pieces.
+
+    The array form of ``matching._substitute_once``: cut the whole path in
+    one batch, group consecutive pieces of one cell, and substitute each
+    group by the cell's shortest path (antiparallel groups stay).
+    """
+    _, a, b, i, j = _split(grid, p.vertices[:-1], p.vertices[1:])
+    if not len(a):
+        return p
+    cut = np.flatnonzero((i[1:] != i[:-1]) | (j[1:] != j[:-1])) + 1
+    first = np.concatenate(([0], cut))
+    last = np.concatenate((cut, [len(a)])) - 1
+    a, b = a.tolist(), b.tolist()
+    out = [a[0]]
+    for lo, hi, ci, cj in zip(first.tolist(), last.tolist(), i[first].tolist(), j[first].tolist()):
+        cell = grid.cell(ci, cj)
+        if cell.kind == "antiparallel":
+            out.extend(a[lo + 1:hi + 1])
+            out.append(b[hi])
+        else:
+            out.extend(_shortest_vertices(cell, a[lo], b[hi])[0][1:])
+    return ifd.MonotonePath.from_points(_dedupe(out))
+
+
+def reference_polish(t1, t2, path):
+    """(path, sweeps) of :func:`reference_sweep` iterated as ``locally_optimize`` iterates."""
+    p = ifd.MonotonePath.from_points(path)
+    grid = ifd.build_cells(t1, t2)
+    before = p
+    for sweeps in range(1, 33):
+        new = reference_sweep(grid, p)
+        if np.array_equal(new.vertices, p.vertices) or np.array_equal(new.vertices, before.vertices):
+            return new, sweeps
+        before, p = p, new
+    return p, 32
 
 
 class QuadratureDepth(Exception):

@@ -285,6 +285,19 @@ def test_lattice_speed_runs_once():
     assert rows == ["g1", "g1", "oracle"]
 
 
+def test_polish_speed_runs_once():
+    # one timed pass reaches locally_optimize, its sweep count and matching_cost
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "polish_speed.py"
+    out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--pairs", "2"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["2", "2"], ["4", "2"], ["6", "2"]]
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:])
+
+
 def test_band_experiment_runs_once():
     # one pair at one epsilon reaches graph_stats, the g2 budget and the dense oracle
     src = os.path.dirname(os.path.dirname(ifd.__file__))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ifd
 from ifd.integrals import _split
@@ -214,6 +214,7 @@ def test_scale_covariance():
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+@example(f1=0.0, f2=5e-324, f3=0.0)  # a subnormal step from the zero leash weighed NaN
 def test_extension_never_decreases(f1, f2, f3):
     t1, t2 = curve_pair(PERPENDICULAR)
     g = ifd.build_cells(t1, t2)
@@ -225,6 +226,22 @@ def test_extension_never_decreases(f1, f2, f3):
     cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     if longer is not None and abs(cross) <= 1e-12:
         assert longer >= short - 1e-12
+
+
+@pytest.mark.parametrize("d", [5e-324, 1e-310, 1e-300])
+def test_subnormal_steps_weigh_finite(d):
+    # 2 / d overflows below about 1.1e-308; a step that short still weighs
+    # its L1 length times the leash, 0 from the zero leash and about 1 unit
+    # per unit step from the unit one
+    unit_leash = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (0.0, 2.0)])
+    for pair, leash in ((PERPENDICULAR, 0.0), (unit_leash, 1.0)):
+        g = ifd.build_cells(*curve_pair(pair))
+        for step in ((d, d), (d, 0.0), (0.0, d)):
+            l1 = step[0] + step[1]
+            pieces = ifd.piece_weights(g.cell(0, 0), np.zeros((1, 2)), np.array([step]))
+            for w in (float(pieces[0]), ifd.segment_weighted_length(g, (0.0, 0.0), step)):
+                assert math.isfinite(w) and w >= 0.0, (pair, step, w)
+                assert w == pytest.approx(leash * l1, rel=1e-9, abs=1e-322)
 
 
 def test_piece_weights_exact_at_extreme_scales():

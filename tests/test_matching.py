@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ifd
 from ifd.errors import NotMonotone
 from ifd.integrals import _split
+from ifd.matching import _runs
 
 from helpers import (
     ANTIPARALLEL,
@@ -16,6 +17,7 @@ from helpers import (
     over_scales,
     random_curve,
     random_staircase,
+    reference_polish,
 )
 
 LPATH_COST = 2.295587149392638  # two arsinh integrals, frozen via quadrature
@@ -198,9 +200,9 @@ def test_locally_optimize_stops_on_a_two_sweep_cycle(monkeypatch, key):
     sweeps = []
     sweep = matching._substitute_once
 
-    def counted(grid, p):
-        sweeps.append(len(p.vertices))
-        return sweep(grid, p)
+    def counted(grid, verts, memo):
+        sweeps.append(len(verts))
+        return sweep(grid, verts, memo)
 
     monkeypatch.setattr(matching, "_substitute_once", counted)
     out = ifd.locally_optimize(t1, t2, stairs)
@@ -322,8 +324,85 @@ def test_substitution_builds_only_visited_cells():
     t1, t2 = (ifd.build_curve(np.cumsum(rng.normal(size=(41, 2)), axis=0)) for _ in range(2))
     path = ifd.MonotonePath.from_points([(0, 0), (t1.length, 0), (t1.length, t2.length)])
     grid = ifd.build_cells(t1, t2)
-    swept = ifd.matching._substitute_once(grid, path)
+    swept = ifd.matching._substitute_once(grid, path.vertices.tolist(), {})
     _, _, _, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
     assert set(grid._built) == set(zip(i.tolist(), j.tolist()))
     assert len(grid._built) < grid.n_cols * grid.n_rows
     assert ifd.matching_cost(t1, t2, swept) <= ifd.matching_cost(t1, t2, path)
+
+
+def _lined_path(rng, xc, yc):
+    """A monotone path whose targets are often parameter lines, reached by
+    horizontal, vertical, diagonal and zero-length steps; a vertical leg after a
+    horizontal one onto x = cut rides that line, and likewise for y."""
+    x, y = 0.0, 0.0
+    pts = [(x, y)]
+    for _ in range(int(rng.integers(2, 10))):
+        nx = float(rng.choice(xc)) if rng.random() < 0.5 else float(rng.uniform(0.0, xc[-1]))
+        ny = float(rng.choice(yc)) if rng.random() < 0.5 else float(rng.uniform(0.0, yc[-1]))
+        nx, ny = max(nx, x), max(ny, y)
+        kind = rng.integers(4)
+        if kind == 0:
+            pts.append((nx, y))
+        elif kind == 1:
+            pts.append((x, ny))
+        elif kind == 2:
+            pts.append((x, y))
+        pts.append((nx, ny))
+        x, y = nx, ny
+    pts.append((float(xc[-1]), float(yc[-1])))
+    return pts
+
+
+@over_scales
+def test_walk_matches_split_bit_for_bit(s):
+    # the sweep's scalar walk cuts, orders and assigns pieces exactly as the
+    # batch splitter does, including pieces on and along parameter lines
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        t1 = random_curve(rng, int(rng.integers(1, 6)), scale=s)
+        t2 = random_curve(rng, int(rng.integers(1, 6)), scale=s)
+        grid = ifd.build_cells(t1, t2)
+        for _ in range(3):
+            verts = _lined_path(rng, t1.cum_length, t2.cum_length)
+            walk = [(p, q, i, j) for i, j, pieces in _runs(grid, verts) for p, q in pieces]
+            a = np.asarray(verts)
+            _, p, q, i, j = _split(grid, a[:-1], a[1:])
+            assert np.asarray([w[0] for w in walk]).tobytes() == p.tobytes()
+            assert np.asarray([w[1] for w in walk]).tobytes() == q.tobytes()
+            assert [w[2] for w in walk] == i.tolist()
+            assert [w[3] for w in walk] == j.tolist()
+
+
+def _polish_counted(monkeypatch, t1, t2, path):
+    from ifd import matching
+
+    sweeps = []
+    sweep = matching._substitute_once
+
+    def counted(grid, verts, memo):
+        sweeps.append(len(verts))
+        return sweep(grid, verts, memo)
+
+    monkeypatch.setattr(matching, "_substitute_once", counted)
+    out = ifd.locally_optimize(t1, t2, path)
+    monkeypatch.undo()
+    return out, len(sweeps)
+
+
+def test_sweeps_match_the_array_reference(monkeypatch):
+    # the list sweeps and their per-call memo give the numpy-grouped
+    # reference's vertices bit for bit, in as many sweeps
+    rng = np.random.default_rng(61)
+    cases = [(ifd.build_curve(a), ifd.build_curve(b), stairs) for a, b, stairs, _ in CYCLING.values()]
+    for k in range(50):
+        t1 = random_curve(rng, int(rng.integers(2, 6)))
+        # every fifth pair walks T1 backwards, so its cells are antiparallel
+        t2 = random_curve(rng, 3) if k % 5 else ifd.build_curve(t1.vertices[::-1] + 0.2)
+        path = random_staircase(rng, (0.0, 0.0), (t1.length, t2.length), steps=5)
+        cases.append((t1, t2, path.vertices))
+    for t1, t2, path in cases:
+        ref, ref_sweeps = reference_polish(t1, t2, path)
+        out, sweeps = _polish_counted(monkeypatch, t1, t2, path)
+        assert out.vertices.tobytes() == ref.vertices.tobytes()
+        assert sweeps == ref_sweeps
