@@ -33,6 +33,7 @@ from .integrals import horizontal_strip_weights, vertical_strip_weights  # noqa:
 from .matching import MonotonePath
 from .param_space import build_cells, edge_min, free_space_axes
 from .shortest_path import (
+    _EDGE_BLOCK,
     adjacency,
     axis_size,
     dense_grid_oracle_path,
@@ -53,7 +54,7 @@ __all__ = [
     "approximate_integral_frechet",
 ]
 
-_PAIR_BLOCK = 1 << 18  # candidate crossings tested per numpy block
+_PAIR_BLOCK = 1 << 14  # candidate crossings tested per numpy block
 
 # each mode and the searches it runs, in order; the smaller value wins
 MODES = {"g1": ("g1",), "g2": ("g2",), "both": ("g1", "g2"), "oracle": ("oracle",)}
@@ -130,11 +131,11 @@ class MonotoneDigraph:
         """
         if self.n_edges == 0:
             return
-        dx = self.xs[self.heads] - self.xs[self.tails]
-        dy = self.ys[self.heads] - self.ys[self.tails]
         extent = float(max(np.abs(self.xs).max(), np.abs(self.ys).max()))
-        if float(min(dx.min(), dy.min())) < -1e-9 * extent:
-            raise ValueError("graph contains a non-monotone edge")
+        for a in range(0, self.n_edges, _EDGE_BLOCK):
+            t, h = self.tails[a:a + _EDGE_BLOCK], self.heads[a:a + _EDGE_BLOCK]
+            if min(float((c[h] - c[t]).min()) for c in (self.xs, self.ys)) < -1e-9 * extent:
+                raise ValueError("graph contains a non-monotone edge")
         if float(self.weights.min()) < -1e-12:
             raise ValueError("graph contains a negative edge weight")
 
@@ -336,9 +337,12 @@ def _arrangement(h, v, o, iso, snap, cap):
     Every segment is split at its crossings and at the isolated points on
     it; splits that round to one ``snap`` key are one point.  Returns
     ``(coords, tails, heads, ends)``: the vertices in first-seen order,
-    isolated points first, and each edge (oriented right/up, the first
-    piece of each vertex pair) with its embedding ``ends[e] = (tail, head)``.
-    Raises ``BudgetExceeded`` when the crossings exceed ``cap``.
+    isolated points first, and the edges sorted by (tail, head), each
+    oriented right/up with the embedding ``ends[e] = (tail, head)`` of the
+    first piece between its two vertices.  Each stage's arrays are released
+    once the next stage holds what it needs, so the peak stays a few times
+    the size of the result.  Raises ``BudgetExceeded`` when the crossings
+    exceed ``cap``.
     """
     p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
     q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], o[:, 2:]])
@@ -351,6 +355,7 @@ def _arrangement(h, v, o, iso, snap, cap):
         seg.append(idx[keep])
         at.append(np.clip((x[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0))
     count = len(rows)
+    del rows, cols, idx, x, lo, hi, keep
     # the few general segments against every other segment, both ways
     for i in range(n_h + len(v), n):
         k, t1, t2 = _seg_intersections(p[i], q[i], p, q, snap)
@@ -367,35 +372,75 @@ def _arrangement(h, v, o, iso, snap, cap):
         at.append(t1)
     seg = np.concatenate(seg + [np.arange(n), np.arange(n)])
     at = np.concatenate(at + [np.zeros(n), np.ones(n)])
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    del order
 
     # pieces: consecutive splits along each segment, keeping the first
     # split of each run that shares a snap key
-    order = np.lexsort((at, seg))
-    seg, at = seg[order], at[order]
-    pts = p[seg] + at[:, None] * (q[seg] - p[seg])
-    key = np.rint(pts / snap)
-    kept = np.ones(len(seg), dtype=bool)
-    kept[1:] = (seg[1:] != seg[:-1]) | np.any(key[1:] != key[:-1], axis=1)
+    base = p[seg]
+    pts = q[seg]
+    pts -= base
+    pts *= at[:, None]
+    pts += base
+    del base, at
+    kept = np.empty(len(seg), dtype=bool)
+    kept[:1] = True
+    np.not_equal(seg[1:], seg[:-1], out=kept[1:])
+    for d in (0, 1):
+        key = np.rint(pts[:, d] / snap)
+        kept[1:] |= key[1:] != key[:-1]
+    del key
     seg, pts = seg[kept], pts[kept]
     piece = np.flatnonzero(seg[1:] == seg[:-1])
-    ends = np.stack((pts[piece], pts[piece + 1]), axis=1)
+    del seg
+
+    # every edge end in one array behind the isolated points, so the
+    # vertices are numbered over both without a copy
+    flat = np.empty((len(iso) + 2 * len(piece), 2))
+    flat[:len(iso)] = iso
+    ends = flat[len(iso):].reshape(-1, 2, 2)
+    ends[:, 0] = pts[piece]
+    piece += 1
+    ends[:, 1] = pts[piece]
+    del pts, piece
     a, b = ends[:, 0], ends[:, 1]
     back = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
     ends[back] = ends[back, ::-1]
+    del a, b  # views that would keep flat alive
 
-    # vertices: one per snap key, numbered by first occurrence; the x and
-    # y keys are ranked apart so one 1-D unique finds the distinct points
-    pts = np.concatenate([iso, ends.reshape(-1, 2)])
-    kx, ky = (np.unique(np.rint(pts[:, d] / snap), return_inverse=True)[1] for d in (0, 1))
-    _, first, inv = np.unique(kx * (ky.max() + 1) + ky, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    vid = rank[inv]
-    tails, heads = vid[len(iso)::2], vid[len(iso) + 1::2]
-    _, first_edge = np.unique(tails * len(order) + heads, return_index=True)
-    keep = np.sort(first_edge)
-    return pts[first[order]], tails[keep], heads[keep], ends[keep]
+    # vertices: one per snap key, numbered by first occurrence; a stable
+    # sort by (x key, y key) keeps each point's first occurrence first
+    kx, ky = flat[:, 0] / snap, flat[:, 1] / snap
+    perm = np.lexsort((np.rint(ky, out=ky), np.rint(kx, out=kx)))
+    kx, ky = kx[perm], ky[perm]
+    new = np.empty(len(perm), dtype=bool)
+    new[0] = True
+    new[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+    del kx, ky
+    first = perm[new]  # each point's first occurrence, points in key order
+    group = np.cumsum(new) - 1
+    del new
+    by_first = np.argsort(first)
+    coords = flat[first[by_first]]
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    del first, by_first
+    group = rank[group]
+    del rank
+    vid = np.empty(len(flat), dtype=np.int64)
+    vid[perm] = group
+    del perm, group
+
+    # edges: the first piece of each vertex pair, in (tail, head) order
+    n_v = len(coords)
+    pair = vid[len(iso)::2] * n_v
+    pair += vid[len(iso) + 1::2]
+    del vid
+    pair, first_edge = np.unique(pair, return_index=True)
+    ends = ends[first_edge]
+    del flat
+    return coords, pair // n_v, pair % n_v, ends
 
 
 def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> MonotoneDigraph:
@@ -474,12 +519,14 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
                                               cfg.max_vertices)
     if len(coords) > cfg.max_vertices:
         raise BudgetExceeded(len(coords), cfg.max_vertices)
+    weights = segment_weighted_length(grid, ends[:, 0], ends[:, 1])
+    del ends
     return MonotoneDigraph(
         xs=coords[:, 0].copy(),
         ys=coords[:, 1].copy(),
         tails=tails,
         heads=heads,
-        weights=segment_weighted_length(grid, ends[:, 0], ends[:, 1]),
+        weights=weights,
         source=0,
         sink=1,
     )

@@ -8,8 +8,9 @@ vertex id.  Rectangular lattices (the uniform grid g1, the dense
 snapped-grid oracle and the per-cell staircase of
 ``cell_paths.staircase_fallback_path``) share one weight
 generator and one row-by-row dynamic program over right/up(/diagonal)
-moves.  Every sweep records the move into each point in a one-byte table
-and backtracks over it, so every caller gets the path with the value.
+moves.  Every sweep records the move into each point in bit planes (one
+bit per point, two with diagonals) and backtracks over them, so every
+caller gets the path with the value.
 The generator calls one kernel, ``integrals._tile_weights``, per tile of
 at most ``_ROW_CHUNK`` rows by ``_COL_CHUNK`` columns inside one cell;
 every edge weight is an exact closed form.
@@ -29,6 +30,7 @@ from .param_space import ParameterCell, build_cells
 _ROW_CHUNK = 64    # lattice rows per weight block
 _COL_CHUNK = 256   # lattice columns per kernel tile, so its temporaries stay in cache
 _ORACLE_POINTS = 16_000_000  # default lattice budget of the dense oracle
+_EDGE_BLOCK = 1 << 16  # edges per block of the graph checks and the path recovery
 
 __all__ = [
     "PathResult",
@@ -69,20 +71,35 @@ class Adjacency(NamedTuple):
         return len(self.indices)
 
 
+def _strictly_sorted(tails, heads) -> bool:
+    """Whether the pairs (tails[e], heads[e]) strictly increase with e, checked block by block."""
+    for a in range(0, len(tails) - 1, _EDGE_BLOCK):
+        b = min(a + _EDGE_BLOCK, len(tails) - 1)
+        t0, t1, h0, h1 = tails[a:b], tails[a + 1:b + 1], heads[a:b], heads[a + 1:b + 1]
+        if not np.all((t0 < t1) | ((t0 == t1) & (h0 < h1))):
+            return False
+    return True
+
+
 def adjacency(n: int, tails, heads, weights) -> Adjacency:
-    """Sorted, deduplicated :class:`Adjacency` of ``n`` vertices."""
-    order = np.lexsort((heads, tails))
-    t, h, w = tails[order], heads[order], weights[order]
-    if len(t):
+    """Sorted, deduplicated :class:`Adjacency` of ``n`` vertices.
+
+    Edges already sorted by (tail, head) without repeats are taken as
+    they are, without a copy; any others are sorted, and parallel edges
+    merged.
+    """
+    if not _strictly_sorted(tails, heads):
+        order = np.lexsort((heads, tails))
+        t, h, w = tails[order], heads[order], weights[order]
         new_group = np.empty(len(t), dtype=bool)
         new_group[0] = True
         new_group[1:] = (np.diff(t) != 0) | (np.diff(h) != 0)
         starts = np.flatnonzero(new_group)
-        w = np.minimum.reduceat(w, starts)
-        t, h = t[starts], h[starts]
+        weights = np.minimum.reduceat(w, starts)
+        tails, heads = t[starts], h[starts]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(t, minlength=n), out=indptr[1:])
-    return Adjacency(indptr, np.asarray(h, dtype=np.int64), np.asarray(w, dtype=float))
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return Adjacency(indptr, np.asarray(heads, dtype=np.int64), np.asarray(weights, dtype=float))
 
 
 def _sweep_distances(adj: Adjacency, source: int) -> np.ndarray:
@@ -141,21 +158,26 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     d = float(dist[t])
     if not math.isfinite(d):
         return PathResult(math.inf, (), np.empty((0, 2)))
-    # tight in-edges of every reached vertex; edge ids run in (tail, head)
-    # order, so the smallest tight edge id into a head is its smallest
-    # tight predecessor
-    n = len(dist)
-    tails = np.repeat(np.arange(n), np.diff(adj.indptr))
-    reached = np.flatnonzero(np.isfinite(dist[adj.indices]))
-    head = adj.indices[reached]
-    slack = dist[tails[reached]] + adj.data[reached] - dist[head]
-    tight = slack <= 1e-12 * np.abs(dist[head])
+    indptr, n = adj.indptr, len(dist)
+    # the smallest tight in-edge of every reached vertex, over blocks of
+    # about _EDGE_BLOCK edges; edge ids run in (tail, head) order, so it
+    # comes from the smallest tight predecessor
     pred_edge = np.full(n, adj.nnz, dtype=np.int64)
-    np.minimum.at(pred_edge, head[tight], reached[tight])
+    u = 0
+    while u < n:
+        v = max(u + 1, int(np.searchsorted(indptr, indptr[u] + _EDGE_BLOCK, side="right")) - 1)
+        block = slice(indptr[u], indptr[v])
+        tails = np.repeat(np.arange(u, v), np.diff(indptr[u:v + 1]))
+        reached = np.flatnonzero(np.isfinite(dist[adj.indices[block]]))
+        head = adj.indices[block][reached]
+        slack = dist[tails[reached]] + adj.data[block][reached] - dist[head]
+        tight = slack <= 1e-12 * np.abs(dist[head])
+        np.minimum.at(pred_edge, head[tight], reached[tight] + indptr[u])
+        u = v
     path = [t]
     cur = t
     while cur != s:
-        cur = int(tails[pred_edge[cur]])
+        cur = int(np.searchsorted(indptr, pred_edge[cur], side="right")) - 1
         path.append(cur)
     path.reverse()
     pts = np.column_stack([graph.xs[path], graph.ys[path]])
@@ -256,39 +278,38 @@ def lattice_weights(lat: Lattice, diagonal: bool):
             yield r0, right, up, diag
 
 
-# move table entries: bit 0 steps left (x), bit 1 steps down (y)
-_LEFT, _UP, _DIAG = 1, 2, 3
-
-
 def _row_update(prev, up, diag, r, moves, out, best):
     """One DP row into ``out``: enter from below or diagonally, then sweep right.
 
     ``r`` holds the running sums of the row's rightward weights (0 first)
-    and ``best`` is scratch of the row's length.  ``moves`` receives the
-    move that reached each point; ties go to the move that enters the row.
+    and ``best`` is scratch of the row's length.  ``moves[0]`` receives
+    whether each point is entered from the left and, with diagonals,
+    ``moves[1, 1:]`` whether the diagonal beat the vertical; ties go to the
+    move that enters the row, and a left entry overrides the other two.
     """
     np.add(prev, up, out=out)
-    moves[:] = _UP
     if diag is not None:
         via = np.add(prev[:-1], diag, out=best[1:])
-        moves[1:][via < out[1:]] = _DIAG
+        np.less(via, out[1:], out=moves[1, 1:])
         np.minimum(out[1:], via, out=out[1:])
     entered = np.subtract(out, r, out=out)
     np.minimum.accumulate(entered, out=best)
-    moves[best < entered] = _LEFT
+    np.less(best, entered, out=moves[0])
     return np.add(r, best, out=out)
 
 
 def lattice_dp(lat: Lattice, diagonal: bool):
     """Best right/up(/diagonal) path from the first lattice point to the last: (value, points).
 
-    Streams the weights row chunk by row chunk, records the move that
-    reached each point in an int8 table (one byte per lattice point) and
-    backtracks over it.
+    Streams the weights row chunk by row chunk and records the move that
+    reached each point in bit planes, packed one row chunk at a time: one
+    bit per lattice point for "entered from the left" and, with diagonals,
+    a second for "diagonal beat vertical".  Then it backtracks over them.
     """
     nx = len(lat.xs)
-    moves = np.empty((len(lat.ys), nx), dtype=np.int8)
-    moves[0] = _LEFT
+    planes = np.zeros((len(lat.ys), 1 + diagonal, (nx + 7) // 8), dtype=np.uint8)
+    planes[0, 0] = np.packbits(np.ones(nx, dtype=bool))  # the first row is entered from the left
+    moves = np.zeros((_ROW_CHUNK, 1 + diagonal, nx), dtype=bool)  # no diagonal enters column 0
     prev, out, best = None, np.empty(nx), np.empty(nx)
     sums = np.zeros((_ROW_CHUNK + 1, nx))  # running sums of each row's rightward weights
     for r0, right, up, diag in lattice_weights(lat, diagonal):
@@ -297,17 +318,26 @@ def lattice_dp(lat: Lattice, diagonal: bool):
             prev = sums[0].copy()
         for t in range(len(up)):
             prev, out = _row_update(prev, up[t], None if diag is None else diag[t], sums[t + 1],
-                                    moves[r0 + t + 1], out, best), prev
-    return float(prev[-1]), _backtrack(lat, moves)
+                                    moves[t], out, best), prev
+        planes[r0 + 1:r0 + 1 + len(up)] = np.packbits(moves[:len(up)], axis=2)
+    return float(prev[-1]), _backtrack(lat, planes)
 
 
-def _backtrack(lat: Lattice, moves) -> np.ndarray:
-    r, c = moves.shape[0] - 1, moves.shape[1] - 1
+def _backtrack(lat: Lattice, planes) -> np.ndarray:
+    """Walk back from the last lattice point: left where that bit is set,
+    else diagonally where that bit is set, else up."""
+    _, k, width = planes.shape
+    bits = memoryview(planes.reshape(-1))
+    r, c = planes.shape[0] - 1, len(lat.xs) - 1
     rows, cols = [r], [c]
     while r or c:
-        m = int(moves[r, c])
-        c -= m & 1
-        r -= m >> 1
+        at, shift = r * k * width + (c >> 3), 7 - (c & 7)
+        if bits[at] >> shift & 1:
+            c -= 1
+        else:
+            if k > 1 and bits[at + width] >> shift & 1:
+                c -= 1
+            r -= 1
         rows.append(r)
         cols.append(c)
     return np.column_stack([lat.xs[cols[::-1]], lat.ys[rows[::-1]]])
@@ -319,8 +349,8 @@ def dense_grid_oracle(t1: PolygonalCurve, t2: PolygonalCurve, h: float,
 
     An upper bound on the integral distance that never increases when the
     lattice is refined by a vertex superset.  Streams the dynamic program
-    row by row; beyond one row of distances it keeps the one-byte move
-    table of :func:`lattice_dp`.
+    row by row; beyond one row of distances it keeps the move bit planes
+    of :func:`lattice_dp`, two bits per lattice point.
     """
     return dense_grid_oracle_path(t1, t2, h, max_points)[0]
 

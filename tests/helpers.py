@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ifd
+from ifd import graphs
 from ifd.cell_paths import _dedupe, _shortest_vertices
 from ifd.integrals import _split
 
@@ -181,6 +182,79 @@ def reference_polish(t1, t2, path):
     return p, 32
 
 
+def reference_arrangement(h, v, o, iso, snap, cap):
+    """The reference for ``graphs._arrangement``: every stage stays alive to
+    the end, and the edges come in first-seen order.
+
+    Snap-rounded arrangement of horizontals ``h[i] = (y, x0, x1)``,
+    verticals ``v[j] = (x, y0, y1)`` sorted by x, general segments
+    ``o[k] = (px, py, qx, qy)`` and isolated points ``iso``.
+
+    Every segment is split at its crossings and at the isolated points on
+    it; splits that round to one ``snap`` key are one point.  Returns
+    ``(coords, tails, heads, ends)``: the vertices in first-seen order,
+    isolated points first, and each edge (oriented right/up, the first
+    piece of each vertex pair) with its embedding ``ends[e] = (tail, head)``.
+    Raises ``BudgetExceeded`` when the crossings exceed ``cap``.
+    """
+    p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
+    q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], o[:, 2:]])
+    n, n_h = len(p), len(h)
+    rows, cols = graphs._hv_crossings(h, v, snap, cap)
+    seg, at = [], []
+    for idx, x, lo, hi in ((rows, v[cols, 0], h[rows, 1], h[rows, 2]),
+                           (n_h + cols, h[rows, 0], v[cols, 1], v[cols, 2])):
+        keep = hi > lo
+        seg.append(idx[keep])
+        at.append(np.clip((x[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0))
+    count = len(rows)
+    # the few general segments against every other segment, both ways
+    for i in range(n_h + len(v), n):
+        k, t1, t2 = graphs._seg_intersections(p[i], q[i], p, q, snap)
+        other = k != i
+        k, t1, t2 = k[other], t1[other], t2[other]
+        seg += [np.full(len(k), i), k]
+        at += [t1, t2]
+        count += len(k)
+    if count > cap:
+        raise graphs.BudgetExceeded(count, cap)
+    for pt in iso:
+        k, t1, _ = graphs._seg_intersections(p, q, pt, pt, snap)
+        seg.append(k)
+        at.append(t1)
+    seg = np.concatenate(seg + [np.arange(n), np.arange(n)])
+    at = np.concatenate(at + [np.zeros(n), np.ones(n)])
+
+    # pieces: consecutive splits along each segment, keeping the first
+    # split of each run that shares a snap key
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    pts = p[seg] + at[:, None] * (q[seg] - p[seg])
+    key = np.rint(pts / snap)
+    kept = np.ones(len(seg), dtype=bool)
+    kept[1:] = (seg[1:] != seg[:-1]) | np.any(key[1:] != key[:-1], axis=1)
+    seg, pts = seg[kept], pts[kept]
+    piece = np.flatnonzero(seg[1:] == seg[:-1])
+    ends = np.stack((pts[piece], pts[piece + 1]), axis=1)
+    a, b = ends[:, 0], ends[:, 1]
+    back = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
+    ends[back] = ends[back, ::-1]
+
+    # vertices: one per snap key, numbered by first occurrence; the x and
+    # y keys are ranked apart so one 1-D unique finds the distinct points
+    pts = np.concatenate([iso, ends.reshape(-1, 2)])
+    kx, ky = (np.unique(np.rint(pts[:, d] / snap), return_inverse=True)[1] for d in (0, 1))
+    _, first, inv = np.unique(kx * (ky.max() + 1) + ky, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vid = rank[inv]
+    tails, heads = vid[len(iso)::2], vid[len(iso) + 1::2]
+    _, first_edge = np.unique(tails * len(order) + heads, return_index=True)
+    keep = np.sort(first_edge)
+    return pts[first[order]], tails[keep], heads[keep], ends[keep]
+
+
 class QuadratureDepth(Exception):
     """Adaptive Simpson hit its depth limit without reaching the tolerance."""
 
@@ -254,6 +328,9 @@ def quadrature_weighted_length(grid, a, b, tol=1e-12):
 PARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)])
 PERPENDICULAR = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 0.0), (0.0, 1.0)])
 ANTIPARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 1.0), (0.0, 1.0)])
+# the first two segments of the C4 identical curve, twice; its desk-preset
+# g2 at epsilon 0.25 has 16,900 vertices
+IDENTICAL = ([(0.0, 0.0), (1.0, 0.4), (1.7, 0.9)],) * 2
 # a 3-segment curve of length 1 and a 1-segment curve of length 1.3, lifted
 # apart until the desk-preset g2 (epsilon 0.25) has 5040 vertices, all of
 # them crossings of ball-lattice lines

@@ -298,6 +298,19 @@ def test_polish_speed_runs_once():
     assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:])
 
 
+def test_g2_memory_runs_once():
+    # one timed and one traced build and search of the C6 g2 at epsilon 0.25
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "g2_memory.py"
+    out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--epsilons", "0.25"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["0.25", "201614", "402326"]]
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in rows[0][3:7])
+
+
 def test_band_experiment_runs_once():
     # one pair at one epsilon reaches graph_stats, the g2 budget and the dense oracle
     src = os.path.dirname(os.path.dirname(ifd.__file__))

@@ -1,22 +1,27 @@
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ifd
+from ifd import graphs
 from ifd.errors import BudgetExceeded, DegenerateBall, Disconnected, NoFeasibleGraph
 from ifd.graphs import MODES
 from ifd.shortest_path import snapped_axis
 
 from helpers import (
     ARRANGEMENT_PAIR,
+    IDENTICAL,
     PARALLEL,
     PERPENDICULAR,
     curve_pair,
+    over_scales,
     quadrature_weighted_length,
     random_curve,
+    reference_arrangement,
 )
 
 
@@ -387,6 +392,67 @@ def test_g2_crossing_blocks_leave_graph_unchanged(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=2000))
     assert exc.value.projected == 5040
+
+
+# g2 inputs of the bit-identity check against the reference arrangement
+_G2_CASES = {
+    "parallel": (PARALLEL, ifd.GraphConfig.desk(0.25)),
+    "perpendicular": (PERPENDICULAR, ifd.GraphConfig.desk(0.25)),
+    "identical": (IDENTICAL, ifd.GraphConfig.desk(0.25)),
+    # the curves cross twice, each crossing a zero of the leash
+    "crossing": (([(0, 0), (1, 1), (2, 0)], [(0, 1), (1, 0), (2, 1)]), ifd.GraphConfig.desk(0.5)),
+    # the curves touch at a shared vertex
+    "touching": (([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 0), (2, 1)]), ifd.GraphConfig.desk(0.5)),
+    # an offset of 1e-7, far below mu; smaller balls keep the lattices small
+    "nearly coincident": (([(0, 0), (1, 0.4), (2.3, 0.1)],
+                           [(0, 1e-7), (1, 0.4 + 1e-7), (2.3, 0.1 + 1e-7)]),
+                          ifd.GraphConfig.desk(0.25, c_radius=2.0, c_mesh=1.0)),
+    # the source is an isolated point that no edge reaches
+    "isolated points": (([(0, 0), (1, 0), (1, 1)], [(9, 5), (8, 5), (8, 6)]),
+                        ifd.GraphConfig.desk(0.3, c_g1=10.0)),
+}
+
+
+@over_scales
+@pytest.mark.parametrize("case", list(_G2_CASES))
+def test_g2_matches_reference_arrangement(case, s, monkeypatch):
+    # the staged arrangement frees what it has consumed and emits its edges
+    # in (tail, head) order: vertices, edges, weights and search stay the
+    # reference's, bit for bit
+    (a, b), cfg = _G2_CASES[case]
+    t1, t2 = ifd.build_curve(a).scaled(s), ifd.build_curve(b).scaled(s)
+    g = ifd.build_g2(t1, t2, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_arrangement", reference_arrangement)
+        ref = ifd.build_g2(t1, t2, cfg)
+    assert g.xs.tobytes() == ref.xs.tobytes() and g.ys.tobytes() == ref.ys.tobytes()
+    order = np.lexsort((ref.heads, ref.tails))
+    for name in ("tails", "heads", "weights"):
+        assert getattr(g, name).tobytes() == getattr(ref, name)[order].tobytes(), name
+    r, r_ref = ifd.dijkstra(g), ifd.dijkstra(ref)
+    assert repr(r.distance) == repr(r_ref.distance)
+    assert r.vertex_ids == r_ref.vertex_ids
+    assert r.points.tobytes() == r_ref.points.tobytes()
+    assert r.reachable == (case != "isolated points")
+
+
+def test_g2_build_and_search_memory_bound():
+    # the traced peak of building and searching g2 stays within five times
+    # the arrays the graph keeps
+    t = ifd.build_curve(IDENTICAL[0])
+    cfg = ifd.GraphConfig.desk(0.25)
+    # first calls of some numpy functions import modules, which would be traced too
+    ifd.dijkstra(ifd.build_g2(*curve_pair(PERPENDICULAR), cfg))
+    tracemalloc.start()
+    try:
+        g = ifd.build_g2(t, t, cfg)
+        ifd.dijkstra(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_vertices == 16_900
+    size = sum(getattr(g, name).nbytes for name in ("xs", "ys", "tails", "heads", "weights"))
+    assert peak <= 5 * size
 
 
 def _near_interior(g, snap):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import ifd
+from ifd import graphs, shortest_path
 from ifd.errors import BudgetExceeded
 from ifd.shortest_path import (
     Lattice,
     _staircase_lattice,
+    adjacency,
     dense_grid_oracle_path,
     lattice_weights,
     snapped_axis,
@@ -191,6 +193,40 @@ def test_sweep_matches_scipy_dijkstra():
     r = ifd.dijkstra(g)
     assert (r.distance, r.vertex_ids) == (dist[g.sink], ids)
     assert np.array_equal(bellman_ford(g), dist)
+
+
+def test_adjacency_takes_sorted_edges_as_they_are():
+    # unsorted edges with repeats are sorted and merged to their minimum
+    # weight; edges already sorted without repeats are used without a copy
+    rng = np.random.default_rng(12)
+    tails, heads = rng.integers(0, 30, 300), rng.integers(0, 30, 300)
+    weights = rng.choice([0.0, 0.5, 1.0], 300)
+    adj = adjacency(30, tails, heads, weights)
+    pairs = sorted(set(zip(tails.tolist(), heads.tolist())))
+    assert list(zip(np.repeat(np.arange(30), np.diff(adj.indptr)).tolist(),
+                    adj.indices.tolist())) == pairs
+    best = {}
+    for t, h, w in zip(tails.tolist(), heads.tolist(), weights.tolist()):
+        best[t, h] = min(w, best.get((t, h), math.inf))
+    assert adj.data.tolist() == [best[p] for p in pairs]
+    again = adjacency(30, np.array([t for t, _ in pairs]), adj.indices, adj.data)
+    assert again.indices is adj.indices and again.data is adj.data
+    assert np.array_equal(again.indptr, adj.indptr)
+
+
+def test_edge_blocks_leave_search_unchanged(monkeypatch):
+    # the monotonicity check and the path recovery walk the edges in
+    # blocks; tiny blocks must give the same distance and path, and still
+    # find a backward edge in a late block
+    t1, t2 = curve_pair(ARRANGEMENT_PAIR)
+    cfg = ifd.GraphConfig.desk(epsilon=0.25)
+    ref = ifd.dijkstra(ifd.build_g2(t1, t2, cfg))
+    for module in (graphs, shortest_path):
+        monkeypatch.setattr(module, "_EDGE_BLOCK", 7)
+    r = ifd.dijkstra(ifd.build_g2(t1, t2, cfg))
+    assert (repr(r.distance), r.vertex_ids) == (repr(ref.distance), ref.vertex_ids)
+    with pytest.raises(ValueError, match="non-monotone"):
+        _graph(list(range(19)) + [19], list(range(1, 20)) + [3], [1.0] * 20, 20)
 
 
 def test_snapped_axis_contains_cuts():
