@@ -99,8 +99,9 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     """Shortest weighted monotone path from a to b inside one cell, with its weight.
 
     Requires ``a <= b`` in the dominance order.  Raises
-    :class:`AntiparallelCell` when the cell has no monotone axis; callers
-    fall back to :func:`staircase_fallback_path`.
+    :class:`AntiparallelCell` when the cell has no monotone axis; no
+    library caller asks then (g2 skips such cells and
+    :func:`~ifd.matching.locally_optimize` keeps its subpath through them).
     """
     verts, branch = _shortest_vertices(cell, a, b)
     return CellPath(
@@ -113,8 +114,9 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
 def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath:
     """Best right/up/diagonal path over the k x k lattice spanned by a and b.
 
-    Used where no monotone axis exists, and as the brute-force reference
-    for :func:`cell_shortest_path`.  Raises ``ValueError`` when k < 1.
+    A brute-force reference for :func:`cell_shortest_path`, antiparallel
+    cells included; no library code falls back to it.  Raises
+    ``ValueError`` when k < 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -144,11 +146,11 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
         raise NotMonotone(f"{o} does not dominate {p}")
     mid = 0.5 * (edge.lo + edge.hi)
     if edge.vertical:
-        i_lo, _ = grid.locate(edge.fixed, mid, prefer_lower=True)
+        i_lo, _ = grid.locate(edge.fixed, mid)
         cell_o = grid.cell(i_lo, edge.span_index)
         cell_p = grid.cell(min(i_lo + 1, grid.n_cols - 1), edge.span_index)
     else:
-        _, j_lo = grid.locate(mid, edge.fixed, prefer_lower=True)
+        _, j_lo = grid.locate(mid, edge.fixed)
         cell_o = grid.cell(edge.span_index, j_lo)
         cell_p = grid.cell(edge.span_index, min(j_lo + 1, grid.n_rows - 1))
     if cell_o.kind == "antiparallel" or cell_p.kind == "antiparallel":

@@ -156,7 +156,10 @@ def render_svg(t1: PolygonalCurve, t2: PolygonalCurve, overlays=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _slice_outline(cell, delta, samples: int = 96):
+_OUTLINE_ROWS = 96  # sampled rows per slice outline
+
+
+def _slice_outline(cell, delta):
     """Sampled boundary of {w = delta} within a cell, as in-cell point runs.
 
     On the row at height eta the leash runs along T1's segment from the
@@ -173,7 +176,7 @@ def _slice_outline(cell, delta, samples: int = 96):
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
     if lo > hi or (cross == 0.0 and abs(off0) > delta):
         return
-    eta = np.linspace(lo, hi, samples + 1)
+    eta = np.linspace(lo, hi, _OUTLINE_ROWS + 1)
     # the pinned point's offsets along and across u; the clip keeps the
     # rows at the ends of the range from rounding off the level
     along = cell.du + eta * float(cell.u @ cell.v)
@@ -236,6 +239,8 @@ def main(argv=None) -> int:
         t1 = load_curve(args.a)
         t2 = load_curve(args.b)
         cfg = _resolve_config(args)
+        if not all(d >= 0.0 for d in args.delta):
+            raise ValueError(f"--delta must be nonnegative, got {args.delta}")
         opt_input = load_path_file(args.optimize_matching) if args.optimize_matching else None
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             TooFewVertices, NotMonotone) as exc:

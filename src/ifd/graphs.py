@@ -127,7 +127,9 @@ class MonotoneDigraph:
         """Raise ``ValueError`` on a backward edge or a negative weight.
 
         A step back counts only beyond 1e-9 times the largest coordinate,
-        so snap-rounded vertices pass at every scale.
+        and a negative weight only beyond 1e-12 times the largest |weight|,
+        so snap-rounded vertices and rounding-level weights pass at every
+        scale.
         """
         if self.n_edges == 0:
             return
@@ -136,7 +138,8 @@ class MonotoneDigraph:
             t, h = self.tails[a:a + _EDGE_BLOCK], self.heads[a:a + _EDGE_BLOCK]
             if min(float((c[h] - c[t]).min()) for c in (self.xs, self.ys)) < -1e-9 * extent:
                 raise ValueError("graph contains a non-monotone edge")
-        if float(self.weights.min()) < -1e-12:
+        lo, hi = float(self.weights.min()), float(self.weights.max())
+        if lo < -1e-12 * max(-lo, hi):
             raise ValueError("graph contains a negative edge weight")
 
     def csr(self):
@@ -336,12 +339,12 @@ def _arrangement(h, v, o, iso, snap, cap):
 
     Every segment is split at its crossings and at the isolated points on
     it; splits that round to one ``snap`` key are one point.  Returns
-    ``(coords, tails, heads, ends)``: the vertices in first-seen order,
-    isolated points first, and the edges sorted by (tail, head), each
-    oriented right/up with the embedding ``ends[e] = (tail, head)`` of the
-    first piece between its two vertices.  Each stage's arrays are released
-    once the next stage holds what it needs, so the peak stays a few times
-    the size of the result.  Raises ``BudgetExceeded`` when the crossings
+    ``(coords, tails, heads, ends, iso_ids)``: the vertices in (x key,
+    y key) order, the edges sorted by (tail, head), each oriented right/up
+    with the embedding ``ends[e] = (tail, head)`` of the first piece
+    between its two vertices, and the vertex id of every isolated point.
+    Each stage's arrays are released once the next stage holds what it
+    needs, so the peak stays a few times the size of the result.  Raises ``BudgetExceeded`` when the crossings
     exceed ``cap``.
     """
     p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
@@ -409,8 +412,8 @@ def _arrangement(h, v, o, iso, snap, cap):
     ends[back] = ends[back, ::-1]
     del a, b  # views that would keep flat alive
 
-    # vertices: one per snap key, numbered by first occurrence; a stable
-    # sort by (x key, y key) keeps each point's first occurrence first
+    # vertices: one per snap key, numbered in (x key, y key) order; the
+    # sort is stable, so each key's first point in flat represents it
     kx, ky = flat[:, 0] / snap, flat[:, 1] / snap
     perm = np.lexsort((np.rint(ky, out=ky), np.rint(kx, out=kx)))
     kx, ky = kx[perm], ky[perm]
@@ -418,29 +421,21 @@ def _arrangement(h, v, o, iso, snap, cap):
     new[0] = True
     new[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
     del kx, ky
-    first = perm[new]  # each point's first occurrence, points in key order
-    group = np.cumsum(new) - 1
-    del new
-    by_first = np.argsort(first)
-    coords = flat[first[by_first]]
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    del first, by_first
-    group = rank[group]
-    del rank
+    coords = flat[perm[new]]
     vid = np.empty(len(flat), dtype=np.int64)
-    vid[perm] = group
-    del perm, group
+    vid[perm] = np.cumsum(new) - 1
+    del perm, new
 
     # edges: the first piece of each vertex pair, in (tail, head) order
     n_v = len(coords)
     pair = vid[len(iso)::2] * n_v
     pair += vid[len(iso) + 1::2]
+    iso_ids = vid[:len(iso)].copy()
     del vid
     pair, first_edge = np.unique(pair, return_index=True)
     ends = ends[first_edge]
     del flat
-    return coords, pair // n_v, pair % n_v, ends
+    return coords, pair // n_v, pair % n_v, ends, iso_ids
 
 
 def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> MonotoneDigraph:
@@ -456,7 +451,7 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     generates them from the same ranges as arrays, and
     :func:`_merge_lines` unions them per snap key.  :func:`_arrangement`
     splits all lines at once: the intersections become vertices, numbered
-    with the source 0 and the sink 1 first, every edge points right/up, and
+    in (x, y) snap-key order, every edge points right/up, and
     all edge weights come from one batched closed-form call over the
     embedded pieces.
     """
@@ -515,8 +510,8 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
             diag_segs.append((corner, ell[0]) if end == 0 else (ell[1], corner))
 
     o = np.array(diag_segs, dtype=float).reshape(-1, 4)
-    coords, tails, heads, ends = _arrangement(h, v, o, np.array(iso, dtype=float), snap,
-                                              cfg.max_vertices)
+    coords, tails, heads, ends, iso_ids = _arrangement(h, v, o, np.array(iso, dtype=float),
+                                                       snap, cfg.max_vertices)
     if len(coords) > cfg.max_vertices:
         raise BudgetExceeded(len(coords), cfg.max_vertices)
     weights = segment_weighted_length(grid, ends[:, 0], ends[:, 1])
@@ -527,8 +522,8 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
         tails=tails,
         heads=heads,
         weights=weights,
-        source=0,
-        sink=1,
+        source=int(iso_ids[0]),
+        sink=int(iso_ids[1]),
     )
 
 

@@ -212,19 +212,15 @@ class CellGrid:
                 cell = self._built[key] = _make_cell(self.t1, self.t2, *key)
         return cell
 
-    def locate(self, x: float, y: float, prefer_lower: bool = False):
-        """Cell indices (i, j) containing (x, y); boundaries resolve upward
-        unless ``prefer_lower``."""
-        side = "left" if prefer_lower else "right"
-        i = int(np.searchsorted(self.x_cuts, x, side=side)) - 1
-        j = int(np.searchsorted(self.y_cuts, y, side=side)) - 1
-        return (
-            min(max(i, 0), self.n_cols - 1),
-            min(max(j, 0), self.n_rows - 1),
-        )
+    def locate(self, x: float, y: float):
+        """Cell indices (i, j) containing (x, y).  A point on a parameter
+        line belongs to the lower/left cell, as a piece on that line does;
+        points outside the rectangle go to the nearest cell."""
+        return (int(np.searchsorted(self.x_cuts[1:-1], x, side="left")),
+                int(np.searchsorted(self.y_cuts[1:-1], y, side="left")))
 
-    def cell_at(self, p, prefer_lower: bool = False) -> ParameterCell:
-        return self.cell(*self.locate(p[0], p[1], prefer_lower=prefer_lower))
+    def cell_at(self, p) -> ParameterCell:
+        return self.cell(*self.locate(p[0], p[1]))
 
     def edges(self) -> Iterator[GridEdge]:
         """All cell-boundary edges, including the ones on the outer boundary."""
@@ -242,18 +238,17 @@ class FreeSpaceAxes:
 
     ``center`` is the unconstrained minimizer of the squared weight (it may
     lie far outside the cell); ``ell`` is the slope +1 line through it
-    clipped to the cell (None when the line misses the cell), ``hbar`` the
-    slope -1 counterpart (None for parallel cells).  Along ``ell`` the
-    weight is w(t) = hypot(w_center, slope * t) with t the L1 offset from
-    the center, which degenerates to a single-kink piecewise-linear map
-    because w_center is zero for every non-parallel cell.
+    clipped to the cell (None when the line misses the cell).  Along
+    ``ell`` the weight is w(t) = hypot(w_center, slope * t) with t the L1
+    offset from the center, which degenerates to a single-kink
+    piecewise-linear map because w_center is zero for every non-parallel
+    cell.
     """
 
     center: ParameterPoint
     slope: float            # dw per unit of L1 travel along ell: |u - v| / 2
     w_center: float
     ell: Optional[tuple]
-    hbar: Optional[tuple]
 
     def w_at(self, t: float) -> float:
         """Weight at L1 offset ``t`` from the center along the axis line."""
@@ -315,23 +310,13 @@ def _clip_slope1(k: float, x0, x1, y0, y1):
     return ParameterPoint(lo, lo + k), ParameterPoint(hi, hi + k)
 
 
-def _clip_slope_neg1(k: float, x0, x1, y0, y1):
-    """Clip y = -x + k to a rectangle; endpoints ordered by x."""
-    lo = max(x0, k - y1)
-    hi = min(x1, k - y0)
-    if lo > hi + _CLIP_TOL * max(abs(x1), abs(y1)):
-        return None
-    hi = max(lo, hi)
-    return ParameterPoint(lo, k - lo), ParameterPoint(hi, k - hi)
-
-
 def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
     """Axes of the cell's weight quadratic.
 
     For a generic cell the center solves the 2x2 normal equations of the
     quadratic (Hessian [[1, -c], [-c, 1]], eigenvectors (1, 1) and
     (1, -1)), so the monotone axis always has slope +1.  Parallel cells
-    keep the whole minimizing slope +1 line and leave ``hbar`` undefined.
+    keep the whole minimizing slope +1 line.
     Antiparallel cells raise :class:`AntiparallelCell`.
     """
     if cell.kind == "antiparallel":
@@ -346,7 +331,6 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
         cx = 0.5 * (xm + ym - k)
         center = ParameterPoint(cx, cx + k)
         w_center = float(cell.weight_at(center.x, center.y))
-        hbar = None
     else:
         den = 1.0 - cell.c * cell.c
         xi = (cell.du - cell.c * cell.dv) / den
@@ -355,9 +339,8 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
         # u and v span the plane, so the unconstrained minimum is exactly 0;
         # evaluating the quadratic at a far-away center would lose precision
         w_center = 0.0
-        hbar = _clip_slope_neg1(center.x + center.y, cell.x0, cell.x1, cell.y0, cell.y1)
     ell = _clip_slope1(k, cell.x0, cell.x1, cell.y0, cell.y1)
-    return FreeSpaceAxes(center=center, slope=slope, w_center=w_center, ell=ell, hbar=hbar)
+    return FreeSpaceAxes(center=center, slope=slope, w_center=w_center, ell=ell)
 
 
 def _cell_tol(cell: ParameterCell) -> float:

@@ -3,9 +3,9 @@
 Every edge of a monotone digraph points right or up, so the graph is
 acyclic: one sweep over a topological order (Kahn's algorithm, a whole
 level of vertices at a time, in numpy) settles every distance, and the
-path is reconstructed backwards with ties broken toward the smallest
-vertex id.  Rectangular lattices (the uniform grid g1, the dense
-snapped-grid oracle and the per-cell staircase of
+path is reconstructed backwards over exactly tight edges, ties broken
+toward the smallest vertex id.  Rectangular lattices (the uniform grid
+g1, the dense snapped-grid oracle and the per-cell staircase of
 ``cell_paths.staircase_fallback_path``) share one weight
 generator and one row-by-row dynamic program over right/up(/diagonal)
 moves.  Every sweep records the move into each point in bit planes (one
@@ -146,10 +146,12 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     ``source``/``target`` default to the graph's own endpoints.  An
     unreachable target yields an infinite distance and an empty path.  The
     search is one topological sweep (the graph is acyclic), not a priority
-    queue; distances equal Dijkstra's bit for bit, and the path walks back
-    over in-edges within ``1e-12 * |dist|`` of tight, smallest
-    predecessor id first.  A cycle (zero-length edges both ways between
-    two vertices at one point) raises ``ValueError``.
+    queue; distances equal Dijkstra's bit for bit.  The path walks back
+    over exactly tight in-edges (``dist[tail] + w == dist[head]``; the sweep
+    stored one of these very sums), smallest predecessor id first, so its
+    edge weights summed from the source reproduce ``distance`` exactly.  A
+    cycle (zero-length edges both ways between two vertices at one point)
+    raises ``ValueError``.
     """
     s = graph.source if source is None else source
     t = graph.sink if target is None else target
@@ -170,8 +172,7 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
         tails = np.repeat(np.arange(u, v), np.diff(indptr[u:v + 1]))
         reached = np.flatnonzero(np.isfinite(dist[adj.indices[block]]))
         head = adj.indices[block][reached]
-        slack = dist[tails[reached]] + adj.data[block][reached] - dist[head]
-        tight = slack <= 1e-12 * np.abs(dist[head])
+        tight = dist[tails[reached]] + adj.data[block][reached] == dist[head]
         np.minimum.at(pred_edge, head[tight], reached[tight] + indptr[u])
         u = v
     path = [t]

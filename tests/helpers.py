@@ -144,6 +144,18 @@ def bellman_ford(graph, source=None):
     return dist
 
 
+def path_weight_sum(graph, ids):
+    """The plain left-to-right float sum of the edge weights along the
+    vertex ids ``ids``; the search's adjacency holds one edge per vertex pair."""
+    adj = graph.csr()
+    total = 0.0
+    for a, b in zip(ids[:-1], ids[1:]):
+        lo = adj.indptr[a]
+        k = lo + np.flatnonzero(adj.indices[lo:adj.indptr[a + 1]] == b)
+        total += float(adj.data[k[0]])
+    return total
+
+
 def reference_sweep(grid, p):
     """One substitution sweep grouped with numpy over :func:`integrals._split`'s pieces.
 
@@ -192,9 +204,10 @@ def reference_arrangement(h, v, o, iso, snap, cap):
 
     Every segment is split at its crossings and at the isolated points on
     it; splits that round to one ``snap`` key are one point.  Returns
-    ``(coords, tails, heads, ends)``: the vertices in first-seen order,
-    isolated points first, and each edge (oriented right/up, the first
-    piece of each vertex pair) with its embedding ``ends[e] = (tail, head)``.
+    ``(coords, tails, heads, ends, iso_ids)``: the vertices in first-seen
+    order, isolated points first, each edge (oriented right/up, the first
+    piece of each vertex pair) with its embedding ``ends[e] = (tail, head)``,
+    and the vertex id of every isolated point.
     Raises ``BudgetExceeded`` when the crossings exceed ``cap``.
     """
     p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
@@ -252,7 +265,7 @@ def reference_arrangement(h, v, o, iso, snap, cap):
     tails, heads = vid[len(iso)::2], vid[len(iso) + 1::2]
     _, first_edge = np.unique(tails * len(order) + heads, return_index=True)
     keep = np.sort(first_edge)
-    return pts[first[order]], tails[keep], heads[keep], ends[keep]
+    return pts[first[order]], tails[keep], heads[keep], ends[keep], vid[:len(iso)]
 
 
 class QuadratureDepth(Exception):

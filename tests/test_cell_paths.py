@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ifd
-from ifd.errors import AntiparallelCell
+from ifd.errors import AntiparallelCell, NotMonotone
 
 from helpers import (
     ANTIPARALLEL,
@@ -38,6 +38,8 @@ def test_full_diagonal():
     assert p.branch == "through_axis"
     assert p.weighted_length == pytest.approx(2.0, abs=1e-12)
     assert [tuple(v) for v in p.vertices] == [(0.0, 0.0), (1.0, 1.0)]
+    with pytest.raises(NotMonotone):
+        ifd.cell_shortest_path(cell, (1, 1), (0, 0))
 
 
 def test_partial_axis_entry():

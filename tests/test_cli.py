@@ -27,7 +27,7 @@ def parallel_files(tmp_path):
     return str(a), str(b)
 
 
-def test_happy_path(parallel_files, tmp_path):
+def test_happy_path(parallel_files, tmp_path, capsys):
     a, b = parallel_files
     out = tmp_path / "report.json"
     code = main([
@@ -45,6 +45,29 @@ def test_happy_path(parallel_files, tmp_path):
     assert report["winning_mode"] == "g2"
     assert report["config"]["epsilon"] == 0.25
     assert report["graph_stats"]["g1"]["vertices"] > 0
+    # without --out the same report goes to stdout
+    assert main(["compute", "--a", a, "--b", b, "--epsilon", "0.25", "--mode", "both"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == list(report)
+
+
+def test_unwritable_outputs_exit_2(parallel_files, tmp_path, capsys):
+    a, b = parallel_files
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = ["compute", "--a", a, "--b", b, "--epsilon", "0.25"]
+    assert main(argv + ["--out", str(missing / "r.json")]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path / "r.json"), "--svg", str(missing / "s.svg")]) == 2
+    assert "cannot write svg" in capsys.readouterr().err
+
+
+def test_negative_delta_is_an_input_error(parallel_files, tmp_path, capsys):
+    # as ellipse_slice rejects a negative level, so does the SVG's --delta
+    a, b = parallel_files
+    svg = tmp_path / "s.svg"
+    code = main(["compute", "--a", a, "--b", b, "--epsilon", "0.25",
+                 "--svg", str(svg), "--delta", "-1"])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err and not svg.exists()
 
 
 def test_report_round_trip(parallel_files, tmp_path):
@@ -73,14 +96,15 @@ def test_json_and_csv_ingest_identically(tmp_path):
     j = tmp_path / "c.json"
     j.write_text(json.dumps({"vertices": [[0, 0], [1.5, 0.25], [2, 1]]}))
     c = tmp_path / "c.csv"
-    c.write_text("0,0\n1.5,0.25\n2,1\n")
+    # blank and '#' lines are skipped
+    c.write_text("# x,y\n0,0\n\n1.5,0.25\n  \n2,1\n")
     cj = load_curve(str(j))
     cc = load_curve(str(c))
     assert np.array_equal(cj.vertices, cc.vertices)
     assert np.array_equal(cj.cum_length, cc.cum_length)
 
 
-def test_malformed_curve_file(tmp_path):
+def test_malformed_curve_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,0\nnot-a-number,3\n")
     ok = tmp_path / "ok.json"
@@ -88,6 +112,10 @@ def test_malformed_curve_file(tmp_path):
     assert main(["compute", "--a", str(bad), "--b", str(ok), "--epsilon", "0.25"]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["compute", "--a", missing, "--b", str(ok), "--epsilon", "0.25"]) == 2
+    triple = tmp_path / "triple.csv"
+    triple.write_text("0,0\n0,1,2\n")
+    assert main(["compute", "--a", str(triple), "--b", str(ok), "--epsilon", "0.25"]) == 2
+    assert "expected 'x,y'" in capsys.readouterr().err
     single = tmp_path / "single.csv"
     single.write_text("0,0\n")
     assert main(["compute", "--a", str(single), "--b", str(ok), "--epsilon", "0.25"]) == 2

@@ -19,6 +19,7 @@ from helpers import (
     PERPENDICULAR,
     curve_pair,
     over_scales,
+    path_weight_sum,
     quadrature_weighted_length,
     random_curve,
     reference_arrangement,
@@ -30,6 +31,8 @@ def test_config_validation():
         ifd.GraphConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ifd.GraphConfig(epsilon=0.1, c_g1=-1)
+    with pytest.raises(ValueError, match="max_vertices"):
+        ifd.GraphConfig(epsilon=0.25, max_vertices=0)
     # the modes are the keys of one table, and each one is accepted
     assert list(MODES) == ["g1", "g2", "both", "oracle"]
     for mode in ("warp", "G1", "g1,g2"):
@@ -234,7 +237,7 @@ def test_g2_composition_audit():
         if abs(bx - ax) <= 1e-10 or abs(by - ay) <= 1e-10:
             continue  # lattice line
         assert abs((by - ay) - (bx - ax)) <= 1e-10, "slope-one edge expected"
-        cell = grid.cell_at(((ax + bx) / 2, (ay + by) / 2), prefer_lower=True)
+        cell = grid.cell_at(((ax + bx) / 2, (ay + by) / 2))
         k = cell.axis_intercept
         assert abs((ay - ax) - k) <= 1e-10
 
@@ -250,6 +253,32 @@ def test_monotone_orientation_enforced():
             source=0,
             sink=1,
         )
+    # a graph without edges has nothing to check
+    empty = ifd.MonotoneDigraph(xs=np.zeros(2), ys=np.zeros(2), tails=np.zeros(0, dtype=int),
+                                heads=np.zeros(0, dtype=int), weights=np.zeros(0),
+                                source=0, sink=1)
+    assert empty.n_edges == 0
+
+
+@over_scales
+def test_negative_weight_guard_is_scale_free(s):
+    # weights scale with s^2, so the guard is relative to the largest one:
+    # -1e-6 of it is rejected, a rounding-level -1e-14 and 0 pass
+    def graph(w):
+        return ifd.MonotoneDigraph(
+            xs=s * np.array([0.0, 1.0, 2.0]),
+            ys=s * np.array([0.0, 1.0, 2.0]),
+            tails=np.array([0, 1, 0]),
+            heads=np.array([1, 2, 2]),
+            weights=s * s * np.array([1.0, 1.0, w]),
+            source=0,
+            sink=2,
+        )
+
+    with pytest.raises(ValueError, match="negative edge weight"):
+        graph(-1e-6)
+    graph(-1e-14)
+    graph(0.0)
 
 
 def test_edge_weight_audit_one_percent():
@@ -365,7 +394,7 @@ def test_no_feasible_graph():
         ifd.approximate_integral_frechet(t1, t2, oracle)
 
 
-def test_g2_budget_reports_crossings():
+def test_g2_budget_reports_crossings(monkeypatch):
     # the arrangement pass counts every crossing before it stores a split,
     # so a rejection reports the graph's size, not the budget plus one
     t1, t2 = curve_pair(ARRANGEMENT_PAIR)
@@ -375,6 +404,26 @@ def test_g2_budget_reports_crossings():
         assert exc.value.projected == 5040
     g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=5040))
     assert g.n_vertices == 5040
+    # the h-v crossings alone fit the budget; those of the cell axes and
+    # connectors push the count over it, and the rejection reports the total
+    t1 = ifd.build_curve([(0, 0), (0.22376149892837854, 0.24706659569524236),
+                          (0.44767802854515226, 0.49399269572416116),
+                          (0.700490006182172, 0.7112418961240018)])
+    t2 = ifd.build_curve([(0.1872745785947128, 4.293557966081396),
+                          (1.2769852860644766, 3.5846640572165036)])
+    hv = []
+    crossings = graphs._hv_crossings
+
+    def counted(*args):
+        rows, cols = crossings(*args)
+        hv.append(len(rows))
+        return rows, cols
+
+    monkeypatch.setattr(graphs, "_hv_crossings", counted)
+    with pytest.raises(BudgetExceeded) as exc:
+        ifd.build_g2(t1, t2, ifd.GraphConfig.desk(0.25, max_vertices=5022))
+    assert hv == [5022] and exc.value.projected == 5127
+    assert ifd.build_g2(t1, t2, ifd.GraphConfig.desk(0.25, max_vertices=5127)).n_vertices == 5062
 
 
 def test_g2_crossing_blocks_leave_graph_unchanged(monkeypatch):
@@ -416,24 +465,37 @@ _G2_CASES = {
 @over_scales
 @pytest.mark.parametrize("case", list(_G2_CASES))
 def test_g2_matches_reference_arrangement(case, s, monkeypatch):
-    # the staged arrangement frees what it has consumed and emits its edges
-    # in (tail, head) order: vertices, edges, weights and search stay the
-    # reference's, bit for bit
+    # the staged arrangement frees what it has consumed, numbers its
+    # vertices in snap-key order and emits its edges in (tail, head) order;
+    # with the reference's first-seen vertices mapped to it by coordinates,
+    # vertices, edges, weights and distance stay the reference's, bit for bit
     (a, b), cfg = _G2_CASES[case]
     t1, t2 = ifd.build_curve(a).scaled(s), ifd.build_curve(b).scaled(s)
     g = ifd.build_g2(t1, t2, cfg)
     with monkeypatch.context() as m:
         m.setattr(graphs, "_arrangement", reference_arrangement)
         ref = ifd.build_g2(t1, t2, cfg)
-    assert g.xs.tobytes() == ref.xs.tobytes() and g.ys.tobytes() == ref.ys.tobytes()
-    order = np.lexsort((ref.heads, ref.tails))
-    for name in ("tails", "heads", "weights"):
-        assert getattr(g, name).tobytes() == getattr(ref, name)[order].tobytes(), name
+    ids = {xy: k for k, xy in enumerate(zip(g.xs.tolist(), g.ys.tolist()))}
+    to_g = np.array([ids[xy] for xy in zip(ref.xs.tolist(), ref.ys.tolist())])
+    assert g.n_vertices == ref.n_vertices == len(ids)
+    assert np.array_equal(np.sort(to_g), np.arange(g.n_vertices))
+    assert g.xs[to_g].tobytes() == ref.xs.tobytes() and g.ys[to_g].tobytes() == ref.ys.tobytes()
+    # the sweep order: vertices strictly increasing by (x key, y key)
+    snap = 1e-12 * max(ifd.build_cells(t1, t2).extent)
+    kx, ky = np.diff(np.rint(g.xs / snap)), np.diff(np.rint(g.ys / snap))
+    assert np.all((kx > 0) | ((kx == 0) & (ky > 0)))
+    assert (g.source, g.sink) == (to_g[ref.source], to_g[ref.sink])
+    tails, heads = to_g[ref.tails], to_g[ref.heads]
+    order = np.lexsort((heads, tails))
+    assert g.tails.tobytes() == tails[order].tobytes()
+    assert g.heads.tobytes() == heads[order].tobytes()
+    assert g.weights.tobytes() == ref.weights[order].tobytes()
     r, r_ref = ifd.dijkstra(g), ifd.dijkstra(ref)
     assert repr(r.distance) == repr(r_ref.distance)
-    assert r.vertex_ids == r_ref.vertex_ids
-    assert r.points.tobytes() == r_ref.points.tobytes()
     assert r.reachable == (case != "isolated points")
+    if r.reachable:
+        assert r.vertex_ids[0] == g.source and r.vertex_ids[-1] == g.sink
+        assert path_weight_sum(g, r.vertex_ids) == r.distance
 
 
 def test_g2_build_and_search_memory_bound():

@@ -305,6 +305,8 @@ def test_max_leash_of_optimized_oracle_path(s):
 def test_monotone_path_validation():
     with pytest.raises(NotMonotone):
         ifd.MonotonePath.from_points([(0, 0), (1, 1), (0.5, 2)])
+    with pytest.raises(NotMonotone, match="empty path"):
+        ifd.MonotonePath.from_points([])
     # the tolerance is relative to the largest coordinate: a step back by half
     # the extent fails and one of 1e-12 of it is clamped, at every scale
     for s in SCALES:
@@ -315,6 +317,14 @@ def test_monotone_path_validation():
     p = ifd.MonotonePath.from_points([(0, 0), (1, 0), (1, 1)])
     assert p.total_l1 == pytest.approx(2.0)
     assert p.start == (0.0, 0.0) and p.end == (1.0, 1.0)
+
+
+def test_one_vertex_path():
+    # a one-vertex path evaluates and polishes to its point
+    t1, t2 = curve_pair(PARALLEL)
+    p = ifd.MonotonePath.from_points([(0.5, 0.5)])
+    assert ifd.evaluate_matching(p, 0.3) == (0.5, 0.5)
+    assert ifd.locally_optimize(t1, t2, p).vertices.tolist() == [[0.5, 0.5]]
 
 
 def test_substitution_builds_only_visited_cells():

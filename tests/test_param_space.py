@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ifd
-from ifd.errors import AntiparallelCell
+from ifd.errors import AntiparallelCell, OutOfRange
 
 from helpers import (
     ANTIPARALLEL,
@@ -64,7 +64,6 @@ def test_parallel_axes():
     cell = ifd.build_cells(t1, t2).cell(0, 0)
     ax = ifd.free_space_axes(cell)
     assert ax.slope == 0.0
-    assert ax.hbar is None
     assert np.allclose(ax.ell[0], (0.0, 0.0)) and np.allclose(ax.ell[1], (1.0, 1.0))
     for t in (-0.4, 0.0, 0.7):
         assert ax.w_at(t) == pytest.approx(1.0)
@@ -76,6 +75,8 @@ def test_antiparallel_axes_raise():
     assert cell.kind == "antiparallel"
     with pytest.raises(AntiparallelCell):
         ifd.free_space_axes(cell)
+    with pytest.raises(AntiparallelCell):
+        cell.axis_intercept
 
 
 def test_edge_min_examples():
@@ -114,6 +115,8 @@ def test_ellipse_slice_degenerate_and_full():
     assert zero.contains((0.0, 0.0))
     full = ifd.ellipse_slice(cell, cell.max_corner_weight() + 0.1)
     assert full.is_full
+    with pytest.raises(OutOfRange):
+        ifd.ellipse_slice(cell, -0.1)
 
     t1, t2 = curve_pair(PARALLEL)
     cell = ifd.build_cells(t1, t2).cell(0, 0)
@@ -185,14 +188,30 @@ def test_axis_weight_piecewise_linear():
             assert ax.w_at(t) == pytest.approx(direct, abs=1e-10)
 
 
-def test_locate_prefers_requested_side():
-    t1 = ifd.build_curve([(0, 0), (1, 0), (2, 0)])
+def test_locate_puts_line_points_in_lower_cell():
+    # one rule: a point on a parameter line belongs to the lower/left cell,
+    # and a point outside the rectangle to the nearest cell
+    t1 = ifd.build_curve([(0, 0), (1, 0), (2, 0), (3, 0)])
     t2 = ifd.build_curve([(0, 1), (1, 1), (2, 1)])
     g = ifd.build_cells(t1, t2)
-    assert g.locate(1.0, 0.5, prefer_lower=True)[0] == 0
-    assert g.locate(1.0, 0.5, prefer_lower=False)[0] == 1
-    assert g.locate(0.0, 0.0, prefer_lower=True) == (0, 0)
-    assert g.locate(2.0, 2.0) == (1, 1)
+    # inside a cell
+    assert g.locate(0.5, 0.5) == (0, 0)
+    assert g.locate(2.5, 1.5) == (2, 1)
+    # on each inner line
+    assert g.locate(1.0, 0.5) == (0, 0)
+    assert g.locate(2.0, 0.5) == (1, 0)
+    assert g.locate(1.5, 1.0) == (1, 0)
+    assert g.locate(2.0, 1.0) == (1, 0)
+    # on the outer edges
+    assert g.locate(0.0, 0.0) == (0, 0)
+    assert g.locate(3.0, 2.0) == (2, 1)
+    assert g.locate(0.0, 1.5) == (0, 1)
+    assert g.locate(1.5, 2.0) == (1, 1)
+    # outside the rectangle
+    assert g.locate(-1.0, -0.5) == (0, 0)
+    assert g.locate(4.0, 9.0) == (2, 1)
+    assert g.locate(1.5, -3.0) == (1, 0)
+    assert g.cell_at((2.0, 1.0)) is g.cell(1, 0)
 
 
 def _segment_pair(a0, a1, b0, b1):

@@ -17,11 +17,14 @@ from ifd.shortest_path import (
 
 from helpers import (
     ARRANGEMENT_PAIR,
+    IDENTICAL,
     PARALLEL,
     PERPENDICULAR,
+    SCALES,
     bellman_ford,
     curve_pair,
     lattice_oracle,
+    path_weight_sum,
     quadrature_weighted_length,
     random_cell,
     random_curve,
@@ -69,8 +72,10 @@ def test_unreachable():
 
 
 def test_path_weights_sum_to_distance():
-    # Dijkstra on the built g1 shares no search code with the lattice sweep
-    # that approximate_integral_frechet runs for g1
+    # the path walks back over exactly tight edges, so its edge weights
+    # summed from the source are the distance bit for bit.  Dijkstra on the
+    # built g1 shares no search code with the lattice sweep that
+    # approximate_integral_frechet runs for g1
     rng = np.random.default_rng(30)
     cfg = ifd.GraphConfig.desk(epsilon=0.5, c_g1=5.0, mode="g1")
     for _ in range(6):
@@ -78,13 +83,19 @@ def test_path_weights_sum_to_distance():
         t2 = random_curve(rng, int(rng.integers(1, 4)))
         g = ifd.build_g1(t1, t2, cfg)
         r = ifd.dijkstra(g)
-        # g1 has no parallel edges, so each step of the path is one edge
-        weight_of = dict(zip(zip(g.tails.tolist(), g.heads.tolist()), g.weights.tolist()))
-        used = [weight_of[e] for e in zip(r.vertex_ids[:-1], r.vertex_ids[1:])]
-        assert math.fsum(used) == pytest.approx(r.distance, rel=1e-9)
+        assert path_weight_sum(g, r.vertex_ids) == r.distance
         sweep = ifd.approximate_integral_frechet(t1, t2, cfg)
         assert sweep.value == pytest.approx(r.distance, rel=1e-12)
         assert ifd.matching_cost(t1, t2, sweep.path) == pytest.approx(sweep.value, rel=1e-12)
+    # g2 at every scale: the path re-integrates to its distance
+    for s in SCALES:
+        for pair in (PARALLEL, PERPENDICULAR, IDENTICAL, ARRANGEMENT_PAIR):
+            t1, t2 = (c.scaled(s) for c in curve_pair(pair))
+            g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25))
+            r = ifd.dijkstra(g)
+            assert path_weight_sum(g, r.vertex_ids) == r.distance
+            cost = ifd.matching_cost(t1, t2, r.points)
+            assert abs(cost - r.distance) <= 1e-13 * (r.distance or s * s)
 
 
 def test_dijkstra_matches_bellman_ford():
@@ -121,7 +132,7 @@ def test_cycle_raises():
 
 def _reference_search(g, s, t):
     """scipy's Dijkstra on the same adjacency, then a backward walk over
-    in-edges within 1e-12 * |dist| of tight, smallest predecessor id first."""
+    exactly tight in-edges, smallest predecessor id first."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
@@ -136,8 +147,7 @@ def _reference_search(g, s, t):
     while cur != s:
         lo, hi = csc.indptr[cur], csc.indptr[cur + 1]
         preds, wts = csc.indices[lo:hi], csc.data[lo:hi]
-        slack = dist[preds] + wts - dist[cur]
-        ok = np.flatnonzero(slack <= 1e-12 * abs(dist[cur]))
+        ok = np.flatnonzero(dist[preds] + wts == dist[cur])
         cur = int(preds[ok[np.argmin(preds[ok])]])
         path.append(cur)
     return dist, tuple(path[::-1])
