@@ -25,7 +25,7 @@ from .errors import (
     TooFewVertices,
 )
 from .graphs import MODES, GraphConfig, approximate_integral_frechet
-from .matching import MonotonePath, locally_optimize, matching_cost
+from .matching import MonotonePath, _check_in_rectangle, locally_optimize, matching_cost
 from .param_space import _cross, _level_roots, build_cells, free_space_axes
 
 __all__ = ["main", "load_curve", "render_svg", "build_report"]
@@ -242,8 +242,10 @@ def main(argv=None) -> int:
         if not all(d >= 0.0 for d in args.delta):
             raise ValueError(f"--delta must be nonnegative, got {args.delta}")
         opt_input = load_path_file(args.optimize_matching) if args.optimize_matching else None
+        if opt_input is not None:
+            _check_in_rectangle(t1, t2, opt_input)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            TooFewVertices, NotMonotone) as exc:
+            TooFewVertices, NotMonotone, OutOfRange) as exc:
         print(f"ifd: input error: {exc}", file=sys.stderr)
         return 2
 

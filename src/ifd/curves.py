@@ -79,12 +79,15 @@ def build_curve(points) -> PolygonalCurve:
     """Build a :class:`PolygonalCurve` from a point sequence.
 
     Consecutive points closer than 1e-12 times the bounding-box diagonal
-    are collapsed.  Raises :class:`TooFewVertices` if fewer than two
-    distinct points remain.
+    are collapsed.  Raises ``ValueError`` on a NaN or infinite coordinate
+    and :class:`TooFewVertices` if fewer than two distinct points remain.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         pts = pts.reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise ValueError(f"point {bad[0]} has a non-finite coordinate: {pts[bad[0]].tolist()}")
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 points, got {len(pts)}")
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))

@@ -4,8 +4,9 @@ Graph ``g1`` is a uniform monotone grid whose mesh shrinks with epsilon and
 the smallest segment length; it wins whenever the optimal path spends
 weight above that scale.  Graph ``g2`` is the arrangement of all monotone
 free-space axes, axis-aligned lattices ("grid balls") around the
-weight minimizers of the cell-boundary edges, and two diagonal connectors
-at the corners; it covers the regime where the optimal path hugs the axes.
+weight minimizers of the cell-boundary edges, and two connectors along the
+boundary from the corners to the corner cells' axes; it covers the regime
+where the optimal path hugs the axes.
 g1 is searched by a sweep over its lattice; g2 is built as numpy arrays
 (ball lines generated and merged for all balls at once, splits, pieces,
 snap-keyed vertices) and searched by a topological sweep.  Shortest paths
@@ -77,9 +78,10 @@ class GraphConfig:
     mode: str = "both"        # a key of MODES
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        # NaN fails every comparison, so `not x > 0` rejects it too
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if min(self.c_g1, self.c_radius, self.c_mesh) <= 0:
+        if not all(c > 0 for c in (self.c_g1, self.c_radius, self.c_mesh)):
             raise ValueError("graph constants must be positive")
         if self.max_vertices <= 0:
             raise ValueError("max_vertices must be positive")
@@ -89,7 +91,6 @@ class GraphConfig:
     @classmethod
     def desk(cls, epsilon: float, **kw) -> "GraphConfig":
         kw.setdefault("c_g1", 40.0)
-        kw.setdefault("c_radius", 62.0)
         kw.setdefault("c_mesh", 8.0)
         kw.setdefault("max_vertices", 1_000_000)
         return cls(epsilon=epsilon, **kw)
@@ -263,54 +264,16 @@ def _merge_lines(lines, snap):
     return np.stack((fixed[head[runs]], lo[runs], np.maximum.reduceat(hi, runs)), axis=1)
 
 
-def _seg_intersections(p, q, a, b, tol):
-    """Intersections of closed segments ``pq`` and ``ab``, row by row.
-
-    ``p, q, a, b`` are (n, 2) arrays or points broadcast to them.  Returns
-    ``(k, t1, t2)``: the row of each intersection and its parameters along
-    ``pq`` and ``ab``.  A collinear overlap gives up to four, the endpoints
-    of each segment projected onto the other.
-    """
-    p, q, a, b = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (p, q, a, b)))
-    rx, ry = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
-    sx, sy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    rxs = rx * sy - ry * sx
-    dx, dy = a[:, 0] - p[:, 0], a[:, 1] - p[:, 1]
-    rlen = np.hypot(rx, ry)
-    slen = np.hypot(sx, sy)
-    parallel = np.abs(rxs) <= 1e-14 * np.maximum(rlen * slen, 1e-300)
-    collinear = parallel & (np.abs(dx * ry - dy * rx) <= tol * rlen)
-    rr = rx * rx + ry * ry
-    ss = sx * sx + sy * sy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (dx * sy - dy * sx) / rxs
-        t2 = (dx * ry - dy * rx) / rxs
-        e1 = tol / np.maximum(rlen, tol)
-        e2 = tol / np.maximum(slen, tol)
-        cases = [(~parallel & (-e1 <= t1) & (t1 <= 1 + e1) & (-e2 <= t2) & (t2 <= 1 + e2), t1, t2)]
-        for pt, end in ((a, 0.0), (b, 1.0)):
-            t = ((pt[:, 0] - p[:, 0]) * rx + (pt[:, 1] - p[:, 1]) * ry) / rr
-            cases.append((collinear & (rr > 0) & (-1e-9 <= t) & (t <= 1 + 1e-9),
-                          t, np.full_like(t, end)))
-        for pt, end in ((p, 0.0), (q, 1.0)):
-            t = ((pt[:, 0] - a[:, 0]) * sx + (pt[:, 1] - a[:, 1]) * sy) / ss
-            cases.append((collinear & (ss > 0) & (-1e-9 <= t) & (t <= 1 + 1e-9),
-                          np.full_like(t, end), t))
-    k = np.concatenate([np.flatnonzero(hit) for hit, _, _ in cases])
-    t1 = np.concatenate([u1[hit] for hit, u1, _ in cases])
-    t2 = np.concatenate([u2[hit] for hit, _, u2 in cases])
-    return k, np.clip(t1, 0.0, 1.0), np.clip(t2, 0.0, 1.0)
-
-
-def _hv_crossings(h, v, snap, cap):
-    """Every crossing of a horizontal ``h[i] = (y, x0, x1)`` and a vertical
+def _hv_crossings(h, v, snap, cap, sloped, counted):
+    """Every crossing of a row ``h[i] = (y, x0, x1)`` and a vertical
     ``v[j] = (x, y0, y1)`` (rows of ``v`` sorted by x), as a (2, k) array of
-    index pairs (i, j).
+    index pairs (i, j), and the number of them on the first ``counted`` rows.
 
-    Candidates are the verticals within ``snap`` of a horizontal's x range,
-    tested in blocks of about ``_PAIR_BLOCK`` pairs so memory stays small.
-    Raises ``BudgetExceeded`` with the number of all crossings when it
-    exceeds ``cap``.
+    A row is horizontal, or with ``sloped`` the slope-1 segment from
+    (x0, y) to (x1, y + x1 - x0); a zero-length row is a point.
+    Candidates are the verticals within ``snap`` of a row's x range, tested
+    in blocks of about ``_PAIR_BLOCK`` pairs so memory stays small; pairs
+    stop being stored once the count exceeds ``cap``.
     """
     lo = np.searchsorted(v[:, 0], h[:, 1] - snap, side="left")
     hi = np.searchsorted(v[:, 0], h[:, 2] + snap, side="right")
@@ -322,20 +285,61 @@ def _hv_crossings(h, v, snap, cap):
         rows = np.repeat(np.arange(i, j), n_cand)
         cols = np.arange(base[i], base[j]) - np.repeat(base[i:j] - lo[i:j], n_cand)
         y = h[rows, 0]
+        if sloped:
+            y += np.clip(v[cols, 0], h[rows, 1], h[rows, 2]) - h[rows, 1]
         hit = (v[cols, 1] - snap <= y) & (y <= v[cols, 2] + snap)
-        count += int(np.count_nonzero(hit))
+        count += int(np.count_nonzero(hit[:np.searchsorted(rows, counted)]))
         if count <= cap:
             found.append(np.stack((rows[hit], cols[hit])))
         i = j
+    return np.concatenate(found, axis=1), count
+
+
+def _splits(h, v, a, iso, snap, cap):
+    """Where g2's segments split: at their crossings and isolated points.
+
+    The segments are the horizontals ``h[i] = (y, x0, x1)`` sorted by y,
+    the verticals ``v[j] = (x, y0, y1)`` sorted by x and the slope-1 axes
+    ``a[k] = (px, py, qx, qy)``, numbered in that order from ``p`` to
+    ``q``.  Returns ``(p, q, seg, at)``: segment ``seg[m]`` splits at
+    ``at[m]`` of its length, both ends included.  One routine finds every
+    split: the horizontals, then the axes and the isolated points ``iso``
+    as zero-length rows, against the verticals, then with x and y swapped
+    the axes and points against the horizontals.  An axis's interior lies
+    in its cell's open interior, so another axis or a point meets it only
+    at an end.  Raises ``BudgetExceeded`` when the segment crossings of all
+    passes exceed ``cap``; points do not count.
+    """
+    n_h, n_hv, n = len(h), len(h) + len(v), len(h) + len(v) + len(a)
+    p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], a[:, :2]])
+    q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], a[:, 2:]])
+    seg, at, count = [], [], 0
+    for rows, r0, cols, c0 in ((h, 0, v, n_h),
+                               (np.concatenate([a[:, [1, 0, 2]], iso[:, [1, 0, 0]]]), n_hv, v, n_h),
+                               (np.concatenate([a[:, [0, 1, 3]], iso[:, [0, 1, 1]]]), n_hv, h, 0)):
+        sloped = rows is not h
+        (i, j), crossed = _hv_crossings(rows, cols, snap, cap - count, sloped,
+                                        len(a) if sloped else len(h))
+        count += crossed
+        # the crossing is (x, y) in the pass's frame, on the row
+        x, y = cols[j, 0], rows[i, 0]
+        if sloped:
+            x = np.clip(x, rows[i, 1], rows[i, 2])
+            y += x - rows[i, 1]
+        for idx, z, lines, first in ((i, x, rows, r0), (j, y, cols, c0)):
+            lo, hi = lines[idx, 1], lines[idx, 2]
+            keep = hi > lo  # no split along a point or a zero-length line
+            seg.append(first + idx[keep])
+            at.append(np.clip((z[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0))
     if count > cap:
         raise BudgetExceeded(count, cap)
-    return np.concatenate(found, axis=1)
+    seg = np.concatenate(seg + [np.arange(n), np.arange(n)])
+    at = np.concatenate(at + [np.zeros(n), np.ones(n)])
+    return p, q, seg, at
 
 
-def _arrangement(h, v, o, iso, snap, cap):
-    """Snap-rounded arrangement of horizontals ``h[i] = (y, x0, x1)``,
-    verticals ``v[j] = (x, y0, y1)`` sorted by x, general segments
-    ``o[k] = (px, py, qx, qy)`` and isolated points ``iso``.
+def _arrangement(h, v, a, iso, snap, cap):
+    """Snap-rounded arrangement of the segments and points of :func:`_splits`.
 
     Every segment is split at its crossings and at the isolated points on
     it; splits that round to one ``snap`` key are one point.  Returns
@@ -344,37 +348,10 @@ def _arrangement(h, v, o, iso, snap, cap):
     with the embedding ``ends[e] = (tail, head)`` of the first piece
     between its two vertices, and the vertex id of every isolated point.
     Each stage's arrays are released once the next stage holds what it
-    needs, so the peak stays a few times the size of the result.  Raises ``BudgetExceeded`` when the crossings
-    exceed ``cap``.
+    needs, so the peak stays a few times the size of the result.  Raises
+    ``BudgetExceeded`` when the crossings exceed ``cap``.
     """
-    p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
-    q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], o[:, 2:]])
-    n, n_h = len(p), len(h)
-    rows, cols = _hv_crossings(h, v, snap, cap)
-    seg, at = [], []
-    for idx, x, lo, hi in ((rows, v[cols, 0], h[rows, 1], h[rows, 2]),
-                           (n_h + cols, h[rows, 0], v[cols, 1], v[cols, 2])):
-        keep = hi > lo
-        seg.append(idx[keep])
-        at.append(np.clip((x[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0))
-    count = len(rows)
-    del rows, cols, idx, x, lo, hi, keep
-    # the few general segments against every other segment, both ways
-    for i in range(n_h + len(v), n):
-        k, t1, t2 = _seg_intersections(p[i], q[i], p, q, snap)
-        other = k != i
-        k, t1, t2 = k[other], t1[other], t2[other]
-        seg += [np.full(len(k), i), k]
-        at += [t1, t2]
-        count += len(k)
-    if count > cap:
-        raise BudgetExceeded(count, cap)
-    for pt in iso:
-        k, t1, _ = _seg_intersections(p, q, pt, pt, snap)
-        seg.append(k)
-        at.append(t1)
-    seg = np.concatenate(seg + [np.arange(n), np.arange(n)])
-    at = np.concatenate(at + [np.zeros(n), np.ones(n)])
+    p, q, seg, at = _splits(h, v, a, iso, snap, cap)
     order = np.lexsort((at, seg))
     seg, at = seg[order], at[order]
     del order
@@ -445,34 +422,32 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     nothing); every cell-boundary edge, outer boundary included, gets a
     grid ball at its weight minimizer, or a bare vertex when that weight is
     below the snap; the source/sink connectors exist exactly when the
-    corner cells' axes meet their cell.  One index-range computation
-    (:func:`_ball_lattice`) counts every ball's lines for the budget
-    pre-check before any line exists; :func:`build_grid_ball` then
-    generates them from the same ranges as arrays, and
-    :func:`_merge_lines` unions them per snap key.  :func:`_arrangement`
-    splits all lines at once: the intersections become vertices, numbered
-    in (x, y) snap-key order, every edge points right/up, and
-    all edge weights come from one batched closed-form call over the
-    embedded pieces.
+    corner cells' axes meet their cell, and run along the boundary.  One
+    index-range computation (:func:`_ball_lattice`) counts every ball's
+    lines for the budget pre-check before any line exists;
+    :func:`build_grid_ball` then generates them from the same ranges as
+    arrays, and :func:`_merge_lines` unions them and the connectors per
+    snap key.  The axes are the only segments that are not axis-parallel,
+    all of slope 1.  :func:`_arrangement` splits all segments at once: the
+    crossings become vertices, numbered in (x, y) snap-key order, every
+    edge points right/up, and all edge weights come from one batched
+    closed-form call over the embedded pieces.
     """
     grid = build_cells(t1, t2)
     l1, l2 = grid.extent
     snap = 1e-12 * max(l1, l2)
 
-    diag_segs, iso = [], [(0.0, 0.0), (l1, l2)]
-
+    axes, iso = [], [(0.0, 0.0), (l1, l2)]
     for col in grid.cells:
         for cell in col:
-            if cell.kind == "antiparallel":
+            ell = None if cell.kind == "antiparallel" else free_space_axes(cell).ell
+            if ell is None:
                 continue
-            axes = free_space_axes(cell)
-            if axes.ell is None:
-                continue
-            p, q = axes.ell
+            p, q = ell
             if math.hypot(q.x - p.x, q.y - p.y) <= snap:
                 iso.append((p.x, p.y))
             else:
-                diag_segs.append((p, q))
+                axes.append((p.x, p.y, q.x, q.y))
 
     centers, weights = [], []
     for edge in grid.edges():
@@ -499,19 +474,27 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
         raise BudgetExceeded(projected_internal, cfg.max_vertices)
     if (projected_lines // 2 + 1) ** 2 > 8 * cfg.max_vertices:
         raise BudgetExceeded((projected_lines // 2 + 1) ** 2, cfg.max_vertices)
-    h, v = (_merge_lines(lines, snap) for lines in build_grid_ball(centers, radius, mesh, bounds))
+    h, v = build_grid_ball(centers, radius, mesh, bounds)
 
     # the source and sink connectors, each from its corner to the nearer end
-    # of its corner cell's axis
-    for cell, end, corner in ((grid.cell(0, 0), 0, (0.0, 0.0)),
-                              (grid.cell(grid.n_cols - 1, grid.n_rows - 1), 1, (l1, l2))):
+    # of its corner cell's axis, lie on the boundary: _clip_slope1 puts that
+    # end exactly on x = 0 or y = 0 at the source, and exactly on x = l1 or
+    # within an ulp of y = l2 at the sink; each becomes the ball-line row on
+    # the side whose coordinate the end shares with the corner
+    for cell, end, (cx, cy) in ((grid.cell(0, 0), 0, (0.0, 0.0)),
+                                (grid.cell(grid.n_cols - 1, grid.n_rows - 1), 1, (l1, l2))):
         ell = None if cell.kind == "antiparallel" else free_space_axes(cell).ell
-        if ell is not None and math.dist(corner, ell[end]) > snap:
-            diag_segs.append((corner, ell[0]) if end == 0 else (ell[1], corner))
+        if ell is not None and math.dist((cx, cy), ell[end]) > snap:
+            x, y = ell[end]
+            if abs(x - cx) <= abs(y - cy):
+                v = np.vstack((v, (cx, min(y, cy), max(y, cy))))
+            else:
+                h = np.vstack((h, (cy, min(x, cx), max(x, cx))))
+    h, v = _merge_lines(h, snap), _merge_lines(v, snap)
 
-    o = np.array(diag_segs, dtype=float).reshape(-1, 4)
-    coords, tails, heads, ends, iso_ids = _arrangement(h, v, o, np.array(iso, dtype=float),
-                                                       snap, cfg.max_vertices)
+    coords, tails, heads, ends, iso_ids = _arrangement(
+        h, v, np.array(axes, dtype=float).reshape(-1, 4), np.array(iso, dtype=float),
+        snap, cfg.max_vertices)
     if len(coords) > cfg.max_vertices:
         raise BudgetExceeded(len(coords), cfg.max_vertices)
     weights = segment_weighted_length(grid, ends[:, 0], ends[:, 1])

@@ -20,8 +20,8 @@ from .cell_paths import _dedupe, _shortest_vertices
 # perfbench's tracer wraps this name in this module's namespace; it is
 # imported only for that, since the sweep below calls _shortest_vertices
 from .cell_paths import cell_shortest_path  # noqa: F401
-from .curves import PolygonalCurve
-from .errors import NotMonotone
+from .curves import _EVAL_SLACK, PolygonalCurve
+from .errors import NotMonotone, OutOfRange
 from .integrals import _split, segment_weighted_length
 from .param_space import build_cells, weight
 
@@ -77,9 +77,23 @@ def _as_path(path) -> MonotonePath:
     return path if isinstance(path, MonotonePath) else MonotonePath.from_points(path)
 
 
+def _check_in_rectangle(t1: PolygonalCurve, t2: PolygonalCurve, path: MonotonePath):
+    """Raise :class:`OutOfRange` on a path vertex outside [0, |T1|] x [0, |T2|]
+    by more than the slack of :meth:`PolygonalCurve.point_at`."""
+    v = path.vertices
+    for lo, hi, curve in zip(v.min(axis=0).tolist(), v.max(axis=0).tolist(), (t1, t2)):
+        slack = _EVAL_SLACK * curve.length
+        if not (lo >= -slack and hi <= curve.length + slack):  # NaN fails too
+            raise OutOfRange(f"path coordinates {lo!r}..{hi!r} outside [0, {curve.length!r}]")
+
+
 def matching_cost(t1: PolygonalCurve, t2: PolygonalCurve, path) -> float:
-    """Weighted length of the path: the integral cost of the induced matching."""
+    """Weighted length of the path: the integral cost of the induced matching.
+
+    Raises :class:`OutOfRange` on a vertex outside the parameter rectangle.
+    """
     p = _as_path(path)
+    _check_in_rectangle(t1, t2, p)
     grid = build_cells(t1, t2)
     return float(segment_weighted_length(grid, p.vertices[:-1], p.vertices[1:]).sum())
 
@@ -185,9 +199,12 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     The sweeps weigh nothing; take the cost of the result from
     :func:`matching_cost`.  Their tolerances are relative to the parameter
     extent, so scaling both curves by a power of two scales the result
-    exactly.
+    exactly.  Raises :class:`OutOfRange` on a vertex outside the parameter
+    rectangle.
     """
-    p = [tuple(v) for v in _as_path(path).vertices.tolist()]
+    path = _as_path(path)
+    _check_in_rectangle(t1, t2, path)
+    p = [tuple(v) for v in path.vertices.tolist()]
     grid = build_cells(t1, t2)
     memo = {}
     before = p

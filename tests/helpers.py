@@ -194,13 +194,53 @@ def reference_polish(t1, t2, path):
     return p, 32
 
 
-def reference_arrangement(h, v, o, iso, snap, cap):
+def seg_intersections(p, q, a, b, tol):
+    """Intersections of closed segments ``pq`` and ``ab``, row by row.
+
+    ``p, q, a, b`` are (n, 2) arrays or points broadcast to them.  Returns
+    ``(k, t1, t2)``: the row of each intersection and its parameters along
+    ``pq`` and ``ab``.  A collinear overlap gives up to four, the endpoints
+    of each segment projected onto the other.
+    """
+    p, q, a, b = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (p, q, a, b)))
+    rx, ry = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+    sx, sy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    rxs = rx * sy - ry * sx
+    dx, dy = a[:, 0] - p[:, 0], a[:, 1] - p[:, 1]
+    rlen = np.hypot(rx, ry)
+    slen = np.hypot(sx, sy)
+    parallel = np.abs(rxs) <= 1e-14 * np.maximum(rlen * slen, 1e-300)
+    collinear = parallel & (np.abs(dx * ry - dy * rx) <= tol * rlen)
+    rr = rx * rx + ry * ry
+    ss = sx * sx + sy * sy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (dx * sy - dy * sx) / rxs
+        t2 = (dx * ry - dy * rx) / rxs
+        e1 = tol / np.maximum(rlen, tol)
+        e2 = tol / np.maximum(slen, tol)
+        cases = [(~parallel & (-e1 <= t1) & (t1 <= 1 + e1) & (-e2 <= t2) & (t2 <= 1 + e2), t1, t2)]
+        for pt, end in ((a, 0.0), (b, 1.0)):
+            t = ((pt[:, 0] - p[:, 0]) * rx + (pt[:, 1] - p[:, 1]) * ry) / rr
+            cases.append((collinear & (rr > 0) & (-1e-9 <= t) & (t <= 1 + 1e-9),
+                          t, np.full_like(t, end)))
+        for pt, end in ((p, 0.0), (q, 1.0)):
+            t = ((pt[:, 0] - a[:, 0]) * sx + (pt[:, 1] - a[:, 1]) * sy) / ss
+            cases.append((collinear & (ss > 0) & (-1e-9 <= t) & (t <= 1 + 1e-9),
+                          np.full_like(t, end), t))
+    k = np.concatenate([np.flatnonzero(hit) for hit, _, _ in cases])
+    t1 = np.concatenate([u1[hit] for hit, u1, _ in cases])
+    t2 = np.concatenate([u2[hit] for hit, _, u2 in cases])
+    return k, np.clip(t1, 0.0, 1.0), np.clip(t2, 0.0, 1.0)
+
+
+def reference_arrangement(h, v, a, iso, snap, cap):
     """The reference for ``graphs._arrangement``: every stage stays alive to
     the end, and the edges come in first-seen order.
 
-    Snap-rounded arrangement of horizontals ``h[i] = (y, x0, x1)``,
-    verticals ``v[j] = (x, y0, y1)`` sorted by x, general segments
-    ``o[k] = (px, py, qx, qy)`` and isolated points ``iso``.
+    Snap-rounded arrangement of the segments and isolated points of
+    ``graphs._splits``: horizontals ``h[i] = (y, x0, x1)``, verticals
+    ``v[j] = (x, y0, y1)`` sorted by x, slope-1 axes
+    ``a[k] = (px, py, qx, qy)`` and isolated points ``iso``.
 
     Every segment is split at its crossings and at the isolated points on
     it; splits that round to one ``snap`` key are one point.  Returns
@@ -210,33 +250,7 @@ def reference_arrangement(h, v, o, iso, snap, cap):
     and the vertex id of every isolated point.
     Raises ``BudgetExceeded`` when the crossings exceed ``cap``.
     """
-    p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], o[:, :2]])
-    q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], o[:, 2:]])
-    n, n_h = len(p), len(h)
-    rows, cols = graphs._hv_crossings(h, v, snap, cap)
-    seg, at = [], []
-    for idx, x, lo, hi in ((rows, v[cols, 0], h[rows, 1], h[rows, 2]),
-                           (n_h + cols, h[rows, 0], v[cols, 1], v[cols, 2])):
-        keep = hi > lo
-        seg.append(idx[keep])
-        at.append(np.clip((x[keep] - lo[keep]) / (hi[keep] - lo[keep]), 0.0, 1.0))
-    count = len(rows)
-    # the few general segments against every other segment, both ways
-    for i in range(n_h + len(v), n):
-        k, t1, t2 = graphs._seg_intersections(p[i], q[i], p, q, snap)
-        other = k != i
-        k, t1, t2 = k[other], t1[other], t2[other]
-        seg += [np.full(len(k), i), k]
-        at += [t1, t2]
-        count += len(k)
-    if count > cap:
-        raise graphs.BudgetExceeded(count, cap)
-    for pt in iso:
-        k, t1, _ = graphs._seg_intersections(p, q, pt, pt, snap)
-        seg.append(k)
-        at.append(t1)
-    seg = np.concatenate(seg + [np.arange(n), np.arange(n)])
-    at = np.concatenate(at + [np.zeros(n), np.ones(n)])
+    p, q, seg, at = graphs._splits(h, v, a, iso, snap, cap)
 
     # pieces: consecutive splits along each segment, keeping the first
     # split of each run that shares a snap key

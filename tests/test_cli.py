@@ -121,6 +121,35 @@ def test_malformed_curve_file(tmp_path, capsys):
     assert main(["compute", "--a", str(single), "--b", str(ok), "--epsilon", "0.25"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--c-g1", "--c-radius", "--c-mesh"])
+def test_nan_configuration_is_an_input_error(parallel_files, flag, capsys):
+    a, b = parallel_files
+    argv = ["compute", "--a", a, "--b", b, "--epsilon", "0.25"]
+    assert main(argv + [flag, "nan"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
+def test_non_finite_curve_is_an_input_error(parallel_files, tmp_path, coordinate, capsys):
+    _, b = parallel_files
+    a = tmp_path / "a.csv"
+    a.write_text(f"0,0\n1,{coordinate}\n2,0\n")
+    assert main(["compute", "--a", str(a), "--b", b, "--epsilon", "0.25"]) == 2
+    assert "non-finite coordinate" in capsys.readouterr().err
+
+
+def test_path_outside_the_rectangle_is_an_input_error(parallel_files, tmp_path, capsys):
+    # the unit curves' parameter rectangle is [0, 1]^2
+    a, b = parallel_files
+    far = tmp_path / "m.json"
+    far.write_text(json.dumps({"path": [[0, 0], [5, 5], [9, 9]]}))
+    out = tmp_path / "report.json"
+    code = main(["compute", "--a", a, "--b", b, "--epsilon", "0.25",
+                 "--optimize-matching", str(far), "--out", str(out)])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err and not out.exists()
+
+
 def test_worstcase_constants_exceed_budget(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"vertices": [[0, 0], [1, 0.2], [2, -0.1]]}))

@@ -27,6 +27,13 @@ def test_too_few_vertices():
         ifd.build_curve([(1, 2), (1, 2), (1, 2)])
 
 
+def test_non_finite_coordinates():
+    # a NaN or infinite vertex is named, not mistaken for coinciding points
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"point 1 has a non-finite coordinate"):
+            ifd.build_curve([(0, 0), (1, bad), (2, 0)])
+
+
 def test_point_at_second_segment():
     c = ifd.build_curve([(0, 0), (3, 0), (3, 4)])
     assert np.allclose(c.point_at(4.0), (3.0, 1.0))

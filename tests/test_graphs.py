@@ -23,6 +23,7 @@ from helpers import (
     quadrature_weighted_length,
     random_curve,
     reference_arrangement,
+    seg_intersections,
 )
 
 
@@ -33,6 +34,12 @@ def test_config_validation():
         ifd.GraphConfig(epsilon=0.1, c_g1=-1)
     with pytest.raises(ValueError, match="max_vertices"):
         ifd.GraphConfig(epsilon=0.25, max_vertices=0)
+    # NaN fails every comparison, so it is no positive value either
+    with pytest.raises(ValueError, match="epsilon"):
+        ifd.GraphConfig(epsilon=math.nan)
+    for name in ("c_g1", "c_radius", "c_mesh"):
+        with pytest.raises(ValueError, match="graph constants"):
+            ifd.GraphConfig.desk(0.25, **{name: math.nan})
     # the modes are the keys of one table, and each one is accepted
     assert list(MODES) == ["g1", "g2", "both", "oracle"]
     for mode in ("warp", "G1", "g1,g2"):
@@ -404,8 +411,8 @@ def test_g2_budget_reports_crossings(monkeypatch):
         assert exc.value.projected == 5040
     g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=5040))
     assert g.n_vertices == 5040
-    # the h-v crossings alone fit the budget; those of the cell axes and
-    # connectors push the count over it, and the rejection reports the total
+    # the h-v crossings alone fit the budget; those of the cell axes push
+    # the count over it, and the rejection reports the total of all passes
     t1 = ifd.build_curve([(0, 0), (0.22376149892837854, 0.24706659569524236),
                           (0.44767802854515226, 0.49399269572416116),
                           (0.700490006182172, 0.7112418961240018)])
@@ -415,15 +422,17 @@ def test_g2_budget_reports_crossings(monkeypatch):
     crossings = graphs._hv_crossings
 
     def counted(*args):
-        rows, cols = crossings(*args)
-        hv.append(len(rows))
-        return rows, cols
+        pairs, count = crossings(*args)
+        hv.append(count)
+        return pairs, count
 
     monkeypatch.setattr(graphs, "_hv_crossings", counted)
     with pytest.raises(BudgetExceeded) as exc:
         ifd.build_g2(t1, t2, ifd.GraphConfig.desk(0.25, max_vertices=5022))
-    assert hv == [5022] and exc.value.projected == 5127
-    assert ifd.build_g2(t1, t2, ifd.GraphConfig.desk(0.25, max_vertices=5127)).n_vertices == 5062
+    # horizontals against verticals, then the axes against the verticals
+    # and against the horizontals
+    assert hv == [5022, 21, 19] and exc.value.projected == 5062
+    assert ifd.build_g2(t1, t2, ifd.GraphConfig.desk(0.25, max_vertices=5062)).n_vertices == 5062
 
 
 def test_g2_crossing_blocks_leave_graph_unchanged(monkeypatch):
@@ -441,6 +450,91 @@ def test_g2_crossing_blocks_leave_graph_unchanged(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25, max_vertices=2000))
     assert exc.value.projected == 5040
+
+
+def _lattice_segments(rng, s):
+    """Random g2-shaped input on the lattice of spacing 1/8 in [0, 2]^2,
+    scaled by ``s``: horizontals and verticals at distinct fixed values,
+    slope-1 axes on distinct diagonals, and points, none in an axis's
+    interior.  Coordinates are exact, so ends touch exactly or stay a
+    lattice step apart."""
+    grid = np.arange(17) / 8.0
+
+    def lines(n):
+        fixed = np.sort(rng.choice(grid, n, replace=False))
+        ends = np.sort(rng.choice(grid, (n, 2), replace=True), axis=1)
+        ends[:, 1] = np.maximum(ends[:, 1], ends[:, 0] + 0.125)
+        return np.column_stack((fixed, ends))
+
+    h, v = lines(12), lines(12)
+    k = rng.choice(np.arange(-8, 9) / 8.0, 8, replace=False)
+    x0 = rng.choice(grid[:-2], 8) + np.maximum(-k, 0.0)
+    x1 = x0 + rng.choice(grid[1:4], 8)
+    a = np.column_stack((x0, x0 + k, x1, x1 + k))
+    pts = rng.choice(grid, (30, 2))
+    inside = ((pts[:, 1] - pts[:, 0])[:, None] == k) & (x0 < pts[:, :1]) & (pts[:, :1] < x1)
+    iso = pts[~inside.any(axis=1)]
+    return h * s, v * s, a * s, iso * s
+
+
+def _dedupe_splits(seg, at):
+    order = np.lexsort((at, seg))
+    seg, at = seg[order], at[order]
+    keep = np.r_[True, (seg[1:] != seg[:-1]) | (at[1:] - at[:-1] > 1e-12)]
+    return seg[keep], at[keep]
+
+
+@over_scales
+@pytest.mark.parametrize("block", [7, graphs._PAIR_BLOCK])
+def test_crossings_match_general_segment_intersection(block, s, monkeypatch):
+    # the rows-against-verticals routine finds the pairs, and _splits the
+    # split parameters, that the general segment intersection reports
+    monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(19)
+    snap = 2e-12 * s
+    for _ in range(20):
+        h, v, a, iso = _lattice_segments(rng, s)
+        total = 0
+        # horizontals, then axes, against the verticals, then the axes
+        # against the horizontals with x and y swapped; points ride along
+        for rows, cols, sloped, pts in ((h, v, False, iso[:, [1, 0, 0]]),
+                                        (a[:, [1, 0, 2]], v, True, iso[:, [1, 0, 0]]),
+                                        (a[:, [0, 1, 3]], h, True, iso[:, [0, 1, 1]])):
+            n_seg, rows = len(rows), np.concatenate([rows, pts])
+            pairs, count = graphs._hv_crossings(rows, cols, snap, 10 ** 6, sloped, n_seg)
+            cp, cq = cols[:, [0, 1]], cols[:, [0, 2]]
+            ref = set()
+            for i, (y, x0, x1) in enumerate(rows.tolist()):
+                if i < n_seg:
+                    k = seg_intersections((x0, y), (x1, y + sloped * (x1 - x0)), cp, cq, snap)[0]
+                else:
+                    k = seg_intersections(cp, cq, (x0, y), (x0, y), snap)[0]
+                ref.update((i, j) for j in k.tolist())
+            assert set(zip(*pairs.tolist())) == ref
+            assert count == sum(i < n_seg for i, _ in ref)
+            total += count
+        # every segment against every other and every point, both ways
+        p = np.concatenate([h[:, [1, 0]], v[:, [0, 1]], a[:, :2]])
+        q = np.concatenate([h[:, [2, 0]], v[:, [0, 2]], a[:, 2:]])
+        n = len(p)
+        seg, at = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
+        for i in range(n):
+            k, t1, _ = seg_intersections(p[i], q[i], p, q, snap)
+            seg.append(np.full(np.count_nonzero(k != i), i))
+            at.append(t1[k != i])
+        for pt in iso:
+            k, t1, _ = seg_intersections(p, q, pt, pt, snap)
+            seg.append(k)
+            at.append(t1)
+        ref_seg, ref_at = _dedupe_splits(np.concatenate(seg), np.concatenate(at))
+        _, _, got_seg, got_at = graphs._splits(h, v, a, iso, snap, 10 ** 6)
+        got_seg, got_at = _dedupe_splits(got_seg, got_at)
+        assert np.array_equal(got_seg, ref_seg)
+        assert np.abs(got_at - ref_at).max() <= 1e-12
+        # one budget over all passes, isolated points not counted
+        with pytest.raises(BudgetExceeded) as exc:
+            graphs._splits(h, v, a, iso, snap, total - 1)
+        assert exc.value.projected == total
 
 
 # g2 inputs of the bit-identity check against the reference arrangement
@@ -538,15 +632,23 @@ def _near_interior(g, snap):
     return np.stack((e[hit], w[hit]))
 
 
-@pytest.mark.parametrize("pair, cfg", [
-    (ARRANGEMENT_PAIR, ifd.GraphConfig.desk(epsilon=0.25)),
-    # collinear axes: every diagonal cell's axis lies on one line
-    (([(0, 0), (1, 0.4), (2.3, 0.1)],) * 2, ifd.GraphConfig.desk(epsilon=0.25, c_mesh=2.0)),
-])
-def test_g2_is_a_planar_arrangement(pair, cfg):
+# the cases above, the 5040-vertex pair, and collinear axes: every diagonal
+# cell's axis lies on one line
+_PLANAR_CASES = {
+    **_G2_CASES,
+    "arrangement pair": (ARRANGEMENT_PAIR, ifd.GraphConfig.desk(epsilon=0.25)),
+    "collinear axes": (([(0, 0), (1, 0.4), (2.3, 0.1)],) * 2,
+                       ifd.GraphConfig.desk(epsilon=0.25, c_mesh=2.0)),
+}
+
+
+@over_scales
+@pytest.mark.parametrize("case", list(_PLANAR_CASES))
+def test_g2_is_a_planar_arrangement(case, s):
     # one vertex per snap key, one edge per vertex pair, and every edge a
     # maximal piece: no other vertex within snap of its interior
-    t1, t2 = curve_pair(pair)
+    (a, b), cfg = _PLANAR_CASES[case]
+    t1, t2 = ifd.build_curve(a).scaled(s), ifd.build_curve(b).scaled(s)
     g = ifd.build_g2(t1, t2, cfg)
     snap = 1e-12 * max(ifd.build_cells(t1, t2).extent)
     keys = np.rint(np.stack((g.xs, g.ys), axis=1) / snap)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifd
-from ifd.errors import NotMonotone
+from ifd.errors import NotMonotone, OutOfRange
 from ifd.integrals import _split
 from ifd.matching import _runs
 
@@ -37,6 +37,22 @@ def test_matching_cost_rejects_backward_paths():
     t1, t2 = curve_pair(PARALLEL)
     with pytest.raises(NotMonotone):
         ifd.matching_cost(t1, t2, [(0, 0), (0.8, 0.8), (0.5, 1.0)])
+
+
+@over_scales
+def test_paths_outside_the_rectangle_raise(s):
+    # matching_cost and locally_optimize follow the rule of point_at: a
+    # vertex within 1e-9 of a curve's length outside [0, |T1|] x [0, |T2|]
+    # is accepted, one farther out raises instead of being weighed by
+    # extrapolation
+    t1, t2 = (c.scaled(s) for c in curve_pair(PARALLEL))
+    for far in ([(0, 0), (5, 5), (9, 9)], [(0, 0), (1, 1.1)], [(-0.1, 0), (1, 1)]):
+        for fn in (ifd.matching_cost, ifd.locally_optimize):
+            with pytest.raises(OutOfRange):
+                fn(t1, t2, s * np.array(far, dtype=float))
+    near = s * np.array([(-5e-10, 0.0), (1.0, 1.0 + 5e-10)])
+    assert ifd.matching_cost(t1, t2, near) == pytest.approx(2.0 * s * s, rel=1e-8)
+    assert isinstance(ifd.locally_optimize(t1, t2, near), ifd.MonotonePath)
 
 
 def test_evaluate_matching():
