@@ -5,7 +5,8 @@ Builds six seeded curve pairs (2-6 equal segments per curve, each curve of
 length 1, the second 0.4-0.6 to the side of the first) and, for each of
 three lattices over them, times one pass of ``lattice_weights`` over every
 pair and one ``lattice_dp`` (value and path) over every pair, best of
-``--repeat`` runs:
+``--repeat`` runs, each with the median count of minor page faults per
+pass (``ru_minflt`` of this process):
 
 - ``g1 eps=0.25`` and ``g1 eps=0.1``: the g1 lattice of
   ``GraphConfig(c_g1=10)`` (right and up edges);
@@ -17,6 +18,8 @@ Usage: PYTHONPATH=src python scripts/lattice_speed.py [--seed S] [--repeat N]
 
 import argparse
 import math
+import resource
+import statistics
 import time
 
 import numpy as np
@@ -64,12 +67,15 @@ def lattices(curve_pairs):
 
 
 def best_of(repeat, fn):
-    best = math.inf
+    """Least seconds and median minor page faults of one call of ``fn`` over ``repeat`` calls."""
+    best, faults = math.inf, []
     for _ in range(repeat):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
-    return best
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return best, int(statistics.median(faults))
 
 
 def _weights_pass(lats, diagonal):
@@ -90,13 +96,13 @@ def main():
     args = ap.parse_args()
 
     print(f"{'lattice':<14} {'points':>10} {'weights s':>10} {'weights ns/pt':>14} "
-          f"{'dp s':>8} {'dp ns/pt':>9}")
+          f"{'weights flt':>12} {'dp s':>8} {'dp ns/pt':>9} {'dp flt':>8}")
     for name, diagonal, lats in lattices(pairs(args.seed)):
         points = sum(lat.n_points for lat in lats)
-        w = best_of(args.repeat, lambda: _weights_pass(lats, diagonal))
-        dp = best_of(args.repeat, lambda: _dp_pass(lats, diagonal))
+        w, w_flt = best_of(args.repeat, lambda: _weights_pass(lats, diagonal))
+        dp, dp_flt = best_of(args.repeat, lambda: _dp_pass(lats, diagonal))
         print(f"{name:<14} {points:>10} {w:>10.4f} {w / points * 1e9:>14.1f} "
-              f"{dp:>8.4f} {dp / points * 1e9:>9.1f}")
+              f"{w_flt:>12} {dp:>8.4f} {dp / points * 1e9:>9.1f} {dp_flt:>8}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ exceeded / no feasible graph, 4 internal numeric error.
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 import time
@@ -28,7 +29,7 @@ from .graphs import MODES, GraphConfig, approximate_integral_frechet
 from .matching import MonotonePath, _check_in_rectangle, locally_optimize, matching_cost
 from .param_space import _cross, _level_roots, build_cells, free_space_axes
 
-__all__ = ["main", "load_curve", "render_svg", "build_report"]
+__all__ = ["main", "run", "load_curve", "render_svg", "build_report"]
 
 def load_curve(path: str) -> PolygonalCurve:
     """Read a curve file; JSON and CSV ingest to identical curves."""
@@ -294,5 +295,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> int:
+    """Process entry of ``ifd`` and ``python -m ifd.cli``: :func:`main` on a frozen import heap.
+
+    Every import is done by now, so ``gc.freeze()`` moves what numpy and
+    ``ifd`` allocated at import into the permanent generation; neither a
+    later full collection nor the one at interpreter exit walks it again.
+    :func:`main` itself leaves the collector alone, for library callers.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -78,11 +78,11 @@ class GraphConfig:
     mode: str = "both"        # a key of MODES
 
     def __post_init__(self):
-        # NaN fails every comparison, so `not x > 0` rejects it too
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not all(c > 0 for c in (self.c_g1, self.c_radius, self.c_mesh)):
-            raise ValueError("graph constants must be positive")
+        # NaN fails every comparison, and isfinite rejects it and infinity
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not all(c > 0 and math.isfinite(c) for c in (self.c_g1, self.c_radius, self.c_mesh)):
+            raise ValueError("graph constants must be positive and finite")
         if self.max_vertices <= 0:
             raise ValueError("max_vertices must be positive")
         if self.mode not in MODES:

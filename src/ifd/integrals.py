@@ -13,7 +13,9 @@ integrates that root for in-cell pieces (:func:`piece_weights`, framed by
 Lattices have their own kernel, :func:`_tile_weights`: it weighs the
 right, up and diagonal edges of a tile of lattice points from one leash
 length per point; right and up edges keep the difference of two
-primitives, :func:`_primitives`, shared by a whole row or column.
+primitives, :func:`_primitives`, shared by a whole row or column.  Given
+output arrays and :func:`_tile_scratch`, the kernel writes every tile
+temporary into the scratch and every weight into the outputs.
 """
 
 import math
@@ -31,7 +33,20 @@ __all__ = [
 _BLOCK = 4096        # segments per pass, so temporaries stay small for any batch
 
 
-def _step_mean(t0, d, r0, r1, q):
+def _views(scratch, shape, count):
+    """The first ``count`` buffers of ``scratch`` as ``shape`` arrays, or ``None`` each without scratch.
+
+    Each view is a contiguous prefix of its flat buffer, so a ufunc that
+    writes into it runs the same contiguous loop as on a fresh array; a
+    ``None`` out lets the ufunc allocate that fresh array.
+    """
+    if scratch is None:
+        return (None,) * count
+    n = math.prod(shape)
+    return [buf[:n].reshape(shape) for buf in scratch[:count]]
+
+
+def _step_mean(t0, d, r0, r1, q, out=None, scratch=None):
     """Mean of sqrt(tau^2 + q) over the step tau = t0 .. t0 + d, free of cancellation.
 
     ``r0`` and ``r1`` are the roots at the two ends (arrays of one shape,
@@ -41,20 +56,31 @@ def _step_mean(t0, d, r0, r1, q):
     the foot of the leash (tau = 0); no term subtracts two primitives, which
     would lose |t0| ulps far from the foot.  The root is convex along the
     step, so a step with both roots 0 has mean 0.
+
+    The result goes to ``out`` if given; ``scratch`` (four float buffers,
+    then two bool ones, see :func:`_tile_scratch`) holds the temporaries,
+    which are fresh arrays without it.
     """
-    t1 = t0 + d
-    rs = r0 + r1
-    ts = t0 + t1
+    b_t1, b_ts, b_den, b_arc, b_le, b_eq = _views(scratch, t0.shape, 6)
+    t1 = np.add(t0, d, out=b_t1)
+    ts = np.add(t0, t1, out=b_ts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        arc = np.arcsinh(d * ts / (t1 * r0 + t0 * r1))
+        den = np.multiply(t1, r0, out=b_den)
+        arc = np.multiply(t0, r1, out=b_arc)
+        den += arc
+        np.multiply(d, ts, out=arc)
+        arc /= den
+        np.arcsinh(arc, out=arc)
         # across the foot, or a leash that is linear in tau (q == 0), whose
         # arsinh argument can overflow where t0^2 underflows
-        across = (t0 * t1 <= 0.0) | (q == 0.0)
+        across = np.less_equal(np.multiply(t0, t1, out=den), 0.0, out=b_le)
+        across |= np.equal(q, 0.0, out=b_eq)
         if across.any():
             qa = q[across]
             h = np.sqrt(qa)
             arc[across] = np.where(qa > 0.0, np.arcsinh(t1[across] / h) - np.arcsinh(t0[across] / h), 0.0)
-        out = ts * ts
+        rs = np.add(r0, r1, out=den)
+        out = np.multiply(ts, ts, out=out)
         out /= rs
         out += rs
         arc *= q
@@ -174,24 +200,24 @@ def segment_weighted_length(grid: CellGrid, a, b):
 # -- lattice tiles ----------------------------------------------------------
 
 
-def _primitives(t, r, p):
+def _primitives(t, r, p, out=None, tmp=None):
     """(t r + p^2 arsinh(t / |p|)) / 2, the antiderivative of sqrt(t^2 + p^2), with r = sqrt(t^2 + p^2).
 
     ``p`` is constant along each row or column of ``t``; where p^2 is 0
     the arsinh term is multiplied by zero as a whole, leaving the flat
-    t |t| / 2.
+    t |t| / 2.  The result goes to ``out`` and t r to ``tmp``, if given.
     """
     q = p * p
     inv = np.divide(1.0, np.abs(p), out=np.zeros_like(q), where=q > 0.0)
-    out = t * inv
+    out = np.multiply(t, inv, out=out)
     np.arcsinh(out, out=out)
     out *= q
-    out += t * r
+    out += np.multiply(t, r, out=tmp)
     out *= 0.5
     return out
 
 
-def _diagonal_steps(one_c, sin, xi, eta, t, p, r):
+def _diagonal_steps(one_c, sin, xi, eta, t, p, r, out=None, scratch=None):
     """Weights of the diagonal steps of a tile; see :func:`_tile_weights`."""
     dx, dy = float(xi[1] - xi[0]), float(eta[1] - eta[0])
     l1 = abs(dx) + abs(dy)
@@ -201,25 +227,47 @@ def _diagonal_steps(one_c, sin, xi, eta, t, p, r):
     move = math.hypot(d_t, d_p)
     r0, r1 = r[:-1, :-1], r[1:, 1:]
     if move == 0.0:
-        return (0.5 * l1) * (r0 + r1)
+        out = np.add(r0, r1, out=out)
+        out *= 0.5 * l1
+        return out
     e_t, e_p = d_t / move, d_p / move
     # the leash's components along the move and across it
     t_lo = t[:-1, :-1]
-    along = t_lo * e_t + (p[:-1] * e_p)[:, None]
-    across = t_lo * e_p - (p[:-1] * e_t)[:, None]
+    _, b_along, b_across = _views(scratch, t_lo.shape, 3)
+    along = np.multiply(t_lo, e_t, out=b_along)
+    along += (p[:-1] * e_p)[:, None]
+    across = np.multiply(t_lo, e_p, out=b_across)
+    across -= (p[:-1] * e_t)[:, None]
     across *= across
-    out = _step_mean(along, move, r0, r1, across)
+    # t is spent: its buffer and the ones after it hold the step's temporaries
+    out = _step_mean(along, move, r0, r1, across, out, None if scratch is None else scratch[3:])
     out *= l1
     return out
 
 
-def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal: bool):
+def _tile_scratch(rows: int, cols: int):
+    """Scratch buffers for :func:`_tile_weights` on tiles of up to ``rows`` x ``cols`` points.
+
+    Seven float buffers and two bool ones, flat: a tile takes a contiguous
+    prefix of each for its leash lengths, its primitives (or the diagonal
+    leash components), its T and S, and the step temporaries of
+    :func:`_step_mean`.
+    """
+    n = rows * cols
+    return [np.empty(n) for _ in range(7)] + [np.empty(n, dtype=bool) for _ in range(2)]
+
+
+def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal: bool,
+                  out=None, scratch=None):
     """Exact weights of every edge of the lattice tile ``eta x xi`` (cell-local coordinates).
 
     Returns ``(right, up, diag)`` of shapes ``(m + 1, n)``, ``(m, n + 1)``
     and ``(m, n)`` for ``n + 1`` columns and ``m + 1`` rows; ``diag`` is
     ``None`` unless ``diagonal``, whose steps are ``(xi[1] - xi[0],
-    eta[1] - eta[0])`` throughout.
+    eta[1] - eta[0])`` throughout.  ``out``, if given, holds three arrays
+    of those shapes (the last ``None`` unless ``diagonal``) to write into,
+    and ``scratch`` (:func:`_tile_scratch`) the temporaries; without them
+    every array is fresh.  Both give the same bits.
 
     In the frame of T1's segment the leash has the components
     T = xi - (c eta + du) along -u and p = u x d0 + (u x v) eta across it,
@@ -238,6 +286,7 @@ def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal
     the step, with R at both ends.  Where the leash does not move, the
     step weighs its constant length.
     """
+    out_right, out_up, out_diag = (None, None, None) if out is None else out
     du, dv, u, v = cell.du, cell.dv, cell.u, cell.v
     d0 = cell.b0 - cell.a0
     gap = u - v
@@ -246,16 +295,17 @@ def _tile_weights(cell: ParameterCell, xi: np.ndarray, eta: np.ndarray, diagonal
     sin = u[0] * v[1] - u[1] * v[0]
     p_h = (u[0] * d0[1] - u[1] * d0[0]) + sin * eta
     p_v = (v[0] * d0[1] - v[1] * d0[0]) + sin * xi
-    t = xi - (c * eta + du)[:, None]
-    w2 = t * t
-    w2 += (p_h * p_h)[:, None]
-    r = np.sqrt(w2)
-    right = _primitives(t, r, p_h[:, None])
-    right = right[:, 1:] - right[:, :-1]
-    s = eta[:, None] - (c * xi - dv)
-    up = _primitives(s, r, p_v)
-    up = up[1:] - up[:-1]
-    diag = _diagonal_steps(one_c, sin, xi, eta, t, p_h, r) if diagonal else None
+    b_r, b_prim, b_tmp, b_t, b_s = _views(scratch, (len(eta), len(xi)), 5)
+    t = np.subtract(xi, (c * eta + du)[:, None], out=b_t)
+    r = np.multiply(t, t, out=b_r)
+    r += (p_h * p_h)[:, None]
+    np.sqrt(r, out=r)
+    prim = _primitives(t, r, p_h[:, None], b_prim, b_tmp)
+    right = np.subtract(prim[:, 1:], prim[:, :-1], out=out_right)
+    s = np.subtract(eta[:, None], c * xi - dv, out=b_s)
+    prim = _primitives(s, r, p_v, b_prim, b_tmp)
+    up = np.subtract(prim[1:], prim[:-1], out=out_up)
+    diag = _diagonal_steps(one_c, sin, xi, eta, t, p_h, r, out_diag, scratch) if diagonal else None
     return right, up, diag
 
 

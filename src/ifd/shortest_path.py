@@ -13,7 +13,8 @@ bit per point, two with diagonals) and backtracks over them, so every
 caller gets the path with the value.
 The generator calls one kernel, ``integrals._tile_weights``, per tile of
 at most ``_ROW_CHUNK`` rows by ``_COL_CHUNK`` columns inside one cell;
-every edge weight is an exact closed form.
+every edge weight is an exact closed form.  It allocates its weight
+strips and the kernel's scratch once per sweep.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 
 from .curves import PolygonalCurve
 from .errors import BudgetExceeded
-from .integrals import _tile_weights
+from .integrals import _tile_scratch, _tile_weights
 from .param_space import ParameterCell, build_cells
 
 _ROW_CHUNK = 64    # lattice rows per weight block
@@ -257,25 +258,30 @@ def lattice_weights(lat: Lattice, diagonal: bool):
     upward edges from row ``r`` to ``r + 1`` and ``diag`` (``None`` unless
     ``diagonal``) the diagonal ones.  Every weight is an exact closed form
     from one kernel call per tile of at most ``_COL_CHUNK`` columns inside
-    the cell holding it.
+    the cell holding it.  The strips and the kernel's scratch are allocated
+    once per sweep, so a yielded strip stays valid only until the next
+    step: copy what must outlive it.
     """
     xs, x_off, ys, y_off = lat.xs, lat.x_off, lat.ys, lat.y_off
     nx = len(xs)
+    rows = min(_ROW_CHUNK, int(np.diff(y_off).max()))
+    cols = min(_COL_CHUNK, int(np.diff(x_off).max()))
+    scratch = _tile_scratch(rows + 1, cols + 1)
+    right_rows = np.empty((rows + 1, nx - 1))
+    up_rows = np.empty((rows, nx))
+    diag_rows = np.empty((rows, nx - 1)) if diagonal else None
     for j in range(len(y_off) - 1):
         for r0 in range(y_off[j], y_off[j + 1], _ROW_CHUNK):
             r1 = min(r0 + _ROW_CHUNK, y_off[j + 1])
-            right = np.empty((r1 - r0 + 1, nx - 1))
-            up = np.empty((r1 - r0, nx))
-            diag = np.empty((r1 - r0, nx - 1)) if diagonal else None
+            right, up = right_rows[:r1 - r0 + 1], up_rows[:r1 - r0]
+            diag = diag_rows[:r1 - r0] if diagonal else None
             for i in range(len(x_off) - 1):
                 cell = lat.cell_at(i, j)
                 eta = ys[r0:r1 + 1] - cell.y0
                 for a in range(x_off[i], x_off[i + 1], _COL_CHUNK):
                     b = min(a + _COL_CHUNK, x_off[i + 1])
-                    w = _tile_weights(cell, xs[a:b + 1] - cell.x0, eta, diagonal)
-                    right[:, a:b], up[:, a:b + 1] = w[0], w[1]
-                    if diagonal:
-                        diag[:, a:b] = w[2]
+                    tile = (right[:, a:b], up[:, a:b + 1], diag[:, a:b] if diagonal else None)
+                    _tile_weights(cell, xs[a:b + 1] - cell.x0, eta, diagonal, tile, scratch)
             yield r0, right, up, diag
 
 

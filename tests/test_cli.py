@@ -125,8 +125,9 @@ def test_malformed_curve_file(tmp_path, capsys):
 def test_nan_configuration_is_an_input_error(parallel_files, flag, capsys):
     a, b = parallel_files
     argv = ["compute", "--a", a, "--b", b, "--epsilon", "0.25"]
-    assert main(argv + [flag, "nan"]) == 2
-    assert "input error" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        assert main(argv + [flag, value]) == 2, value
+        assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("coordinate", ["nan", "inf", "-inf"])
@@ -268,6 +269,52 @@ def test_render_svg_layers():
     assert with_path.count("<polyline") == 1
     assert with_path.count("stroke-dasharray") == 1
     assert render_svg(t1, t2) == bare
+
+
+def _entry(argv, code=None):
+    """Run ``python -m ifd.cli`` (or ``python -c code``) on ``argv`` with the checkout's sources."""
+    src = os.path.dirname(os.path.dirname(ifd.__file__))
+    head = ["-m", "ifd.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+
+
+def _untimed(report):
+    return {k: v for k, v in report.items() if k != "runtime_ms"}
+
+
+def test_process_entry_matches_main(parallel_files, tmp_path):
+    a, b = parallel_files
+    argv = ["compute", "--a", a, "--b", b, "--epsilon", "0.25"]
+    ref = tmp_path / "ref.json"
+    assert main(argv + ["--out", str(ref)]) == 0
+    expected = _untimed(json.loads(ref.read_text()))
+    out = tmp_path / "report.json"
+    done = _entry(argv + ["--out", str(out)])
+    assert done.returncode == 0, done.stderr
+    assert _untimed(json.loads(out.read_text())) == expected
+    # without --out the whole report goes to stdout
+    done = _entry(argv)
+    assert done.returncode == 0, done.stderr
+    assert _untimed(json.loads(done.stdout)) == expected
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,0\nnot a point\n")
+    done = _entry(["compute", "--a", str(bad), "--b", b, "--epsilon", "0.25"])
+    assert done.returncode == 2 and "input error" in done.stderr
+    done = _entry(argv + ["--max-vertices", "1"])
+    assert done.returncode == 3 and "infeasible" in done.stderr
+
+
+def test_only_the_process_entry_freezes_the_heap(parallel_files, tmp_path):
+    a, b = parallel_files
+    argv = ["compute", "--a", a, "--b", b, "--epsilon", "0.25", "--out", str(tmp_path / "r.json")]
+    code = ("import gc, sys; from ifd import cli; "
+            "assert cli.main(sys.argv[1:]) == 0; print(gc.get_freeze_count()); "
+            "assert cli.run(sys.argv[1:]) == 0; print(gc.get_freeze_count())")
+    done = _entry(argv, code)
+    assert done.returncode == 0, done.stderr
+    after_main, after_run = map(int, done.stdout.split())
+    assert after_main == 0 and after_run > 0
 
 
 def test_import_loads_no_scipy():

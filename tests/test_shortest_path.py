@@ -6,6 +6,7 @@ import pytest
 import ifd
 from ifd import graphs, shortest_path
 from ifd.errors import BudgetExceeded
+from ifd.integrals import _tile_weights
 from ifd.shortest_path import (
     Lattice,
     _staircase_lattice,
@@ -410,6 +411,43 @@ def test_lattice_kernel_matches_closed_form():
                 on = (a[:, 0] == a[:, 1]) & (b[:, 0] == b[:, 1])
                 assert on.sum() == min(len(lat.xs), len(lat.ys)) - 1
                 assert np.all(w[on] == 0.0)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_PAIRS))
+def test_lattice_buffers_match_fresh_tiles(name):
+    # the sweep reuses its strips and the kernel's scratch; each copied strip
+    # holds the bits of kernel calls without buffers, written tile by tile
+    # in the sweep's order (a tile's last up column is the next one's first)
+    grid = ifd.build_cells(*curve_pair(KERNEL_PAIRS[name]))
+    lat = _lattice(grid, *MESHES.get(name, (0.021, 0.017)))
+    xs, x_off, ys, y_off = lat.xs, lat.x_off, lat.ys, lat.y_off
+    rows, cols = shortest_path._ROW_CHUNK, shortest_path._COL_CHUNK
+    if name == "generic":
+        assert x_off[1] > cols and y_off[1] > rows
+    for diagonal in (False, True):
+        strips = [(r0, *(None if w is None else w.copy() for w in ws))
+                  for r0, *ws in lattice_weights(lat, diagonal)]
+        fresh = []
+        for j in range(len(y_off) - 1):
+            for r0 in range(y_off[j], y_off[j + 1], rows):
+                r1 = min(r0 + rows, y_off[j + 1])
+                right, up = np.empty((r1 - r0 + 1, len(xs) - 1)), np.empty((r1 - r0, len(xs)))
+                diag = np.empty((r1 - r0, len(xs) - 1)) if diagonal else None
+                for i in range(len(x_off) - 1):
+                    cell = lat.cell_at(i, j)
+                    for a in range(x_off[i], x_off[i + 1], cols):
+                        b = min(a + cols, x_off[i + 1])
+                        w = _tile_weights(cell, xs[a:b + 1] - cell.x0, ys[r0:r1 + 1] - cell.y0,
+                                          diagonal)
+                        right[:, a:b], up[:, a:b + 1] = w[0], w[1]
+                        if diagonal:
+                            diag[:, a:b] = w[2]
+                fresh.append((r0, right, up, diag))
+        assert len(strips) == len(fresh) >= 2
+        for got, want in zip(strips, fresh):
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert (g is None and w is None) or np.array_equal(g, w), (name, diagonal, got[0])
 
 
 def test_staircase_lattice_of_a_point_weighs_zero():
