@@ -7,12 +7,17 @@ the second 0.4-0.6 to the side of the first) and one seeded monotone
 staircase per pair with twice as many steps as segments.  It then times
 one ``locally_optimize`` and one ``matching_cost`` of the staircase per
 pair, best of ``--repeat`` passes, and counts the substitution sweeps of
-one untimed pass:
+one untimed pass.  It also times ``matching_cost`` on one long lattice
+path per size, a random walk of 2400 right and up steps over the first
+pair's parameter rectangle, like a g1 path.  The staircases have at most
+25 segments and the lattice path 2400, so the two costs fall on either
+side of the splitter's small-block bypass (``integrals._WALK_ALL``):
 
 - ``optimize us``: microseconds per ``locally_optimize`` call;
 - ``sweeps``: substitution sweeps per call;
 - ``us/sweep``: the first divided by the second;
-- ``cost us``: microseconds per ``matching_cost`` call.
+- ``cost us``: microseconds per ``matching_cost`` call on a staircase;
+- ``lattice us``: microseconds of ``matching_cost`` on the lattice path.
 
 Usage: PYTHONPATH=src python scripts/polish_speed.py [--seed S] [--pairs N] [--repeat N]
 """
@@ -27,6 +32,7 @@ import ifd
 from ifd import matching
 
 SIZES = (2, 4, 6)
+LATTICE_STEPS = 2400
 
 
 def _curve(rng, n_segments, start, heading):
@@ -44,6 +50,18 @@ def _staircase(rng, end, steps):
     for x, y in zip(xs, ys):
         pts += [(x, pts[-1][1]), (x, y)]
     pts.append(end)
+    return pts
+
+
+def _lattice_path(rng, end, steps):
+    """A monotone walk of ``steps`` right and up moves, in random order, from (0, 0) to ``end``."""
+    right = steps // 2
+    moves = rng.permutation(np.arange(steps) < right)
+    pts = np.zeros((steps + 1, 2))
+    pts[1:, 0] = np.cumsum(moves) * (end[0] / right)
+    pts[1:, 1] = np.cumsum(~moves) * (end[1] / (steps - right))
+    pts = np.minimum(pts, end)
+    pts[-1] = end
     return pts
 
 
@@ -95,15 +113,20 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    print(f"{'segments':<9} {'pairs':>6} {'optimize us':>12} {'sweeps':>7} {'us/sweep':>9} {'cost us':>8}")
+    print(f"{'segments':<9} {'pairs':>6} {'optimize us':>12} {'sweeps':>7} {'us/sweep':>9} {'cost us':>8} "
+          f"{'lattice us':>11}")
     for n in SIZES:
         pairs = cases(args.seed, n, args.pairs)
         polish = best_of(args.repeat, lambda: [ifd.locally_optimize(*c) for c in pairs])
         cost = best_of(args.repeat, lambda: [ifd.matching_cost(*c) for c in pairs])
+        t1, t2, _ = pairs[0]
+        lattice = ifd.MonotonePath.from_points(
+            _lattice_path(np.random.default_rng([args.seed, n]), (t1.length, t2.length), LATTICE_STEPS))
+        long_cost = best_of(args.repeat, lambda: ifd.matching_cost(t1, t2, lattice))
         sweeps = count_sweeps(pairs) / len(pairs)
         per_call = polish / len(pairs) * 1e6
         print(f"{n:<9} {len(pairs):>6} {per_call:>12.1f} {sweeps:>7.2f} {per_call / sweeps:>9.1f} "
-              f"{cost / len(pairs) * 1e6:>8.1f}")
+              f"{cost / len(pairs) * 1e6:>8.1f} {long_cost * 1e6:>11.1f}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,11 @@ a sum of squares by construction.  One step form, :func:`_step_mean`,
 integrates that root for in-cell pieces (:func:`piece_weights`, framed by
 :func:`_piece_frame`) and for lattice diagonals.
 :func:`segment_weighted_length` weighs any segments (two points, or two
-(n, 2) arrays) after cutting them all at the parameter lines in one pass.
+(n, 2) arrays): :func:`_split` cuts them at the parameter lines, and only
+where a line crosses a segment is it cut.  The one cutting loop is the
+plain-Python :func:`_walk`, which the polish's runs share; a block of more
+than ``_WALK_ALL`` segments first keeps, in one vectorized test, every
+segment that no line crosses as its own piece and walks only the rest.
 Lattices have their own kernel, :func:`_tile_weights`: it weighs the
 right, up and diagonal edges of a tile of lattice points from one leash
 length per point; right and up edges keep the difference of two
@@ -19,6 +23,7 @@ temporary into the scratch and every weight into the outputs.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +36,9 @@ __all__ = [
 ]
 
 _BLOCK = 4096        # segments per pass, so temporaries stay small for any batch
+# blocks up to this many segments are walked whole, without the crossing
+# test; it is the crossover of the two where about a tenth of the segments cross
+_WALK_ALL = 32
 
 
 def _views(scratch, shape, count):
@@ -141,43 +149,82 @@ def piece_weights(cell, a, b) -> np.ndarray:
     return l1len * mean
 
 
+def _walk(grid: CellGrid, a, b):
+    """Cut each segment a[k] -> b[k] (sequences of float pairs) at the parameter lines, in plain Python.
+
+    Returns the pieces as ``(k, p, q, i, j)`` tuples, ordered by segment and
+    along each segment.  The cuts sit at the parameters s = (cut - a) / d of
+    the lines strictly inside a -> b, at the points a + s d; a segment that
+    no line crosses stays the one piece (a + 0 d, a + d).  Each piece goes to
+    the cell (i, j) of its midpoint, the lower/left one on a parameter line.
+    """
+    xc, yc = grid.x_cuts.tolist(), grid.y_cuts.tolist()
+    xin, yin = xc[1:-1], yc[1:-1]
+    out = []
+    append, left, right = out.append, bisect_left, bisect_right
+    for k, ((ax, ay), (bx, by)) in enumerate(zip(a, b)):
+        dx, dy = bx - ax, by - ay
+        fx, ex = (right(xc, ax), left(xc, bx)) if dx >= 0.0 else (right(xc, bx), left(xc, ax))
+        fy, ey = (right(yc, ay), left(yc, by)) if dy >= 0.0 else (right(yc, by), left(yc, ay))
+        # the parameters past 0 at which the pieces end, equal ones merged
+        ends = (sorted({0.0, 1.0, *[(c - ax) / dx for c in xc[fx:ex]],
+                        *[(c - ay) / dy for c in yc[fy:ey]]})[1:]
+                if fx < ex or fy < ey else (1.0,))
+        px, py = ax + 0.0 * dx, ay + 0.0 * dy
+        p = (px, py)
+        for s in ends:
+            qx, qy = ax + s * dx, ay + s * dy
+            q = (qx, qy)
+            append((k, p, q, left(xin, 0.5 * (px + qx)), left(yin, 0.5 * (py + qy))))
+            p, px, py = q, qx, qy
+    return out
+
+
 def _split(grid: CellGrid, a, b):
     """Cut every segment a[k] -> b[k] (a point or an (n, 2) array each) at the parameter lines.
 
     Returns ``(seg, p, q, i, j)``, one row per piece, ordered by segment and
     along each segment: the segment index, the piece endpoints and the cell
-    indices.  A piece on a parameter line resolves to the lower/left cell.
+    indices, cut as :func:`_walk` cuts.  A block of at most ``_WALK_ALL``
+    segments is walked whole; in a larger one a vectorized test keeps every
+    segment that no parameter line crosses as its one piece, and only the
+    crossing ones are walked.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     n = len(a)
-    d = b - a
-    ids = np.arange(n)
-    segs, params = [ids, ids], [np.zeros(n), np.ones(n)]
+    if n <= _WALK_ALL:
+        return _piece_arrays(_walk(grid, a.tolist(), b.tolist()))
+    cross = np.zeros(n, dtype=bool)
     for axis, cuts in ((0, grid.x_cuts), (1, grid.y_cuts)):
         lo = np.minimum(a[:, axis], b[:, axis])
         hi = np.maximum(a[:, axis], b[:, axis])
-        first = np.searchsorted(cuts, lo, side="right")
-        count = np.maximum(np.searchsorted(cuts, hi, side="left") - first, 0)
-        k = np.repeat(ids, count)
-        idx = first[k] + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
-        segs.append(k)
-        params.append((cuts[idx] - a[k, axis]) / d[k, axis])
-    seg = np.concatenate(segs)
-    s = np.concatenate(params)
-    order = np.lexsort((s, seg))
-    seg, s = seg[order], s[order]
-    keep = np.ones(len(seg), dtype=bool)
-    keep[1:] = (seg[1:] != seg[:-1]) | (s[1:] != s[:-1])
-    seg, s = seg[keep], s[keep]
-    pts = a[seg] + s[:, None] * d[seg]
-    same = seg[1:] == seg[:-1]  # consecutive cut points of one segment bound a piece
-    p, q, seg = pts[:-1][same], pts[1:][same], seg[:-1][same]
+        cross |= np.searchsorted(cuts, lo, side="right") < np.searchsorted(cuts, hi, side="left")
+    d = b - a
+    p, q = a + 0.0 * d, a + d
     mid = 0.5 * (p + q)
-    # counting the inner cuts below the midpoint clamps to the outer cells
     i = np.searchsorted(grid.x_cuts[1:-1], mid[:, 0], side="left")
     j = np.searchsorted(grid.y_cuts[1:-1], mid[:, 1], side="left")
-    return seg, p, q, i, j
+    walked = np.flatnonzero(cross)
+    if not len(walked):
+        return np.arange(n), p, q, i, j
+    k, *pieces = _piece_arrays(_walk(grid, a[walked].tolist(), b[walked].tolist()))
+    counts = np.ones(n, dtype=np.intp)
+    counts[walked] = np.bincount(k, minlength=len(walked))
+    # each segment's one piece, repeated as often as the walk cut it, then
+    # overwritten, in order, by the walk's pieces
+    at = np.repeat(cross, counts)
+    out = [np.repeat(x, counts, axis=0) for x in (p, q, i, j)]
+    for x, w in zip(out, pieces):
+        x[at] = w
+    return (np.repeat(np.arange(n), counts), *out)
+
+
+def _piece_arrays(pieces):
+    """:func:`_walk`'s pieces as the arrays ``(seg, p, q, i, j)``."""
+    seg, p, q, i, j = zip(*pieces) if pieces else ((),) * 5
+    return (np.array(seg, dtype=np.intp), np.array(p, dtype=float).reshape(-1, 2),
+            np.array(q, dtype=float).reshape(-1, 2), np.array(i, dtype=np.intp), np.array(j, dtype=np.intp))
 
 
 def segment_weighted_length(grid: CellGrid, a, b):

@@ -10,7 +10,7 @@ substitution sweeps of :func:`locally_optimize` are geometric: the in-cell
 shortest path follows from the cell's monotone axis alone.
 """
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
 from operator import sub
 
@@ -22,7 +22,7 @@ from .cell_paths import _dedupe, _shortest_vertices
 from .cell_paths import cell_shortest_path  # noqa: F401
 from .curves import _EVAL_SLACK, PolygonalCurve
 from .errors import NotMonotone, OutOfRange
-from .integrals import _split, segment_weighted_length
+from .integrals import _split, _walk, segment_weighted_length
 from .param_space import build_cells, weight
 
 __all__ = [
@@ -45,16 +45,21 @@ class MonotonePath:
     def from_points(cls, points):
         """Validate and wrap a point sequence.
 
-        Raises :class:`NotMonotone` on a step back beyond 1e-9 of the
-        largest |coordinate|; smaller steps back are float dust and are
-        clamped to zero.
+        Raises ``ValueError`` on a NaN or infinite coordinate and
+        :class:`NotMonotone` on a step back beyond 1e-9 of the largest
+        |coordinate|; smaller steps back are float dust and are clamped to
+        zero.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(pts) == 0:
             raise NotMonotone("empty path")
+        extent = float(np.abs(pts).max())  # NaN if any coordinate is
+        if not math.isfinite(extent):
+            bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+            raise ValueError(f"point {bad} has a non-finite coordinate: {pts[bad].tolist()}")
         d = np.diff(pts, axis=0)
         if d.size:
-            if float(d.min()) < -1e-9 * float(np.abs(pts).max()):
+            if float(d.min()) < -1e-9 * extent:
                 raise NotMonotone(f"backward step of {float(d.min()):.3e}")
             d = np.maximum(d, 0.0)  # clamp float dust
         cum = np.concatenate(([0.0], np.cumsum(d.sum(axis=1)))) if d.size else np.zeros(1)
@@ -66,11 +71,11 @@ class MonotonePath:
 
     @property
     def start(self):
-        return tuple(self.vertices[0])
+        return tuple(self.vertices[0].tolist())
 
     @property
     def end(self):
-        return tuple(self.vertices[-1])
+        return tuple(self.vertices[-1].tolist())
 
 
 def _as_path(path) -> MonotonePath:
@@ -102,8 +107,11 @@ def evaluate_matching(path, t: float):
     """Point of the path at L1 arc-length fraction ``t`` in [0, 1].
 
     The x and y projections of this map are the two monotone
-    reparametrizations of the matching.
+    reparametrizations of the matching.  Raises ``ValueError`` on a NaN
+    ``t``; other values are clamped to [0, 1].
     """
+    if math.isnan(t):
+        raise ValueError("t must be a number in [0, 1], got nan")
     p = _as_path(path)
     if p.total_l1 == 0.0:
         return p.start
@@ -119,33 +127,15 @@ def evaluate_matching(path, t: float):
 def _runs(grid, verts):
     """The maximal in-cell runs ``(i, j, pieces)`` of a path of float pairs.
 
-    The cuts are bit for bit those of :func:`integrals._split`: at the parameters
-    (cut - a) / d of the lines strictly inside each segment a -> b, at the points
-    a + s d, each piece in the cell of its midpoint (lower/left on a parameter
-    line).  ``pieces`` lists a run's ``(p, q)`` in path order.
+    The path is cut by :func:`integrals._walk`; ``pieces`` lists a run's
+    ``(p, q)`` in path order.
     """
-    xc, yc = grid.x_cuts.tolist(), grid.y_cuts.tolist()
-    xin, yin = xc[1:-1], yc[1:-1]
     runs, cell = [], None
-    for (ax, ay), (bx, by) in zip(verts, verts[1:]):
-        dx, dy = bx - ax, by - ay
-        x0, x1 = (ax, bx) if dx >= 0.0 else (bx, ax)
-        y0, y1 = (ay, by) if dy >= 0.0 else (by, ay)
-        fx, ex = bisect_right(xc, x0), bisect_left(xc, x1)
-        fy, ey = bisect_right(yc, y0), bisect_left(yc, y1)
-        if fx < ex or fy < ey:
-            ss = sorted({0.0, 1.0, *[(c - ax) / dx for c in xc[fx:ex]],
-                         *[(c - ay) / dy for c in yc[fy:ey]]})
-            pts = [(ax + s * dx, ay + s * dy) for s in ss]
-            segment = zip(pts, pts[1:])
-        else:  # no parameter line strictly inside: one piece, ending at a + (b - a)
-            segment = (((ax + 0.0 * dx, ay + 0.0 * dy), (ax + dx, ay + dy)),)
-        for p, q in segment:
-            ij = bisect_left(xin, 0.5 * (p[0] + q[0])), bisect_left(yin, 0.5 * (p[1] + q[1]))
-            if ij != cell:
-                cell, pieces = ij, []
-                runs.append((*ij, pieces))
-            pieces.append((p, q))
+    for _, p, q, i, j in _walk(grid, verts, verts[1:]):
+        if (i, j) != cell:
+            cell, pieces = (i, j), []
+            runs.append((i, j, pieces))
+        pieces.append((p, q))
     return runs
 
 

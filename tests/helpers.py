@@ -9,7 +9,6 @@ import pytest
 import ifd
 from ifd import graphs
 from ifd.cell_paths import _dedupe, _shortest_vertices
-from ifd.integrals import _split
 
 # powers of two scale every float exactly, so under s values/s and costs/s^2 must not move
 SCALES = (2.0 ** -40, 1.0, 2.0 ** 30)
@@ -156,14 +155,54 @@ def path_weight_sum(graph, ids):
     return total
 
 
+def reference_split(grid, a, b):
+    """Cut every segment a[k] -> b[k] at the parameter lines with one lexsort: ``integrals._split``'s reference.
+
+    Returns ``(seg, p, q, i, j)`` as the library's splitter does.  Every
+    segment's parameters 0, 1 and (cut - a) / d of the lines strictly inside
+    it are sorted by segment and parameter in one batch, duplicates dropped,
+    the points a + s d formed, and each piece put in the cell of its
+    midpoint (lower/left on a parameter line).
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    n = len(a)
+    d = b - a
+    ids = np.arange(n)
+    segs, params = [ids, ids], [np.zeros(n), np.ones(n)]
+    for axis, cuts in ((0, grid.x_cuts), (1, grid.y_cuts)):
+        lo = np.minimum(a[:, axis], b[:, axis])
+        hi = np.maximum(a[:, axis], b[:, axis])
+        first = np.searchsorted(cuts, lo, side="right")
+        count = np.maximum(np.searchsorted(cuts, hi, side="left") - first, 0)
+        k = np.repeat(ids, count)
+        idx = first[k] + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
+        segs.append(k)
+        params.append((cuts[idx] - a[k, axis]) / d[k, axis])
+    seg = np.concatenate(segs)
+    s = np.concatenate(params)
+    order = np.lexsort((s, seg))
+    seg, s = seg[order], s[order]
+    keep = np.ones(len(seg), dtype=bool)
+    keep[1:] = (seg[1:] != seg[:-1]) | (s[1:] != s[:-1])
+    seg, s = seg[keep], s[keep]
+    pts = a[seg] + s[:, None] * d[seg]
+    same = seg[1:] == seg[:-1]  # consecutive cut points of one segment bound a piece
+    p, q, seg = pts[:-1][same], pts[1:][same], seg[:-1][same]
+    mid = 0.5 * (p + q)
+    i = np.searchsorted(grid.x_cuts[1:-1], mid[:, 0], side="left")
+    j = np.searchsorted(grid.y_cuts[1:-1], mid[:, 1], side="left")
+    return seg, p, q, i, j
+
+
 def reference_sweep(grid, p):
-    """One substitution sweep grouped with numpy over :func:`integrals._split`'s pieces.
+    """One substitution sweep grouped with numpy over :func:`reference_split`'s pieces.
 
     The array form of ``matching._substitute_once``: cut the whole path in
     one batch, group consecutive pieces of one cell, and substitute each
     group by the cell's shortest path (antiparallel groups stay).
     """
-    _, a, b, i, j = _split(grid, p.vertices[:-1], p.vertices[1:])
+    _, a, b, i, j = reference_split(grid, p.vertices[:-1], p.vertices[1:])
     if not len(a):
         return p
     cut = np.flatnonzero((i[1:] != i[:-1]) | (j[1:] != j[:-1])) + 1

@@ -151,6 +151,21 @@ def test_path_outside_the_rectangle_is_an_input_error(parallel_files, tmp_path, 
     assert "input error" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("coordinate", ["NaN", "Infinity"])
+def test_non_finite_path_is_an_input_error(parallel_files, tmp_path, capsys, coordinate):
+    # json reads NaN and Infinity; the path is rejected before any graph is built
+    a, b = parallel_files
+    bad = tmp_path / "m.json"
+    bad.write_text('{"path": [[0, 0], [%s, 0.5], [1, 1]]}' % coordinate)
+    out = tmp_path / "report.json"
+    code = main(["compute", "--a", a, "--b", b, "--epsilon", "0.25",
+                 "--optimize-matching", str(bad), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "point 1 has a non-finite coordinate" in err
+    assert not out.exists()
+
+
 def test_worstcase_constants_exceed_budget(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"vertices": [[0, 0], [1, 0.2], [2, -0.1]]}))
@@ -390,15 +405,20 @@ def test_lattice_speed_runs_once():
 
 
 def test_polish_speed_runs_once():
-    # one timed pass reaches locally_optimize, its sweep count and matching_cost
+    # one timed pass reaches locally_optimize, its sweep count, matching_cost
+    # on the staircases and matching_cost on one long lattice path per size
     src = os.path.dirname(os.path.dirname(ifd.__file__))
     script = Path(__file__).resolve().parents[1] / "scripts" / "polish_speed.py"
     out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--pairs", "2"],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    header, *lines = out.stdout.splitlines()
+    assert header.split() == ["segments", "pairs", "optimize", "us", "sweeps", "us/sweep",
+                              "cost", "us", "lattice", "us"]
+    rows = [line.split() for line in lines]
     assert [row[:2] for row in rows] == [["2", "2"], ["4", "2"], ["6", "2"]]
+    assert all(len(row) == 7 for row in rows)
     assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:])
 
 

@@ -18,6 +18,7 @@ from helpers import (
     random_curve,
     random_staircase,
     reference_polish,
+    reference_split,
 )
 
 LPATH_COST = 2.295587149392638  # two arsinh integrals, frozen via quadrature
@@ -62,6 +63,15 @@ def test_evaluate_matching():
     assert ifd.evaluate_matching(p, 0.5) == (2.0, 0.0)
     diag = ifd.MonotonePath.from_points([(0, 0), (1, 1)])
     assert ifd.evaluate_matching(diag, 0.5) == (0.5, 0.5)
+    # a NaN fraction raises; every branch, the zero-length path's included,
+    # returns plain floats
+    for t in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="nan"):
+            ifd.evaluate_matching(p, t)
+    for path in (p, ifd.MonotonePath.from_points([(0.5, 0.25), (0.5, 0.25)]),
+                 ifd.MonotonePath.from_points([(0.5, 0.25)])):
+        for t in (-1.0, 0.0, 0.3, 1.0, 2.0):
+            assert [type(v) for v in ifd.evaluate_matching(path, t)] == [float, float]
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,6 +340,12 @@ def test_monotone_path_validation():
             ifd.MonotonePath.from_points(s * np.array([(0, 0), (2, 1), (1, 2)]))
         dust = ifd.MonotonePath.from_points(s * np.array([(0, 0), (1, 1), (1 - 1e-12, 2)]))
         assert dust.total_l1 == 3.0 * s
+        # as build_curve does for curves, a NaN or infinite vertex is an input
+        # error named by its index, not a path with a NaN length
+        for bad, index in (([(math.nan, 0), (1, 1)], 0), ([(0, 0), (1, math.inf)], 1),
+                           ([(0, 0), (1, 1), (-math.inf, 2)], 2), ([(math.nan, math.nan)], 0)):
+            with pytest.raises(ValueError, match=f"point {index} has a non-finite coordinate"):
+                ifd.MonotonePath.from_points(s * np.asarray(bad, dtype=float))
     p = ifd.MonotonePath.from_points([(0, 0), (1, 0), (1, 1)])
     assert p.total_l1 == pytest.approx(2.0)
     assert p.start == (0.0, 0.0) and p.end == (1.0, 1.0)
@@ -380,24 +396,78 @@ def _lined_path(rng, xc, yc):
     return pts
 
 
+def _cut_segments(rng, xc, yc, n):
+    """``n`` segments for the splitter, in all four directions: generic ones,
+    short in-cell steps, zero-length ones, ones along and out of parameter
+    lines, and, first, a short step out of a -0.0 coordinate (which the
+    pieces must start at +0.0, as a + 0.0 d gives)."""
+    ext = np.array([xc[-1], yc[-1]])
+    a = rng.uniform(0.0, 1.0, (n, 2)) * ext
+    b = rng.uniform(0.0, 1.0, (n, 2)) * ext
+    kind = rng.integers(7, size=n)
+    short = kind == 0
+    b[short] = a[short] + rng.uniform(-1e-3, 1e-3, (int(short.sum()), 2)) * ext
+    b[kind == 1] = a[kind == 1]
+    for axis, cuts in ((0, xc), (1, yc)):
+        along = kind == 2 + axis
+        a[along, axis] = b[along, axis] = rng.choice(cuts, int(along.sum()))
+        out = kind == 4 + axis
+        a[out, axis] = rng.choice(cuts, int(out.sum()))
+    a[0] = 1e-4 * rng.uniform(0.0, 1.0, 2) * ext
+    a[0, rng.integers(2)] = -0.0
+    b[0] = a[0] + 1e-4 * rng.uniform(0.0, 1.0, 2) * ext
+    flip = rng.random(n) < 0.5
+    flip[0] = False
+    a[flip], b[flip] = b[flip], a[flip]
+    return a, b
+
+
 @over_scales
-def test_walk_matches_split_bit_for_bit(s):
-    # the sweep's scalar walk cuts, orders and assigns pieces exactly as the
-    # batch splitter does, including pieces on and along parameter lines
+def test_walk_matches_split_bit_for_bit(s, monkeypatch):
+    # the splitter cuts, orders and assigns pieces bit for bit as the lexsort
+    # reference does, on both sides of the small-block bypass: a block of at
+    # most _WALK_ALL segments is walked whole, a larger one walks exactly the
+    # segments that a parameter line crosses; the sweep's runs are the walk's
+    # pieces of the path, including pieces on and along parameter lines
+    from ifd import integrals
+
+    walked = []
+    walk = integrals._walk
+
+    def counted(grid, a, b):
+        walked.append(len(a))
+        return walk(grid, a, b)
+
+    monkeypatch.setattr(integrals, "_walk", counted)
     rng = np.random.default_rng(16)
+    n_all = integrals._WALK_ALL
     for _ in range(40):
         t1 = random_curve(rng, int(rng.integers(1, 6)), scale=s)
         t2 = random_curve(rng, int(rng.integers(1, 6)), scale=s)
         grid = ifd.build_cells(t1, t2)
+        xc, yc = t1.cum_length, t2.cum_length
+        for n in (1, n_all, n_all + 1, 4 * n_all):
+            a, b = _cut_segments(rng, xc, yc, n)
+            walked.clear()
+            got = _split(grid, a, b)
+            for g, r in zip(got, reference_split(grid, a, b)):
+                assert (g.dtype, g.shape) == (r.dtype, r.shape) and g.tobytes() == r.tobytes()
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            crossing = int((((xc > lo[:, :1]) & (xc < hi[:, :1])).any(axis=1)
+                            | ((yc > lo[:, 1:]) & (yc < hi[:, 1:])).any(axis=1)).sum())
+            assert walked == ([n] if n <= n_all else [crossing] if crossing else [])
+        walked.clear()
+        assert all(len(x) == n_all + 1 for x in _split(grid, a[:n_all + 1], a[:n_all + 1])[1:])
+        assert walked == []
         for _ in range(3):
-            verts = _lined_path(rng, t1.cum_length, t2.cum_length)
-            walk = [(p, q, i, j) for i, j, pieces in _runs(grid, verts) for p, q in pieces]
+            verts = _lined_path(rng, xc, yc)
+            runs = [(p, q, i, j) for i, j, pieces in _runs(grid, verts) for p, q in pieces]
             a = np.asarray(verts)
-            _, p, q, i, j = _split(grid, a[:-1], a[1:])
-            assert np.asarray([w[0] for w in walk]).tobytes() == p.tobytes()
-            assert np.asarray([w[1] for w in walk]).tobytes() == q.tobytes()
-            assert [w[2] for w in walk] == i.tolist()
-            assert [w[3] for w in walk] == j.tolist()
+            _, p, q, i, j = reference_split(grid, a[:-1], a[1:])
+            assert np.asarray([w[0] for w in runs]).tobytes() == p.tobytes()
+            assert np.asarray([w[1] for w in runs]).tobytes() == q.tobytes()
+            assert [w[2] for w in runs] == i.tolist()
+            assert [w[3] for w in runs] == j.tolist()
 
 
 def _polish_counted(monkeypatch, t1, t2, path):
