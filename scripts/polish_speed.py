@@ -11,13 +11,19 @@ one untimed pass.  It also times ``matching_cost`` on one long lattice
 path per size, a random walk of 2400 right and up steps over the first
 pair's parameter rectangle, like a g1 path.  The staircases have at most
 25 segments and the lattice path 2400, so the two costs fall on either
-side of the splitter's small-block bypass (``integrals._WALK_ALL``):
+side of the splitter's small-block bypass (``integrals._WALK_ALL``).
+Last it times ``locally_optimize`` on the same staircases with a step back
+of 1e-10 of the extent at T1's first inner parameter line: one vertical
+step of each staircase moves onto that line and leans back across it,
+float dust that :class:`ifd.MonotonePath` accepts.
 
 - ``optimize us``: microseconds per ``locally_optimize`` call;
 - ``sweeps``: substitution sweeps per call;
 - ``us/sweep``: the first divided by the second;
 - ``cost us``: microseconds per ``matching_cost`` call on a staircase;
-- ``lattice us``: microseconds of ``matching_cost`` on the lattice path.
+- ``lattice us``: microseconds of ``matching_cost`` on the lattice path;
+- ``dust us``: microseconds per ``locally_optimize`` call on a staircase
+  with the step back.
 
 Usage: PYTHONPATH=src python scripts/polish_speed.py [--seed S] [--pairs N] [--repeat N]
 """
@@ -50,6 +56,23 @@ def _staircase(rng, end, steps):
     for x, y in zip(xs, ys):
         pts += [(x, pts[-1][1]), (x, y)]
     pts.append(end)
+    return pts
+
+
+def _dust(stairs, cut, extent):
+    """``stairs`` with one vertical step moved onto the line x = ``cut``, leaning
+    from ``cut`` + e / 2 back to ``cut`` - e / 2, e = 1e-10 * ``extent``.
+
+    Vertical step i runs at x_i from point 2i - 1 to point 2i; the first i
+    whose next step x_(i+1) (or the end) reaches the line keeps the path
+    monotone on either side of the step.
+    """
+    pts = list(stairs)
+    xs = [p[0] for p in pts[1:-1:2]] + [pts[-1][0]]
+    i = 1 + next(k for k, x in enumerate(xs[1:]) if x >= cut)
+    e = 1e-10 * extent
+    pts[2 * i - 1] = (cut + 0.5 * e, pts[2 * i - 1][1])
+    pts[2 * i] = (cut - 0.5 * e, pts[2 * i][1])
     return pts
 
 
@@ -114,7 +137,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'segments':<9} {'pairs':>6} {'optimize us':>12} {'sweeps':>7} {'us/sweep':>9} {'cost us':>8} "
-          f"{'lattice us':>11}")
+          f"{'lattice us':>11} {'dust us':>8}")
     for n in SIZES:
         pairs = cases(args.seed, n, args.pairs)
         polish = best_of(args.repeat, lambda: [ifd.locally_optimize(*c) for c in pairs])
@@ -123,10 +146,13 @@ def main():
         lattice = ifd.MonotonePath.from_points(
             _lattice_path(np.random.default_rng([args.seed, n]), (t1.length, t2.length), LATTICE_STEPS))
         long_cost = best_of(args.repeat, lambda: ifd.matching_cost(t1, t2, lattice))
+        dusty = [(t1, t2, _dust(stairs, t1.cum_length[1], max(t1.length, t2.length)))
+                 for t1, t2, stairs in pairs]
+        dust = best_of(args.repeat, lambda: [ifd.locally_optimize(*c) for c in dusty])
         sweeps = count_sweeps(pairs) / len(pairs)
         per_call = polish / len(pairs) * 1e6
         print(f"{n:<9} {len(pairs):>6} {per_call:>12.1f} {sweeps:>7.2f} {per_call / sweeps:>9.1f} "
-              f"{cost / len(pairs) * 1e6:>8.1f} {long_cost * 1e6:>11.1f}")
+              f"{cost / len(pairs) * 1e6:>8.1f} {long_cost * 1e6:>11.1f} {dust / len(pairs) * 1e6:>8.1f}")
 
 
 if __name__ == "__main__":

@@ -4,17 +4,23 @@ The in-cell optimum between dominated points a and b hugs the cell's
 monotone axis: enter the axis where it first meets the rectangle spanned
 by a and b, ride it as far as possible, leave for b.  When the axis misses
 the rectangle, the optimum bends around the rectangle corner closest to
-the axis.  The path follows from this geometry alone; weights only report
-its cost, so :func:`cell_shortest_path` weighs what the vertex helper
-finds and the substitution sweeps in ``matching`` call the helper
-unweighed.  The same path is simultaneously optimal for the partial
-similarity at every threshold, which is what the profile type captures.
+the axis.  The path follows from this geometry alone, so the vertex
+helper ``_shortest_vertices`` does geometry and nothing else: it checks
+no dominance and merges no vertices.  Each caller does those jobs once,
+for itself.  :func:`cell_shortest_path` checks its two points, cleans the
+vertices with ``_dedupe`` and weighs them.  The substitution sweeps in
+``matching`` check the whole path once on entry and once on exit, and
+clean each sweep once.  The same path is simultaneously optimal for the
+partial similarity at every threshold, which is what the profile type
+captures.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import _check_finite
 from .errors import AntiparallelCell, NotMonotone
 from .integrals import _piece_frame, piece_weights
 from .param_space import (
@@ -72,38 +78,47 @@ def _polyline_length(cell, points):
 
 
 def _shortest_vertices(cell: ParameterCell, a, b):
-    """(vertices, branch) of the shortest monotone path from a to b inside one cell.
+    """(vertices, branch) of the shortest monotone path from a to b inside one cell: geometry only.
 
-    Pure geometry on float pairs, no weights.  The dominance check is
-    relative to ``max(|x1|, |y1|)`` of the cell, so the path scales with
-    the curves.
+    ``a`` and ``b`` are float pairs.  The vertices are a, the axis entry and
+    exit (or the corner) and b, raw: nothing is checked and nothing is
+    merged, so a and b that miss the dominance order by float dust give a
+    path with steps back of that size.  The callers check and clean.  A
+    cell without a monotone axis raises :class:`AntiparallelCell`.
     """
-    ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
-    tol = 1e-12 * max(abs(cell.x1), abs(cell.y1))
-    if not (ax <= bx + tol and ay <= by + tol):
-        raise NotMonotone(f"{ParameterPoint(ax, ay)} does not dominate {ParameterPoint(bx, by)}")
-    if cell.kind == "antiparallel":
-        raise AntiparallelCell(f"cell ({cell.i},{cell.j}) is antiparallel")
+    (ax, ay), (bx, by) = a, b
     k = cell.axis_intercept
     # axis line y = x + k against the rectangle spanned by a and b
     lo = max(ax, ay - k)
     hi = min(bx, by - k)
     if lo <= hi:
-        return _dedupe([(ax, ay), (lo, lo + k), (hi, hi + k), (bx, by)]), "through_axis"
+        return ((ax, ay), (lo, lo + k), (hi, hi + k), (bx, by)), "through_axis"
     # the corner closest to the axis: above-left when the axis passes there, else below-right
     corner = (ax, by) if k > by - ax else (bx, ay)
-    return _dedupe([(ax, ay), corner, (bx, by)]), "around_corner"
+    return ((ax, ay), corner, (bx, by)), "around_corner"
 
 
 def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     """Shortest weighted monotone path from a to b inside one cell, with its weight.
 
-    Requires ``a <= b`` in the dominance order.  Raises
+    The checks are this wrapper's: ``ValueError`` names a NaN or infinite
+    point (point 0 is a, point 1 is b), and :class:`NotMonotone` rejects a
+    and b out of the dominance order by more than 1e-12 of the cell's far
+    corner, so the path scales with the curves.  It raises
     :class:`AntiparallelCell` when the cell has no monotone axis; no
     library caller asks then (g2 skips such cells and
     :func:`~ifd.matching.locally_optimize` keeps its subpath through them).
+    It merges the vertices of ``_shortest_vertices`` with ``_dedupe`` and
+    weighs them.
     """
-    verts, branch = _shortest_vertices(cell, a, b)
+    ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+    if not all(map(math.isfinite, (ax, ay, bx, by))):
+        _check_finite(np.array(((ax, ay), (bx, by))))
+    tol = 1e-12 * max(abs(cell.x1), abs(cell.y1))
+    if not (ax <= bx + tol and ay <= by + tol):
+        raise NotMonotone(f"{ParameterPoint(ax, ay)} does not dominate {ParameterPoint(bx, by)}")
+    verts, branch = _shortest_vertices(cell, (ax, ay), (bx, by))
+    verts = _dedupe(verts)
     return CellPath(
         vertices=tuple(ParameterPoint(x, y) for x, y in verts),
         branch=branch,
@@ -235,7 +250,13 @@ class SimilarityProfile:
     total_l1: float
 
     def value_at(self, delta):
+        """The profile at ``delta`` (a number or an array); an infinite delta gives ``total_l1``.
+
+        Raises ``ValueError`` on a NaN delta.
+        """
         deltas = np.atleast_1d(np.asarray(delta, dtype=float))
+        if np.isnan(deltas).any():
+            raise ValueError("delta must be a number, got nan")
         out = np.zeros_like(deltas)
         for t0, p, step, l1len in self.pieces:
             # the roots in the piece parameter s = tau - t0, NaN where delta < |p|
@@ -249,8 +270,12 @@ class SimilarityProfile:
 
 
 def partial_similarity_profile(cell: ParameterCell, path) -> SimilarityProfile:
-    """Exact partial-similarity profile of a path that stays within one cell."""
+    """Exact partial-similarity profile of a path that stays within one cell.
+
+    Raises ``ValueError`` naming the first vertex with a NaN or infinite coordinate.
+    """
     vertices = np.asarray(getattr(path, "vertices", path), dtype=float)
+    _check_finite(vertices)
     t0, p, step, _, _, l1len = _piece_frame(cell, vertices[:-1], vertices[1:])
     pieces = tuple(zip(t0.tolist(), p.tolist(), step.tolist(), l1len.tolist()))
     total = 0.0

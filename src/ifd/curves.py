@@ -75,6 +75,13 @@ class CurveStats:
     len2: float
 
 
+def _check_finite(rows, what="point"):
+    """Raise ``ValueError`` naming the first row of the 2-d array ``rows`` with a NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{what} {bad[0]} has a non-finite coordinate: {rows[bad[0]].tolist()}")
+
+
 def build_curve(points) -> PolygonalCurve:
     """Build a :class:`PolygonalCurve` from a point sequence.
 
@@ -85,9 +92,7 @@ def build_curve(points) -> PolygonalCurve:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         pts = pts.reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if len(bad):
-        raise ValueError(f"point {bad[0]} has a non-finite coordinate: {pts[bad[0]].tolist()}")
+    _check_finite(pts)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 points, got {len(pts)}")
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))

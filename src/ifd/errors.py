@@ -29,7 +29,7 @@ class BudgetExceeded(IfdError):
 
 
 class DegenerateBall(IfdError):
-    """A grid ball with zero radius or mesh; use the bare center point instead."""
+    """A grid ball whose radius or mesh is not positive and finite; use the bare center point instead."""
 
 
 class NoFeasibleGraph(IfdError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PolygonalCurve, stats
+from .curves import PolygonalCurve, _check_finite, stats
 from .errors import (
     BudgetExceeded,
     DegenerateBall,
@@ -214,13 +214,20 @@ def build_grid_ball(center, radius, mesh, bounds):
     horizontal rows ``(y, x0, x1)`` and vertical rows ``(x, y0, y1)``, ball
     by ball in lattice order, clipped to the parameter rectangle
     ``bounds``; the boundary lines of each square are included.
+
+    Raises :class:`DegenerateBall` on a radius or mesh that is not positive
+    and finite, and ``ValueError`` on a NaN or infinite center or bound.
     """
     center = np.reshape(np.asarray(center, dtype=float), (-1, 2))
     radius, mesh = (np.broadcast_to(np.asarray(z, dtype=float), len(center))
                     for z in (radius, mesh))
-    if np.any(radius <= 0.0) or np.any(mesh <= 0.0):
-        raise DegenerateBall(f"radius {radius.min()!r} / mesh {mesh.min()!r}")
+    for name, z in (("radius", radius), ("mesh", mesh)):
+        bad = np.flatnonzero(~((z > 0.0) & (z < math.inf)))  # NaN fails too
+        if len(bad):
+            raise DegenerateBall(f"ball {bad[0]} has {name} {z[bad[0]]!r}")
     bounds = np.asarray(bounds, dtype=float)
+    _check_finite(center, "center")
+    _check_finite(bounds.reshape(1, 2), "bounds")
     origin, step, k, first, last = _ball_lattice(center, radius, mesh, bounds)
     # candidates widen the counted range by one index, and by as many more
     # as the clip's 1e-12 tolerance spans when the step is below it

@@ -28,6 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .curves import _check_finite
 from .param_space import CellGrid, ParameterCell
 
 __all__ = [
@@ -231,10 +232,15 @@ def segment_weighted_length(grid: CellGrid, a, b):
     """Exact weighted length of a -> b: cut at the parameter lines, then the closed form.
 
     Two points give a float; two (n, 2) arrays give the n lengths as an array.
+    Raises ``ValueError`` naming the first segment with a NaN or infinite
+    end (its row lists a then b); :func:`piece_weights` is the unchecked
+    kernel.
     """
     single = np.ndim(a) == 1
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        _check_finite(np.hstack((a, b)), "segment")
     totals = np.empty(len(a))
     for k in range(0, len(a), _BLOCK):
         block = slice(k, k + _BLOCK)

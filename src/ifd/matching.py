@@ -12,7 +12,6 @@ shortest path follows from the cell's monotone axis alone.
 
 import math
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .cell_paths import _dedupe, _shortest_vertices
 # perfbench's tracer wraps this name in this module's namespace; it is
 # imported only for that, since the sweep below calls _shortest_vertices
 from .cell_paths import cell_shortest_path  # noqa: F401
-from .curves import _EVAL_SLACK, PolygonalCurve
+from .curves import _EVAL_SLACK, PolygonalCurve, _check_finite
 from .errors import NotMonotone, OutOfRange
 from .integrals import _split, _walk, segment_weighted_length
 from .param_space import build_cells, weight
@@ -55,8 +54,7 @@ class MonotonePath:
             raise NotMonotone("empty path")
         extent = float(np.abs(pts).max())  # NaN if any coordinate is
         if not math.isfinite(extent):
-            bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
-            raise ValueError(f"point {bad} has a non-finite coordinate: {pts[bad].tolist()}")
+            _check_finite(pts)
         d = np.diff(pts, axis=0)
         if d.size:
             if float(d.min()) < -1e-9 * extent:
@@ -142,14 +140,13 @@ def _runs(grid, verts):
 def _substitute_once(grid, verts, memo):
     """One substitution sweep, geometry only: each in-cell run becomes the cell's shortest path.
 
-    Takes and returns lists of float pairs and checks ``verts`` as
-    :meth:`MonotonePath.from_points` does; ``memo`` keeps the substitute of
-    each run by ``(i, j, entry, exit)`` for the whole call.
+    Takes and returns lists of float pairs.  The sweep checks nothing:
+    :func:`locally_optimize` checks the path once on entry and once on
+    exit.  The substitutes come raw from ``_shortest_vertices``, and the
+    sweep cleans the whole path once with ``_dedupe``.  ``memo`` keeps the
+    raw substitute of each run by ``(i, j, entry, exit)`` for the whole
+    call.
     """
-    xs, ys = zip(*verts)
-    back = min(min(map(sub, xs[1:], xs), default=0.0), min(map(sub, ys[1:], ys), default=0.0))
-    if back < -1e-9 * max(max(map(abs, xs)), max(map(abs, ys))):
-        raise NotMonotone(f"backward step of {back:.3e}")
     runs = _runs(grid, verts)
     if not runs:
         return verts
@@ -186,11 +183,15 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     returns that path, which is then a fixpoint of two sweeps and again
     idempotent.
 
-    The sweeps weigh nothing; take the cost of the result from
-    :func:`matching_cost`.  Their tolerances are relative to the parameter
-    extent, so scaling both curves by a power of two scales the result
-    exactly.  Raises :class:`OutOfRange` on a vertex outside the parameter
-    rectangle.
+    The call checks its path once on entry, by the rules of
+    :meth:`MonotonePath.from_points` and the rectangle, and its result once
+    on exit by the same rules; the sweeps between check nothing, and each
+    cleans its path once.  A step back that the entry check clamps as float
+    dust is therefore polished, not rejected.  The sweeps weigh nothing;
+    take the cost of the result from :func:`matching_cost`.  Their
+    tolerances are relative to the parameter extent, so scaling both curves
+    by a power of two scales the result exactly.  Raises
+    :class:`OutOfRange` on a vertex outside the parameter rectangle.
     """
     path = _as_path(path)
     _check_in_rectangle(t1, t2, path)

@@ -431,9 +431,13 @@ class EllipseSlice:
 
 
 def ellipse_slice(cell: ParameterCell, delta: float) -> EllipseSlice:
-    """Descriptor of {w <= delta} within a cell (possibly empty or full)."""
-    if delta < 0:
-        raise OutOfRange("delta must be nonnegative")
+    """Descriptor of {w <= delta} within a cell (possibly empty or full).
+
+    Raises :class:`OutOfRange` on a negative or NaN delta; an infinite one
+    gives the full cell.
+    """
+    if not delta >= 0:  # NaN fails too
+        raise OutOfRange(f"delta must be nonnegative, got {delta!r}")
     tol = _cell_tol(cell)
     crossings = {}
     for name, q, base, d, length, start in _sides(cell):

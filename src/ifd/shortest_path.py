@@ -187,6 +187,9 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
 
 
 def _axis_steps(cuts, spacing):
+    """Steps per interval of ``cuts`` at ``spacing``; ``ValueError`` unless the spacing is positive and finite."""
+    if not 0.0 < spacing < math.inf:  # NaN fails too
+        raise ValueError(f"lattice spacing must be positive and finite, got {spacing!r}")
     return [max(1, int(math.ceil((hi - lo) / spacing - 1e-12)))
             for lo, hi in zip(cuts[:-1], cuts[1:])]
 

@@ -303,3 +303,35 @@ def test_profile_is_scale_free(s):
         cell = ifd.build_cells(t1, t2).cell(0, 0)
         prof = ifd.partial_similarity_profile(cell, ifd.cell_shortest_path(cell, (0, 0), (s, s)))
         np.testing.assert_allclose(prof.value_at(deltas * s) / s, expected[name], rtol=1e-12)
+
+
+@over_scales
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_cell_entries_reject_non_finite_points(s, bad):
+    # cell_shortest_path and partial_similarity_profile name the first bad
+    # point, instead of weighing NaN or calling it out of dominance order
+    t1, t2 = (c.scaled(s) for c in curve_pair(PERPENDICULAR))
+    cell = ifd.build_cells(t1, t2).cell(0, 0)
+    for coord in range(4):
+        pts = s * np.array([(0.1, 0.2), (0.5, 0.6)])
+        pts[coord // 2, coord % 2] = bad
+        match = f"point {coord // 2} has a non-finite coordinate"
+        with pytest.raises(ValueError, match=match):
+            ifd.cell_shortest_path(cell, pts[0], pts[1])
+        with pytest.raises(ValueError, match=match):
+            ifd.partial_similarity_profile(cell, pts)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf], ids=str)
+def test_profile_value_at_nan_and_infinity(delta):
+    # NaN is not a threshold; an infinite one matches the whole path
+    t1, t2 = curve_pair(PERPENDICULAR)
+    cell = ifd.build_cells(t1, t2).cell(0, 0)
+    prof = ifd.partial_similarity_profile(cell, ifd.cell_shortest_path(cell, (0, 0), (1, 1)))
+    if math.isnan(delta):
+        for arg in (delta, [0.5, delta]):
+            with pytest.raises(ValueError, match="nan"):
+                prof.value_at(arg)
+    else:
+        assert prof.value_at(delta) == prof.total_l1
+        assert prof.value_at([0.0, delta]).tolist() == [prof.value_at(0.0), prof.total_l1]

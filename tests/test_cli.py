@@ -15,7 +15,7 @@ from ifd import cli
 from ifd.cli import load_curve, main, render_svg
 from ifd.graphs import MODES
 
-from helpers import ANTIPARALLEL, PARALLEL, curve_pair
+from helpers import ANTIPARALLEL, DUST_PAIR, DUST_PATHS, PARALLEL, curve_pair
 
 
 @pytest.fixture
@@ -204,6 +204,21 @@ def test_optimize_matching_flag(parallel_files, tmp_path):
     report = json.loads(out.read_text())
     assert report["optimized"]["cost"] <= report["optimized"]["input_cost"]
     assert report["optimized"]["cost"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_optimize_matching_polishes_a_dust_back_step(tmp_path):
+    # a path that steps back by float dust passes the input checks, so the
+    # polish runs on it and the report is written
+    a, b, m = (tmp_path / f"{name}.json" for name in "abm")
+    a.write_text(json.dumps({"vertices": DUST_PAIR[0]}))
+    b.write_text(json.dumps({"vertices": DUST_PAIR[1]}))
+    m.write_text(json.dumps({"path": DUST_PATHS[0]}))
+    out = tmp_path / "report.json"
+    code = main(["compute", "--a", str(a), "--b", str(b), "--epsilon", "0.25",
+                 "--optimize-matching", str(m), "--out", str(out)])
+    assert code == 0
+    optimized = json.loads(out.read_text())["optimized"]
+    assert optimized["cost"] <= optimized["input_cost"] * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("paper", [False, True])
@@ -406,7 +421,8 @@ def test_lattice_speed_runs_once():
 
 def test_polish_speed_runs_once():
     # one timed pass reaches locally_optimize, its sweep count, matching_cost
-    # on the staircases and matching_cost on one long lattice path per size
+    # on the staircases, matching_cost on one long lattice path per size and
+    # locally_optimize on the staircases with a step back of float dust
     src = os.path.dirname(os.path.dirname(ifd.__file__))
     script = Path(__file__).resolve().parents[1] / "scripts" / "polish_speed.py"
     out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--pairs", "2"],
@@ -415,10 +431,10 @@ def test_polish_speed_runs_once():
     assert out.returncode == 0, out.stderr
     header, *lines = out.stdout.splitlines()
     assert header.split() == ["segments", "pairs", "optimize", "us", "sweeps", "us/sweep",
-                              "cost", "us", "lattice", "us"]
+                              "cost", "us", "lattice", "us", "dust", "us"]
     rows = [line.split() for line in lines]
     assert [row[:2] for row in rows] == [["2", "2"], ["4", "2"], ["6", "2"]]
-    assert all(len(row) == 7 for row in rows)
+    assert all(len(row) == 8 for row in rows)
     assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:])
 
 

@@ -738,3 +738,20 @@ def test_g2_scale_invariant(pair):
         assert res.graph_stats["g2"]["vertices"] == base.graph_stats["g2"]["vertices"]
         assert res.value / (s * s) == pytest.approx(base.value, rel=1e-12, abs=0.0)
         assert ifd.matching_cost(s1, s2, res.path) == pytest.approx(res.value, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=str)
+def test_grid_ball_inputs_must_be_finite(bad):
+    # a radius or mesh that is not positive and finite is a degenerate ball
+    # (NaN once gave no lines, inf a numpy error); a center or bound that is
+    # not finite is an input error
+    for radius, mesh in ((bad, 0.1), (0.25, bad), ([0.25, bad], 0.1)):
+        with pytest.raises(DegenerateBall):
+            ifd.build_grid_ball([(0.5, 0.5), (0.2, 0.2)], radius, mesh, (1, 1))
+    if bad < 0.0:
+        return
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError, match="center 1 has a non-finite coordinate"):
+            ifd.build_grid_ball([(0.5, 0.5), (0.2, sign * bad)], 0.25, 0.1, (1, 1))
+        with pytest.raises(ValueError, match="bounds 0 has a non-finite coordinate"):
+            ifd.build_grid_ball((0.5, 0.5), 0.25, 0.1, (1, sign * bad))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ifd
-from ifd.integrals import _split
+from ifd.integrals import _WALK_ALL, _split
 
 from helpers import (
     PARALLEL,
@@ -14,8 +14,10 @@ from helpers import (
     QuadratureDepth,
     _simpson,
     curve_pair,
+    over_scales,
     quadrature_weighted_length,
     random_cell,
+    random_curve,
     random_monotone_pair,
 )
 
@@ -348,3 +350,26 @@ def test_public_names_in_step():
     for module, gone in ((ifd, "arsinh_form"), (ifd.integrals, "piece_quadratics"),
                          (ifd.errors, "NegativeRadicand")):
         assert not hasattr(module, gone), gone
+
+
+@over_scales
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_segment_weighted_length_rejects_non_finite_points(s, bad):
+    # the first bad segment is named, in the two-point form, in a walked
+    # block and in one above _WALK_ALL, where a NaN piece once went to
+    # another cell than in a walked block
+    rng = np.random.default_rng(4)
+    grid = ifd.build_cells(random_curve(rng, 3, scale=s), random_curve(rng, 3, scale=s))
+    l1, l2 = grid.extent
+    for n in (1, _WALK_ALL + 1):
+        a = rng.uniform(0.0, 0.5, (n, 2)) * (l1, l2)
+        b = a + rng.uniform(0.0, 0.5, (n, 2)) * (l1, l2)
+        for coord in range(4):
+            k = int(rng.integers(n))
+            ends = np.hstack((a, b))
+            ends[k:, coord] = bad
+            with pytest.raises(ValueError, match=f"segment {k} has a non-finite coordinate"):
+                ifd.segment_weighted_length(grid, ends[:, :2], ends[:, 2:])
+            if n == 1:
+                with pytest.raises(ValueError, match="segment 0 has a non-finite coordinate"):
+                    ifd.segment_weighted_length(grid, tuple(ends[0, :2]), tuple(ends[0, 2:]))

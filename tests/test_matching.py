@@ -11,6 +11,8 @@ from ifd.matching import _runs
 
 from helpers import (
     ANTIPARALLEL,
+    DUST_PAIR,
+    DUST_PATHS,
     PARALLEL,
     SCALES,
     curve_pair,
@@ -502,3 +504,50 @@ def test_sweeps_match_the_array_reference(monkeypatch):
         out, sweeps = _polish_counted(monkeypatch, t1, t2, path)
         assert out.vertices.tobytes() == ref.vertices.tobytes()
         assert sweeps == ref_sweeps
+
+
+# the polished costs of DUST_PATHS at s = 1
+DUST_COSTS = (4.070111569441545, 4.070111569441545, 4.596748139005365)
+
+
+@over_scales
+@pytest.mark.parametrize("k", range(len(DUST_PATHS)))
+def test_dust_back_steps_polish(s, k):
+    # MonotonePath and matching_cost accept a step back of float dust, and so
+    # does the polish: it checks the path on entry and exit, not each in-cell run
+    t1, t2 = (c.scaled(s) for c in curve_pair(DUST_PAIR))
+    path = s * np.asarray(DUST_PATHS[k])
+    before = ifd.matching_cost(t1, t2, path)
+    after = ifd.matching_cost(t1, t2, ifd.locally_optimize(t1, t2, path))
+    assert after <= before * (1.0 + 1e-9)
+    assert after == pytest.approx(DUST_COSTS[k] * s * s, rel=1e-12)
+
+
+def _back_stepped(rng, t1, t2, back, share):
+    """A staircase over the rectangle of t1 and t2 that steps back across an
+    inner x line of T1 by ``back`` of the extent, ``share`` of it before the
+    line, on a piece that crosses an inner y line of T2."""
+    xs, ys = t1.cum_length, t2.cum_length
+    i = int(rng.integers(1, len(xs) - 1))
+    j = int(rng.integers(1, len(ys) - 1))
+    e = back * 1e-10 * max(t1.length, t2.length)
+    ahead = (xs[i] + share * e, float(rng.uniform(ys[j - 1], ys[j])))
+    behind = (xs[i] - (1.0 - share) * e, float(rng.uniform(ys[j], ys[j + 1])))
+    head = random_staircase(rng, (0.0, 0.0), ahead, steps=3).vertices
+    tail = random_staircase(rng, behind, (t1.length, t2.length), steps=3).vertices
+    return ifd.MonotonePath.from_points(np.vstack((head, tail)))
+
+
+@over_scales
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), back=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0))
+def test_back_steps_at_a_parameter_line_polish(s, seed, back, share):
+    # a step back of up to 1e-10 of the extent at a parameter line polishes as
+    # the reference does, bit for bit, and costs no more than the input
+    rng = np.random.default_rng(seed)
+    t1, t2 = (random_curve(rng, int(rng.integers(2, 5)), scale=s) for _ in range(2))
+    path = _back_stepped(rng, t1, t2, back, share)
+    out = ifd.locally_optimize(t1, t2, path)
+    ref, _ = reference_polish(t1, t2, path.vertices)
+    assert out.vertices.tobytes() == ref.vertices.tobytes()
+    assert ifd.matching_cost(t1, t2, out) <= ifd.matching_cost(t1, t2, path) * (1.0 + 1e-9)

@@ -327,3 +327,17 @@ def test_ellipse_slice_is_scale_free():
                 inside += [scaled.contains((x1 * (1.0 + f), ym)) for f in (1e-13, 1e-10)]
                 seen.append((crossings, sl.is_empty, sl.is_full, inside))
             assert seen[0] == seen[1] == seen[2], (n, delta, seen)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf], ids=str)
+def test_ellipse_slice_levels(delta):
+    # a NaN level is out of range like a negative one (it once gave a slice
+    # neither empty nor full that held no point); an infinite one is the whole cell
+    t1, t2 = curve_pair(PERPENDICULAR)
+    cell = ifd.build_cells(t1, t2).cell(0, 0)
+    if math.isnan(delta):
+        with pytest.raises(OutOfRange, match="nonnegative"):
+            ifd.ellipse_slice(cell, delta)
+    else:
+        sl = ifd.ellipse_slice(cell, delta)
+        assert sl.is_full and not sl.is_empty and sl.contains((0.5, 0.5))

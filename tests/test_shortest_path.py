@@ -18,6 +18,7 @@ from ifd.shortest_path import (
 
 from helpers import (
     ARRANGEMENT_PAIR,
+    DUST_PAIR,
     IDENTICAL,
     PARALLEL,
     PERPENDICULAR,
@@ -460,3 +461,18 @@ def test_staircase_lattice_of_a_point_weighs_zero():
     for w, p, q in _lattice_edges(_staircase_lattice(cell, a, b, 7)).values():
         ref = ifd.segment_weighted_length(grid, p, q)
         assert np.all(np.abs(w - ref) <= 1e-11 * ref)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, -math.inf], ids=str)
+def test_lattice_spacing_must_be_positive_and_finite(h):
+    # every lattice entry shares one step count; a bad spacing once gave one
+    # step per cell (h < 0 or inf), an OverflowError (0) or a conversion error (NaN)
+    t1, t2 = (ifd.build_curve(p) for p in DUST_PAIR)
+    grid = ifd.build_cells(t1, t2)
+    calls = (lambda: shortest_path.axis_size(grid.x_cuts, h),
+             lambda: snapped_axis(grid.x_cuts, h),
+             lambda: shortest_path.grid_lattice(grid, h, 10 ** 6),
+             lambda: ifd.dense_grid_oracle(t1, t2, h))
+    for call in calls:
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            call()
