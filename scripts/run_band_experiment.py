@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 import ifd
+from ifd.graphs import _g1_mesh
 
 
 def random_curve(rng, n_segments):
@@ -61,12 +62,9 @@ def main():
                 g2_val = ifd.approximate_integral_frechet(t1, t2, g2_cfg).value
                 if g2_val < value:
                     value, win = g2_val, "g2"
-            except (ifd.errors.BudgetExceeded, ifd.errors.NoFeasibleGraph,
-                    ifd.errors.Disconnected):
+            except (ifd.errors.NoFeasibleGraph, ifd.errors.Disconnected):
                 pass
-            st = ifd.stats(t1, t2)
-            sigma = eps * st.mu / (cfg.c_g1 * (st.len1 + st.len2))
-            oracle = ifd.dense_grid_oracle(t1, t2, sigma, max_points=20_000_000)
+            oracle = ifd.dense_grid_oracle(t1, t2, _g1_mesh(t1, t2, cfg), max_points=20_000_000)
             elapsed = time.perf_counter() - started
             edges = res.graph_stats.get("g1", {}).get("edges", 0)
             print(f"{eps:>5.2f} {idx:>4d} {value:>12.6f} {oracle:>12.6f} "

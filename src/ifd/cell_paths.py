@@ -8,7 +8,8 @@ the axis.  The path follows from this geometry alone, so the vertex
 helper ``_shortest_vertices`` does geometry and nothing else: it checks
 no dominance and merges no vertices.  Each caller does those jobs once,
 for itself.  :func:`cell_shortest_path` checks its two points, cleans the
-vertices with ``_dedupe`` and weighs them.  The substitution sweeps in
+vertices with ``_dedupe`` and weighs them; :func:`two_cell_path` checks
+its two ends once by the same rule.  The substitution sweeps in
 ``matching`` check the whole path once on entry and once on exit, and
 clean each sweep once.  The same path is simultaneously optimal for the
 partial similarity at every threshold, which is what the profile type
@@ -31,8 +32,9 @@ from .param_space import (
     _level_roots,
     dominates,
     free_space_axes,
+    steps_back,
 )
-from .shortest_path import _staircase_lattice, lattice_dp
+from .shortest_path import _check_count, _staircase_lattice, lattice_dp
 
 __all__ = [
     "CellPath",
@@ -98,26 +100,19 @@ def _shortest_vertices(cell: ParameterCell, a, b):
     return ((ax, ay), corner, (bx, by)), "around_corner"
 
 
-def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
-    """Shortest weighted monotone path from a to b inside one cell, with its weight.
-
-    The checks are this wrapper's: ``ValueError`` names a NaN or infinite
-    point (point 0 is a, point 1 is b), and :class:`NotMonotone` rejects a
-    and b out of the dominance order by more than 1e-12 of the cell's far
-    corner, so the path scales with the curves.  It raises
-    :class:`AntiparallelCell` when the cell has no monotone axis; no
-    library caller asks then (g2 skips such cells and
-    :func:`~ifd.matching.locally_optimize` keeps its subpath through them).
-    It merges the vertices of ``_shortest_vertices`` with ``_dedupe`` and
-    weighs them.
-    """
+def _checked_pair(a, b):
+    """a and b as :class:`ParameterPoint` floats, checked as :func:`cell_shortest_path` says."""
     ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
     if not all(map(math.isfinite, (ax, ay, bx, by))):
         _check_finite(np.array(((ax, ay), (bx, by))))
-    tol = 1e-12 * max(abs(cell.x1), abs(cell.y1))
-    if not (ax <= bx + tol and ay <= by + tol):
+    if steps_back(min(bx - ax, by - ay), max(abs(ax), abs(ay), abs(bx), abs(by))):
         raise NotMonotone(f"{ParameterPoint(ax, ay)} does not dominate {ParameterPoint(bx, by)}")
-    verts, branch = _shortest_vertices(cell, (ax, ay), (bx, by))
+    return ParameterPoint(ax, ay), ParameterPoint(bx, by)
+
+
+def _cell_path(cell: ParameterCell, a, b) -> CellPath:
+    """:func:`cell_shortest_path` of points already checked."""
+    verts, branch = _shortest_vertices(cell, a, b)
     verts = _dedupe(verts)
     return CellPath(
         vertices=tuple(ParameterPoint(x, y) for x, y in verts),
@@ -126,15 +121,32 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     )
 
 
+def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
+    """Shortest weighted monotone path from a to b inside one cell, with its weight.
+
+    The checks are this wrapper's: ``ValueError`` names a NaN or infinite
+    point (point 0 is a, point 1 is b), and :class:`NotMonotone` rejects a
+    and b out of the dominance order by more than 1e-9 of their largest
+    |coordinate| (``param_space.steps_back``, the rule of
+    :meth:`~ifd.matching.MonotonePath.from_points`), so the path scales
+    with the curves.  It raises
+    :class:`AntiparallelCell` when the cell has no monotone axis; no
+    library caller asks then (g2 skips such cells and
+    :func:`~ifd.matching.locally_optimize` keeps its subpath through them).
+    It merges the vertices of ``_shortest_vertices`` with ``_dedupe`` and
+    weighs them.
+    """
+    return _cell_path(cell, *_checked_pair(a, b))
+
+
 def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath:
     """Best right/up/diagonal path over the k x k lattice spanned by a and b.
 
     A brute-force reference for :func:`cell_shortest_path`, antiparallel
     cells included; no library code falls back to it.  Raises
-    ``ValueError`` when k < 1.
+    ``ValueError`` unless k is a positive integer.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     value, points = lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True)
     return CellPath(
         vertices=_dedupe([ParameterPoint(*p) for p in points]),
@@ -151,14 +163,12 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     Otherwise the crossing point on the edge is found by ternary search
     (with a 64-point scan to bracket the minimum first) over the exact
     per-side in-cell optima, which makes the middle piece cross the edge
-    perpendicularly.  The dominance and on-edge tolerances are relative to
-    the parameter extent, so the path scales with the curves.
+    perpendicularly.  o and p are checked once, by the rule of
+    :func:`cell_shortest_path`, and the points on the edge between them are
+    not checked again.  The on-edge and axis-end tolerances are relative
+    to the parameter extent, so the path scales with the curves.
     """
-    o = ParameterPoint(float(o[0]), float(o[1]))
-    p = ParameterPoint(float(p[0]), float(p[1]))
-    scale = max(grid.extent)
-    if not dominates(o, p, tol=1e-12 * scale):
-        raise NotMonotone(f"{o} does not dominate {p}")
+    o, p = _checked_pair(o, p)
     mid = 0.5 * (edge.lo + edge.hi)
     if edge.vertical:
         i_lo, _ = grid.locate(edge.fixed, mid)
@@ -173,6 +183,7 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
 
     ell_o = free_space_axes(cell_o).ell
     ell_p = free_space_axes(cell_p).ell
+    scale = max(grid.extent)
 
     def on_edge(q):
         return abs((q.x if edge.vertical else q.y) - edge.fixed) <= 1e-9 * scale
@@ -193,10 +204,10 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     # crossing-point search along the shared edge
     if edge.vertical:
         w_lo, w_hi = o.y, p.y
-        mk = lambda w: ParameterPoint(edge.fixed, w)
+        mk = lambda w: ParameterPoint(edge.fixed, float(w))
     else:
         w_lo, w_hi = o.x, p.x
-        mk = lambda w: ParameterPoint(w, edge.fixed)
+        mk = lambda w: ParameterPoint(float(w), edge.fixed)
     w_lo = max(w_lo, edge.lo)
     w_hi = min(w_hi, edge.hi)
     if w_hi < w_lo:
@@ -205,8 +216,8 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     def cost(w):
         z = mk(w)
         return (
-            cell_shortest_path(cell_o, o, z).weighted_length
-            + cell_shortest_path(cell_p, z, p).weighted_length
+            _cell_path(cell_o, o, z).weighted_length
+            + _cell_path(cell_p, z, p).weighted_length
         )
 
     span = w_hi - w_lo
@@ -227,8 +238,8 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
                 lo = m1
         best = 0.5 * (lo + hi)
     z = mk(best)
-    left = cell_shortest_path(cell_o, o, z)
-    right = cell_shortest_path(cell_p, z, p)
+    left = _cell_path(cell_o, o, z)
+    right = _cell_path(cell_p, z, p)
     verts = _dedupe(list(left.vertices) + list(right.vertices)[1:])
     return CellPath(
         vertices=verts,

@@ -35,6 +35,7 @@ from .matching import MonotonePath
 from .param_space import build_cells, edge_min, free_space_axes
 from .shortest_path import (
     _EDGE_BLOCK,
+    _check_count,
     adjacency,
     axis_size,
     dense_grid_oracle_path,
@@ -83,8 +84,7 @@ class GraphConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not all(c > 0 and math.isfinite(c) for c in (self.c_g1, self.c_radius, self.c_mesh)):
             raise ValueError("graph constants must be positive and finite")
-        if self.max_vertices <= 0:
-            raise ValueError("max_vertices must be positive")
+        _check_count("max_vertices", self.max_vertices)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 

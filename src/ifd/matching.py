@@ -22,7 +22,7 @@ from .cell_paths import cell_shortest_path  # noqa: F401
 from .curves import _EVAL_SLACK, PolygonalCurve, _check_finite
 from .errors import NotMonotone, OutOfRange
 from .integrals import _split, _walk, segment_weighted_length
-from .param_space import build_cells, weight
+from .param_space import build_cells, steps_back, weight
 
 __all__ = [
     "MonotonePath",
@@ -57,7 +57,7 @@ class MonotonePath:
             _check_finite(pts)
         d = np.diff(pts, axis=0)
         if d.size:
-            if float(d.min()) < -1e-9 * extent:
+            if steps_back(float(d.min()), extent):
                 raise NotMonotone(f"backward step of {float(d.min()):.3e}")
             d = np.maximum(d, 0.0)  # clamp float dust
         cum = np.concatenate(([0.0], np.cumsum(d.sum(axis=1)))) if d.size else np.zeros(1)

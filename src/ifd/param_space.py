@@ -60,6 +60,13 @@ def dominates(a, b, tol: float = 0.0) -> bool:
     return a[0] <= b[0] + tol and a[1] <= b[1] + tol
 
 
+def steps_back(step: float, extent: float) -> bool:
+    """Whether a coordinate ``step`` between path points goes back beyond
+    float dust, 1e-9 of ``extent`` (the largest |coordinate| of the points):
+    the one dominance rule of every path check."""
+    return step < -1e-9 * extent
+
+
 @dataclass(frozen=True)
 class ParameterCell:
     """One segment-by-segment rectangle of parameter space."""

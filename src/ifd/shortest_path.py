@@ -2,15 +2,17 @@
 
 Every edge of a monotone digraph points right or up, so the graph is
 acyclic: one sweep over a topological order (Kahn's algorithm, a whole
-level of vertices at a time, in numpy) settles every distance, and the
-path is reconstructed backwards over exactly tight edges, ties broken
-toward the smallest vertex id.  Rectangular lattices (the uniform grid
-g1, the dense snapped-grid oracle and the per-cell staircase of
-``cell_paths.staircase_fallback_path``) share one weight
-generator and one row-by-row dynamic program over right/up(/diagonal)
-moves.  Every sweep records the move into each point in bit planes (one
-bit per point, two with diagonals) and backtracks over them, so every
-caller gets the path with the value.
+level of vertices at a time, in numpy) settles every distance.  The sweep
+reads the out-edges grouped by tail; parallel edges stay as they are,
+since the sweep keeps the least sum over them anyway.  The path is
+reconstructed backwards over exactly tight edges: each vertex's
+predecessor is the smallest tail id among its tight in-edges.
+Rectangular lattices (the uniform grid g1, the dense snapped-grid oracle
+and the per-cell staircase of ``cell_paths.staircase_fallback_path``)
+share one weight generator and one row-by-row dynamic program over
+right/up(/diagonal) moves.  Every sweep records the move into each point
+in bit planes (one bit per point, two with diagonals) and backtracks over
+them, so every caller gets the path with the value.
 The generator calls one kernel, ``integrals._tile_weights``, per tile of
 at most ``_ROW_CHUNK`` rows by ``_COL_CHUNK`` columns inside one cell;
 every edge weight is an exact closed form.  It allocates its weight
@@ -18,6 +20,7 @@ strips and the kernel's scratch once per sweep.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,7 +34,7 @@ from .param_space import ParameterCell, build_cells
 _ROW_CHUNK = 64    # lattice rows per weight block
 _COL_CHUNK = 256   # lattice columns per kernel tile, so its temporaries stay in cache
 _ORACLE_POINTS = 16_000_000  # default lattice budget of the dense oracle
-_EDGE_BLOCK = 1 << 16  # edges per block of the graph checks and the path recovery
+_EDGE_BLOCK = 1 << 16  # edges per block of the graph checks and the predecessor pass
 
 __all__ = [
     "PathResult",
@@ -59,8 +62,8 @@ class Adjacency(NamedTuple):
     """Compressed sparse rows: vertex ``v``'s out-edges are the slice
     ``indptr[v]:indptr[v + 1]`` of ``indices`` (heads) and ``data`` (weights).
 
-    Edges are sorted by tail, then head, and parallel edges are one edge
-    carrying their minimum weight.
+    Edges are grouped by tail and parallel edges stay, each with its own
+    weight.
     """
 
     indptr: np.ndarray
@@ -72,32 +75,15 @@ class Adjacency(NamedTuple):
         return len(self.indices)
 
 
-def _strictly_sorted(tails, heads) -> bool:
-    """Whether the pairs (tails[e], heads[e]) strictly increase with e, checked block by block."""
-    for a in range(0, len(tails) - 1, _EDGE_BLOCK):
-        b = min(a + _EDGE_BLOCK, len(tails) - 1)
-        t0, t1, h0, h1 = tails[a:b], tails[a + 1:b + 1], heads[a:b], heads[a + 1:b + 1]
-        if not np.all((t0 < t1) | ((t0 == t1) & (h0 < h1))):
-            return False
-    return True
-
-
 def adjacency(n: int, tails, heads, weights) -> Adjacency:
-    """Sorted, deduplicated :class:`Adjacency` of ``n`` vertices.
+    """:class:`Adjacency` of ``n`` vertices, out-edges grouped by tail.
 
-    Edges already sorted by (tail, head) without repeats are taken as
-    they are, without a copy; any others are sorted, and parallel edges
-    merged.
+    Edges already grouped (tails never decrease, as in every g2) are taken
+    as they are, without a copy; any others get one stable sort by tail.
     """
-    if not _strictly_sorted(tails, heads):
-        order = np.lexsort((heads, tails))
-        t, h, w = tails[order], heads[order], weights[order]
-        new_group = np.empty(len(t), dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (np.diff(t) != 0) | (np.diff(h) != 0)
-        starts = np.flatnonzero(new_group)
-        weights = np.minimum.reduceat(w, starts)
-        tails, heads = t[starts], h[starts]
+    if np.any(tails[1:] < tails[:-1]):
+        order = np.argsort(tails, kind="stable")
+        tails, heads, weights = tails[order], heads[order], weights[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     return Adjacency(indptr, np.asarray(heads, dtype=np.int64), np.asarray(weights, dtype=float))
@@ -106,11 +92,11 @@ def adjacency(n: int, tails, heads, weights) -> Adjacency:
 def _sweep_distances(adj: Adjacency, source: int) -> np.ndarray:
     """Distances from ``source`` by Kahn's algorithm, one level of vertices at a time.
 
-    A vertex enters a level once all its in-edges are relaxed, so its
-    distance is the minimum of ``dist[tail] + weight`` over its in-edges:
-    the floating-point value any label-setting search settles on.  Raises
-    ``ValueError`` when the order misses a vertex, which happens exactly
-    when the graph has a cycle.
+    A vertex enters a level once all its in-edges, parallel ones included,
+    are relaxed, so its distance is the minimum of ``dist[tail] + weight``
+    over its in-edges: the floating-point value any label-setting search
+    settles on.  Raises ``ValueError`` when the order misses a vertex,
+    which happens exactly when the graph has a cycle.
     """
     indptr, heads, weights = adj.indptr, adj.indices, adj.data
     n = len(indptr) - 1
@@ -147,12 +133,14 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     ``source``/``target`` default to the graph's own endpoints.  An
     unreachable target yields an infinite distance and an empty path.  The
     search is one topological sweep (the graph is acyclic), not a priority
-    queue; distances equal Dijkstra's bit for bit.  The path walks back
-    over exactly tight in-edges (``dist[tail] + w == dist[head]``; the sweep
-    stored one of these very sums), smallest predecessor id first, so its
-    edge weights summed from the source reproduce ``distance`` exactly.  A
-    cycle (zero-length edges both ways between two vertices at one point)
-    raises ``ValueError``.
+    queue; distances equal Dijkstra's bit for bit.  Every reached vertex
+    takes as predecessor the smallest tail among its exactly tight in-edges
+    (``dist[tail] + w == dist[head]``; the sweep stored one of these very
+    sums), read from the graph's own ``tails``, ``heads`` and ``weights``;
+    a parallel edge counts like any other.  The path follows these
+    predecessors back from the target, so its edge weights summed from the
+    source reproduce ``distance`` exactly.  A cycle (zero-length edges both
+    ways between two vertices at one point) raises ``ValueError``.
     """
     s = graph.source if source is None else source
     t = graph.sink if target is None else target
@@ -161,29 +149,29 @@ def dijkstra(graph, source: int | None = None, target: int | None = None) -> Pat
     d = float(dist[t])
     if not math.isfinite(d):
         return PathResult(math.inf, (), np.empty((0, 2)))
-    indptr, n = adj.indptr, len(dist)
-    # the smallest tight in-edge of every reached vertex, over blocks of
-    # about _EDGE_BLOCK edges; edge ids run in (tail, head) order, so it
-    # comes from the smallest tight predecessor
-    pred_edge = np.full(n, adj.nnz, dtype=np.int64)
-    u = 0
-    while u < n:
-        v = max(u + 1, int(np.searchsorted(indptr, indptr[u] + _EDGE_BLOCK, side="right")) - 1)
-        block = slice(indptr[u], indptr[v])
-        tails = np.repeat(np.arange(u, v), np.diff(indptr[u:v + 1]))
-        reached = np.flatnonzero(np.isfinite(dist[adj.indices[block]]))
-        head = adj.indices[block][reached]
-        tight = dist[tails[reached]] + adj.data[block][reached] == dist[head]
-        np.minimum.at(pred_edge, head[tight], reached[tight] + indptr[u])
-        u = v
+    # the smallest tail of an exactly tight in-edge of every reached
+    # vertex, over the graph's own edges in blocks of _EDGE_BLOCK; an
+    # unreached head is skipped, since inf + w == inf would look tight
+    pred = np.full(len(dist), len(dist), dtype=np.int64)
+    for e in range(0, graph.n_edges, _EDGE_BLOCK):
+        tails, heads = graph.tails[e:e + _EDGE_BLOCK], graph.heads[e:e + _EDGE_BLOCK]
+        at_head = dist[heads]
+        tight = np.isfinite(at_head) & (dist[tails] + graph.weights[e:e + _EDGE_BLOCK] == at_head)
+        np.minimum.at(pred, heads[tight], tails[tight])
     path = [t]
     cur = t
     while cur != s:
-        cur = int(np.searchsorted(indptr, pred_edge[cur], side="right")) - 1
+        cur = int(pred[cur])
         path.append(cur)
     path.reverse()
     pts = np.column_stack([graph.xs[path], graph.ys[path]])
     return PathResult(d, tuple(path), pts)
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is a positive integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _axis_steps(cuts, spacing):
@@ -236,7 +224,12 @@ class Lattice(NamedTuple):
 
 
 def grid_lattice(grid, h: float, max_points: int) -> Lattice:
-    """Snapped lattice of mesh ``h`` over the whole grid; counted before it is built."""
+    """Snapped lattice of mesh ``h`` over the whole grid; counted before it is built.
+
+    ``max_points`` must be a positive integer (``ValueError``); a larger
+    count raises :class:`BudgetExceeded`.
+    """
+    _check_count("max_points", max_points)
     n = axis_size(grid.x_cuts, h) * axis_size(grid.y_cuts, h)
     if n > max_points:
         raise BudgetExceeded(n, max_points)

@@ -145,13 +145,10 @@ def bellman_ford(graph, source=None):
 
 def path_weight_sum(graph, ids):
     """The plain left-to-right float sum of the edge weights along the
-    vertex ids ``ids``; the search's adjacency holds one edge per vertex pair."""
-    adj = graph.csr()
+    vertex ids ``ids``, each step over the lightest of its parallel edges."""
     total = 0.0
     for a, b in zip(ids[:-1], ids[1:]):
-        lo = adj.indptr[a]
-        k = lo + np.flatnonzero(adj.indices[lo:adj.indptr[a + 1]] == b)
-        total += float(adj.data[k[0]])
+        total += float(graph.weights[(graph.tails == a) & (graph.heads == b)].min())
     return total
 
 

@@ -225,6 +225,56 @@ def test_two_cell_random_adjacent_cells():
         done += 1
 
 
+@over_scales
+def test_dust_back_steps_pass_every_dominance_check(s):
+    # one rule for every check: a step back is an error only beyond 1e-9 of
+    # the largest |coordinate| of the points, as in MonotonePath
+    t1 = _scaled_curve([(0, 0), (1, 0), (2, 0.3)], s)
+    t2 = _scaled_curve([(0, 1), (0.2, 2), (0.5, 3)], s)
+    grid = ifd.build_cells(t1, t2)
+    cell = grid.cell(0, 0)
+    edge = _shared_edge(grid, vertical=True, fixed=s)
+    a, b = (0.5 * s, 0.5 * s), (0.5 * s, 0.9 * s)
+    o, p = (0.5 * s, 0.5 * s), (1.5 * s, 0.5 * s)
+    dust_b, dust_p = ((0.5 - 1e-11) * s, 0.9 * s), (1.5 * s, (0.5 - 1e-11) * s)
+    ifd.MonotonePath.from_points([a, dust_b])
+    assert ifd.cell_shortest_path(cell, a, dust_b).weighted_length == pytest.approx(
+        ifd.cell_shortest_path(cell, a, b).weighted_length, rel=1e-9)
+    ifd.MonotonePath.from_points([o, dust_p])
+    assert ifd.two_cell_path(o, dust_p, edge, grid).weighted_length == pytest.approx(
+        ifd.two_cell_path(o, p, edge, grid).weighted_length, rel=1e-9)
+    back_b, back_p = ((0.5 - 1e-8) * s, 0.9 * s), (1.5 * s, (0.5 - 1e-8) * s)
+    with pytest.raises(NotMonotone, match="backward step"):
+        ifd.MonotonePath.from_points([a, back_b])
+    with pytest.raises(NotMonotone, match="does not dominate"):
+        ifd.cell_shortest_path(cell, a, back_b)
+    with pytest.raises(NotMonotone, match="does not dominate"):
+        ifd.two_cell_path(o, back_p, edge, grid)
+
+
+@over_scales
+def test_two_cell_path_checks_its_ends_once(s):
+    # o lies past the shared edge by dust of the pair's extent, though not
+    # of its own small coordinates: the in-cell pieces between o, the edge
+    # and p are not checked again
+    t1 = _scaled_curve([(0, 0), (1e-4, 0), (1e-4, 5)], s)
+    t2 = _scaled_curve([(0, 0.5), (0, 10)], s)
+    grid = ifd.build_cells(t1, t2)
+    edge = _shared_edge(grid, vertical=True, fixed=1e-4 * s)
+    p = (2.0 * s, 1e-3 * s)
+    exact = ifd.two_cell_path((1e-4 * s, 2e-5 * s), p, edge, grid)
+    for dust in (1e-12, 1e-11):
+        path = ifd.two_cell_path(((1e-4 + dust) * s, 2e-5 * s), p, edge, grid)
+        assert path.weighted_length == pytest.approx(exact.weighted_length, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, -2, 2.5, math.nan, math.inf, True], ids=repr)
+def test_staircase_k_must_be_a_positive_integer(k):
+    cell = _parallel_cell()[1]
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        ifd.staircase_fallback_path(cell, (0, 0), (1, 1), k)
+
+
 def test_profile_parallel_step():
     g, cell = _parallel_cell()
     path = ifd.cell_shortest_path(cell, (0, 0), (1, 1))

@@ -34,6 +34,10 @@ def test_config_validation():
         ifd.GraphConfig(epsilon=0.1, c_g1=-1)
     with pytest.raises(ValueError, match="max_vertices"):
         ifd.GraphConfig(epsilon=0.25, max_vertices=0)
+    # a budget counts vertices: NaN is none, a numpy integer is one
+    with pytest.raises(ValueError, match="max_vertices must be a positive integer"):
+        ifd.GraphConfig.desk(0.25, max_vertices=math.nan)
+    assert ifd.GraphConfig.desk(0.25, max_vertices=np.int64(1000)).max_vertices == 1000
     # NaN fails every comparison, so it is no positive value either
     with pytest.raises(ValueError, match="epsilon"):
         ifd.GraphConfig(epsilon=math.nan)
@@ -50,6 +54,13 @@ def test_config_validation():
     assert (desk.c_g1, desk.c_radius, desk.c_mesh) == (40.0, 62.0, 8.0)
     worst = ifd.GraphConfig(0.25)
     assert (worst.c_g1, worst.c_radius, worst.c_mesh) == (40000.0, 62.0, 456.0)
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, math.nan, math.inf, True, False, "1000"],
+                         ids=repr)
+def test_graph_budget_must_be_a_positive_integer(budget):
+    with pytest.raises(ValueError, match="max_vertices must be a positive integer"):
+        ifd.GraphConfig(epsilon=0.25, max_vertices=budget)
 
 
 def test_g1_counts_at_quarter_mesh():

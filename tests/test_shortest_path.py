@@ -133,14 +133,21 @@ def test_cycle_raises():
 
 
 def _reference_search(g, s, t):
-    """scipy's Dijkstra on the same adjacency, then a backward walk over
-    exactly tight in-edges, smallest predecessor id first."""
+    """scipy's Dijkstra on the graph's own edges, parallel ones merged to
+    their minimum here, then a backward walk over exactly tight in-edges,
+    smallest predecessor id first."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-    adj = g.csr()
     n = g.n_vertices
-    csr = csr_matrix((adj.data, adj.indices, adj.indptr), shape=(n, n))
+    best = {}
+    for u, v, w in zip(g.tails.tolist(), g.heads.tolist(), g.weights.tolist()):
+        best[u, v] = min(w, best.get((u, v), math.inf))
+    pairs = sorted(best)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([u for u, _ in pairs], minlength=n), out=indptr[1:])
+    # built from its arrays, the matrix keeps zero weights as edges
+    csr = csr_matrix(([best[e] for e in pairs], [v for _, v in pairs], indptr), shape=(n, n))
     dist = csgraph_dijkstra(csr, directed=True, indices=s)
     if not math.isfinite(dist[t]):
         return dist, ()
@@ -208,26 +215,46 @@ def test_sweep_matches_scipy_dijkstra():
 
 
 def test_adjacency_takes_sorted_edges_as_they_are():
-    # unsorted edges with repeats are sorted and merged to their minimum
-    # weight; edges already sorted without repeats are used without a copy
+    # edges already grouped by tail are used as they are, without a copy;
+    # any others are put in stable tail order, and every parallel edge
+    # keeps its own weight
     rng = np.random.default_rng(12)
     tails, heads = rng.integers(0, 30, 300), rng.integers(0, 30, 300)
     weights = rng.choice([0.0, 0.5, 1.0], 300)
+    assert len(set(zip(tails.tolist(), heads.tolist()))) < 300  # parallel edges
     adj = adjacency(30, tails, heads, weights)
-    pairs = sorted(set(zip(tails.tolist(), heads.tolist())))
-    assert list(zip(np.repeat(np.arange(30), np.diff(adj.indptr)).tolist(),
-                    adj.indices.tolist())) == pairs
-    best = {}
-    for t, h, w in zip(tails.tolist(), heads.tolist(), weights.tolist()):
-        best[t, h] = min(w, best.get((t, h), math.inf))
-    assert adj.data.tolist() == [best[p] for p in pairs]
-    again = adjacency(30, np.array([t for t, _ in pairs]), adj.indices, adj.data)
+    order = sorted(range(300), key=lambda e: tails[e])
+    counts = np.bincount(tails, minlength=30)
+    assert adj.indptr.tolist() == [0] + np.cumsum(counts).tolist()
+    assert adj.indices.tolist() == heads[order].tolist()
+    assert adj.data.tolist() == weights[order].tolist()
+    again = adjacency(30, tails[order], adj.indices, adj.data)
     assert again.indices is adj.indices and again.data is adj.data
     assert np.array_equal(again.indptr, adj.indptr)
 
 
+def test_parallel_edges_and_ties_on_unordered_ids():
+    # ids out of topological order, parallel edges of different weights and
+    # an exact tie into one head: the path takes the smaller tail
+    #   3 -> 1 (weights 2.0 and 0.5), 3 -> 4 (0.25), 1 -> 0 (0.5), 4 -> 0 (0.75),
+    #   0 -> 2 (1.0); both ways into vertex 0 sum to 1.0
+    g = ifd.MonotoneDigraph(
+        xs=np.array([2.0, 1.0, 3.0, 0.0, 1.0]),
+        ys=np.array([2.0, 1.0, 3.0, 0.0, 1.0]),
+        tails=np.array([1, 3, 0, 3, 4, 3]),
+        heads=np.array([0, 1, 2, 4, 0, 1]),
+        weights=np.array([0.5, 2.0, 1.0, 0.25, 0.75, 0.5]),
+        source=3,
+        sink=2,
+    )
+    r = ifd.dijkstra(g)
+    assert r.vertex_ids == (3, 1, 0, 2)
+    assert r.distance == bellman_ford(g)[2] == 2.0
+    assert path_weight_sum(g, r.vertex_ids) == r.distance
+
+
 def test_edge_blocks_leave_search_unchanged(monkeypatch):
-    # the monotonicity check and the path recovery walk the edges in
+    # the monotonicity check and the predecessor pass walk the edges in
     # blocks; tiny blocks must give the same distance and path, and still
     # find a backward edge in a late block
     t1, t2 = curve_pair(ARRANGEMENT_PAIR)
@@ -302,6 +329,16 @@ def test_dense_oracle_beats_gridonly_graph():
     g = ifd.build_g1(t1, t2, cfg)
     with_diag = ifd.dense_grid_oracle(t1, t2, sigma)
     assert with_diag <= ifd.dijkstra(g).distance + 1e-12
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, math.nan, math.inf, True, 1e6], ids=repr)
+def test_lattice_budget_must_be_a_positive_integer(budget):
+    # g1, oracle mode and the dense oracle all count their lattice here
+    t1, t2 = curve_pair(PARALLEL)
+    with pytest.raises(ValueError, match="max_points must be a positive integer"):
+        ifd.dense_grid_oracle(t1, t2, 0.25, max_points=budget)
+    with pytest.raises(ValueError, match="max_points must be a positive integer"):
+        shortest_path.grid_lattice(ifd.build_cells(t1, t2), 0.25, budget)
 
 
 def test_staircase_oracle_basics():
