@@ -12,7 +12,6 @@ from .cell_paths import (
     SimilarityProfile,
     cell_shortest_path,
     partial_similarity_profile,
-    staircase_fallback_path,
     two_cell_path,
 )
 from .curves import CurveStats, PolygonalCurve, build_curve, stats
@@ -58,7 +57,7 @@ __all__ = [
     "edge_min", "ellipse_slice",
     "piece_weights", "segment_weighted_length",
     "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
-    "partial_similarity_profile", "staircase_fallback_path",
+    "partial_similarity_profile",
     "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",
     "build_grid_ball", "approximate_integral_frechet",
     "PathResult", "dijkstra", "dense_grid_oracle",

@@ -4,9 +4,13 @@ The in-cell optimum between dominated points a and b hugs the cell's
 monotone axis: enter the axis where it first meets the rectangle spanned
 by a and b, ride it as far as possible, leave for b.  When the axis misses
 the rectangle, the optimum bends around the rectangle corner closest to
-the axis.  The path follows from this geometry alone, so the vertex
-helper ``_shortest_vertices`` does geometry and nothing else: it checks
-no dominance and merges no vertices.  Each caller does those jobs once,
+the axis.  An antiparallel cell's axis lies at infinity
+(:attr:`~ifd.param_space.ParameterCell.axis_intercept` is +-inf), so its
+path always bends around the corner on the axis's side, the cheaper one;
+on an exactly antiparallel cell every monotone path weighs the same.  The
+path follows from this geometry alone, so the vertex helper
+``_shortest_vertices`` does geometry and nothing else: it checks no
+dominance and merges no vertices.  Each caller does those jobs once,
 for itself.  :func:`cell_shortest_path` checks its two points, cleans the
 vertices with ``_dedupe`` and weighs them; :func:`two_cell_path` checks
 its two ends once by the same rule.  The substitution sweeps in
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _check_finite
-from .errors import AntiparallelCell, NotMonotone
+from .errors import NotMonotone
 from .integrals import _piece_frame, piece_weights
 from .param_space import (
     CellGrid,
@@ -34,7 +38,6 @@ from .param_space import (
     free_space_axes,
     steps_back,
 )
-from .shortest_path import _check_count, _staircase_lattice, lattice_dp
 
 __all__ = [
     "CellPath",
@@ -42,7 +45,6 @@ __all__ = [
     "cell_shortest_path",
     "two_cell_path",
     "partial_similarity_profile",
-    "staircase_fallback_path",
 ]
 
 
@@ -51,7 +53,7 @@ class CellPath:
     """Monotone polyline within one cell (or two, for edge crossings)."""
 
     vertices: tuple
-    branch: str  # 'through_axis' | 'around_corner' | 'degenerate_fallback'
+    branch: str  # 'through_axis' | 'around_corner'
     weighted_length: float
 
 
@@ -85,8 +87,9 @@ def _shortest_vertices(cell: ParameterCell, a, b):
     ``a`` and ``b`` are float pairs.  The vertices are a, the axis entry and
     exit (or the corner) and b, raw: nothing is checked and nothing is
     merged, so a and b that miss the dominance order by float dust give a
-    path with steps back of that size.  The callers check and clean.  A
-    cell without a monotone axis raises :class:`AntiparallelCell`.
+    path with steps back of that size.  The callers check and clean.  On
+    an antiparallel cell the intercept k is +-inf, so the axis misses
+    every rectangle and the path takes the corner on its side.
     """
     (ax, ay), (bx, by) = a, b
     k = cell.axis_intercept
@@ -129,30 +132,11 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     and b out of the dominance order by more than 1e-9 of their largest
     |coordinate| (``param_space.steps_back``, the rule of
     :meth:`~ifd.matching.MonotonePath.from_points`), so the path scales
-    with the curves.  It raises
-    :class:`AntiparallelCell` when the cell has no monotone axis; no
-    library caller asks then (g2 skips such cells and
-    :func:`~ifd.matching.locally_optimize` keeps its subpath through them).
-    It merges the vertices of ``_shortest_vertices`` with ``_dedupe`` and
-    weighs them.
+    with the curves.  Every cell kind has an answer: on an antiparallel
+    cell it is the cheaper of the two corner paths.  It merges the
+    vertices of ``_shortest_vertices`` with ``_dedupe`` and weighs them.
     """
     return _cell_path(cell, *_checked_pair(a, b))
-
-
-def staircase_fallback_path(cell: ParameterCell, a, b, k: int = 256) -> CellPath:
-    """Best right/up/diagonal path over the k x k lattice spanned by a and b.
-
-    A brute-force reference for :func:`cell_shortest_path`, antiparallel
-    cells included; no library code falls back to it.  Raises
-    ``ValueError`` unless k is a positive integer.
-    """
-    _check_count("k", k)
-    value, points = lattice_dp(_staircase_lattice(cell, a, b, k), diagonal=True)
-    return CellPath(
-        vertices=_dedupe([ParameterPoint(*p) for p in points]),
-        branch="degenerate_fallback",
-        weighted_length=value,
-    )
 
 
 def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
@@ -165,8 +149,10 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     per-side in-cell optima, which makes the middle piece cross the edge
     perpendicularly.  o and p are checked once, by the rule of
     :func:`cell_shortest_path`, and the points on the edge between them are
-    not checked again.  The on-edge and axis-end tolerances are relative
-    to the parameter extent, so the path scales with the curves.
+    not checked again.  An antiparallel cell has no clipped axis, as in
+    :func:`~ifd.graphs.build_g2`, so a crossing that touches one is always
+    searched.  The on-edge and axis-end tolerances are relative to the
+    parameter extent, so the path scales with the curves.
     """
     o, p = _checked_pair(o, p)
     mid = 0.5 * (edge.lo + edge.hi)
@@ -178,11 +164,8 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
         _, j_lo = grid.locate(mid, edge.fixed)
         cell_o = grid.cell(edge.span_index, j_lo)
         cell_p = grid.cell(edge.span_index, min(j_lo + 1, grid.n_rows - 1))
-    if cell_o.kind == "antiparallel" or cell_p.kind == "antiparallel":
-        raise AntiparallelCell("two-cell crossing touches an antiparallel cell")
-
-    ell_o = free_space_axes(cell_o).ell
-    ell_p = free_space_axes(cell_p).ell
+    ell_o, ell_p = (None if c.kind == "antiparallel" else free_space_axes(c).ell
+                    for c in (cell_o, cell_p))
     scale = max(grid.extent)
 
     def on_edge(q):

@@ -14,7 +14,9 @@ class OutOfRange(IfdError):
 
 
 class AntiparallelCell(IfdError):
-    """The cell's segments point in opposite directions; it has no monotone axis."""
+    """The cell's segments point in opposite directions, so its axis lies at
+    infinity and it has no finite centre; only
+    :func:`~ifd.param_space.free_space_axes` raises it."""
 
 
 class BudgetExceeded(IfdError):

@@ -162,29 +162,29 @@ def build_g1(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     keeps each edge inside one cell and never widens the mesh.  The search
     in :func:`approximate_integral_frechet` sweeps the same lattice without
     building this graph; the graph stays as the reference it is tested
-    against.
+    against.  Each vertex's right edge and up edge come together, grouped
+    by tail, so the search takes the edges as they are.
     """
     lat = grid_lattice(build_cells(t1, t2), _g1_mesh(t1, t2, cfg), cfg.max_vertices)
     xs, ys = lat.xs, lat.ys
     nx, ny = len(xs), len(ys)
-    w_right = np.empty((ny, nx - 1))
-    w_up = np.empty((ny - 1, nx))
+    # slot 0 of a vertex holds its right edge, slot 1 its up edge
+    w = np.empty((ny, nx, 2))
     for r0, right, up, _ in lattice_weights(lat, diagonal=False):
-        w_right[r0:r0 + len(right)] = right
-        w_up[r0:r0 + len(up)] = up
-
-    ids = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
-    right_tails = ids[:, :-1].ravel()
-    up_tails = ids[:-1, :].ravel()
-    tails = np.concatenate([right_tails, up_tails])
-    heads = np.concatenate([right_tails + 1, up_tails + nx])
-    weights = np.concatenate([w_right.ravel(), w_up.ravel()])
+        w[r0:r0 + len(right), :-1, 0] = right
+        w[r0:r0 + len(up), :, 1] = up
+    has = np.ones((ny, nx, 2), dtype=bool)
+    has[:, -1, 0] = has[-1, :, 1] = False
+    has = has.ravel()
+    tails = np.repeat(np.arange(nx * ny, dtype=np.int64), 2)[has]
+    heads = np.tile(np.array([1, nx], dtype=np.int64), nx * ny)[has]
+    heads += tails
     return MonotoneDigraph(
         xs=np.tile(xs, ny),
         ys=np.repeat(ys, nx),
         tails=tails,
         heads=heads,
-        weights=weights,
+        weights=w.ravel()[has],
         source=0,
         sink=nx * ny - 1,
     )

@@ -155,12 +155,7 @@ def _substitute_once(grid, verts, memo):
         key = (i, j, pieces[0][0], pieces[-1][1])
         tail = memo.get(key)
         if tail is None:
-            cell = grid.cell(i, j)
-            if cell.kind == "antiparallel":
-                out.extend(p for p, _ in pieces[1:])
-                out.append(pieces[-1][1])
-                continue
-            tail = memo[key] = _shortest_vertices(cell, key[2], key[3])[0][1:]
+            tail = memo[key] = _shortest_vertices(grid.cell(i, j), key[2], key[3])[0][1:]
         out.extend(tail)
     return list(_dedupe(out))
 
@@ -172,7 +167,7 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     consecutive crossings it lies in one cell and gets substituted by the
     in-cell optimum, which never increases the cost and dominates the
     original's similarity profile at every threshold.  Antiparallel cells
-    keep their original subpath.
+    are no exception: their subpath becomes the cheaper corner path.
 
     A replaced subpath can run along a cell boundary, in which case the
     next sweep may cut the path differently and shave a little more, so

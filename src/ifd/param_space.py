@@ -120,10 +120,12 @@ class ParameterCell:
     def axis_intercept(self) -> float:
         """Intercept k of the monotone axis line y - x = k in global coordinates.
 
-        Computed as -(du + dv)/(1 + c), which stays stable for c -> 1.
+        Computed as -(du + dv)/(1 + c), which stays stable for c -> 1.  An
+        antiparallel cell's axis lies at infinity, on the side this formula
+        takes as c -> -1 from above: k = +-inf, the sign of -(du + dv).
         """
         if self.kind == "antiparallel":
-            raise AntiparallelCell(f"cell ({self.i},{self.j}) has no monotone axis")
+            return math.copysign(math.inf, -(self.du + self.dv))
         return (self.y0 - self.x0) - (self.du + self.dv) / (1.0 + self.c)
 
     def corner_weights(self):
@@ -324,7 +326,8 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
     quadratic (Hessian [[1, -c], [-c, 1]], eigenvectors (1, 1) and
     (1, -1)), so the monotone axis always has slope +1.  Parallel cells
     keep the whole minimizing slope +1 line.
-    Antiparallel cells raise :class:`AntiparallelCell`.
+    Antiparallel cells raise :class:`AntiparallelCell`: their axis lies at
+    infinity, so they have no finite centre.
     """
     if cell.kind == "antiparallel":
         raise AntiparallelCell(f"cell ({cell.i},{cell.j}) is antiparallel")

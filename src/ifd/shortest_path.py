@@ -7,9 +7,8 @@ reads the out-edges grouped by tail; parallel edges stay as they are,
 since the sweep keeps the least sum over them anyway.  The path is
 reconstructed backwards over exactly tight edges: each vertex's
 predecessor is the smallest tail id among its tight in-edges.
-Rectangular lattices (the uniform grid g1, the dense snapped-grid oracle
-and the per-cell staircase of ``cell_paths.staircase_fallback_path``)
-share one weight generator and one row-by-row dynamic program over
+Rectangular lattices (the uniform grid g1 and the dense snapped-grid
+oracle) share one weight generator and one row-by-row dynamic program over
 right/up(/diagonal) moves.  Every sweep records the move into each point
 in bit planes (one bit per point, two with diagonals) and backtracks over
 them, so every caller gets the path with the value.
@@ -236,13 +235,6 @@ def grid_lattice(grid, h: float, max_points: int) -> Lattice:
     xs, x_off = snapped_axis(grid.x_cuts, h)
     ys, y_off = snapped_axis(grid.y_cuts, h)
     return Lattice(grid.cell, xs, x_off, ys, y_off)
-
-
-def _staircase_lattice(cell: ParameterCell, a, b, k: int) -> Lattice:
-    steps = np.arange(k + 1) / k
-    ends = np.array([0, k])
-    return Lattice(lambda i, j: cell, a[0] + (b[0] - a[0]) * steps, ends,
-                   a[1] + (b[1] - a[1]) * steps, ends)
 
 
 def lattice_weights(lat: Lattice, diagonal: bool):

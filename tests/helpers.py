@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import ifd
 from ifd import graphs
 from ifd.cell_paths import _dedupe, _shortest_vertices
+from ifd.shortest_path import Lattice, _check_count, lattice_dp
 
 # powers of two scale every float exactly, so under s values/s and costs/s^2 must not move
 SCALES = (2.0 ** -40, 1.0, 2.0 ** 30)
@@ -125,6 +127,31 @@ def lattice_oracle(grid, a, b, k):
     return float(dist[-1, -1])
 
 
+def staircase_lattice(cell, a, b, k):
+    """The (k + 1) x (k + 1) lattice spanned by a and b, all of it in ``cell``."""
+    steps = np.arange(k + 1) / k
+    ends = np.array([0, k])
+    return Lattice(lambda i, j: cell, a[0] + (b[0] - a[0]) * steps, ends,
+                   a[1] + (b[1] - a[1]) * steps, ends)
+
+
+class Staircase(NamedTuple):
+    vertices: tuple
+    weighted_length: float
+
+
+def staircase_path(cell, a, b, k=256):
+    """Best right/up/diagonal path over the k x k lattice spanned by a and b.
+
+    The brute-force reference for ``cell_shortest_path``, every cell kind
+    included: the library's lattice dynamic program over one cell.  Raises
+    ``ValueError`` unless k is a positive integer.
+    """
+    _check_count("k", k)
+    value, points = lattice_dp(staircase_lattice(cell, a, b, k), diagonal=True)
+    return Staircase(_dedupe([ifd.ParameterPoint(*p) for p in points]), value)
+
+
 def bellman_ford(graph, source=None):
     """Plain relaxation loop; meant as a cross-check on small graphs."""
     s = graph.source if source is None else source
@@ -197,10 +224,10 @@ def reference_sweep(grid, p):
 
     The array form of ``matching._substitute_once``: cut the whole path in
     one batch, group consecutive pieces of one cell, and substitute each
-    group by the cell's shortest path (antiparallel groups stay).  Each
-    substitute is cleaned with ``_dedupe`` on its own before the whole path
-    is cleaned, two clean-ups where the library makes one, so the
-    comparison shows that one clean-up per sweep gives the same bits.
+    group by the cell's shortest path.  Each substitute is cleaned with
+    ``_dedupe`` on its own before the whole path is cleaned, two clean-ups
+    where the library makes one, so the comparison shows that one clean-up
+    per sweep gives the same bits.
     """
     _, a, b, i, j = reference_split(grid, p.vertices[:-1], p.vertices[1:])
     if not len(a):
@@ -211,12 +238,7 @@ def reference_sweep(grid, p):
     a, b = a.tolist(), b.tolist()
     out = [a[0]]
     for lo, hi, ci, cj in zip(first.tolist(), last.tolist(), i[first].tolist(), j[first].tolist()):
-        cell = grid.cell(ci, cj)
-        if cell.kind == "antiparallel":
-            out.extend(a[lo + 1:hi + 1])
-            out.append(b[hi])
-        else:
-            out.extend(_dedupe(_shortest_vertices(cell, a[lo], b[hi])[0])[1:])
+        out.extend(_dedupe(_shortest_vertices(grid.cell(ci, cj), a[lo], b[hi])[0])[1:])
     return ifd.MonotonePath.from_points(_dedupe(out))
 
 
@@ -394,6 +416,12 @@ def quadrature_weighted_length(grid, a, b, tol=1e-12):
 PARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)])
 PERPENDICULAR = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 0.0), (0.0, 1.0)])
 ANTIPARALLEL = ([(0.0, 0.0), (1.0, 0.0)], [(1.0, 1.0), (0.0, 1.0)])
+# two antiparallel cells, (0, 1) and (1, 0); the staircase detours through
+# cell (0, 1), and its polish costs POLISHED_DETOUR
+ANTIPARALLEL_TURNS = ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+                      [(1.2, 1.1), (1.2, 0.1), (0.2, 0.1)])
+DETOUR = [(0.0, 0.0), (0.3, 0.0), (0.3, 1.7), (1.6, 1.7), (1.6, 2.0), (2.0, 2.0)]
+POLISHED_DETOUR = 3.0130703832848837
 # the first two segments of the C4 identical curve, twice; its desk-preset
 # g2 at epsilon 0.25 has 16,900 vertices
 IDENTICAL = ([(0.0, 0.0), (1.0, 0.4), (1.7, 0.9)],) * 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ifd
-from ifd.errors import AntiparallelCell, NotMonotone
+from ifd.errors import NotMonotone
 
 from helpers import (
     ANTIPARALLEL,
@@ -19,6 +19,7 @@ from helpers import (
     random_monotone_pair,
     random_staircase,
     scale_id,
+    staircase_path,
 )
 
 # frozen from the arsinh antiderivative, cross-checked by quadrature below
@@ -63,18 +64,66 @@ def test_axis_missed_goes_around_corner():
     assert p.weighted_length == pytest.approx(CASE3, abs=1e-9)
 
 
-def test_antiparallel_raises_and_fallback_works():
-    t1, t2 = curve_pair(ANTIPARALLEL)
-    g = ifd.build_cells(t1, t2)
-    cell = g.cell(0, 0)
-    with pytest.raises(AntiparallelCell):
-        ifd.cell_shortest_path(cell, (0, 0), (1, 1))
-    fb = ifd.staircase_fallback_path(cell, (0, 0), (1, 1), k=64)
-    assert fb.branch == "degenerate_fallback"
-    # the plain-loop DP over the same 64 x 64 lattice (the cell is the whole grid)
-    assert fb.weighted_length == pytest.approx(lattice_oracle(g, (0, 0), (1, 1), 64), abs=1e-12)
-    d = np.diff(np.asarray(fb.vertices), axis=0)
-    assert (d >= -1e-12).all()
+# c = -1 exactly: the cell of ANTIPARALLEL, and one whose segments are offset sideways
+EXACT_ANTIPARALLEL = (ANTIPARALLEL, ([(0.0, 0.0), (1.0, 0.0)], [(1.3, 0.2), (0.1, 0.2)]))
+
+
+@over_scales
+def test_exactly_antiparallel_paths_weigh_the_same(s):
+    # with c = -1 the leash depends on xi + eta alone, and so does the L1
+    # length element of a monotone path: the corner path the cell returns,
+    # the other corner path and the straight path all weigh the same
+    rng = np.random.default_rng(24)
+    for pair in EXACT_ANTIPARALLEL:
+        t1, t2 = (_scaled_curve(pts, s) for pts in pair)
+        cell = ifd.build_cells(t1, t2).cell(0, 0)
+        assert cell.kind == "antiparallel"
+        ends = [((0.0, 0.0), (t1.length, t2.length))]
+        ends += [random_monotone_pair(rng, cell) for _ in range(10)]
+        for a, b in ends:
+            path = ifd.cell_shortest_path(cell, a, b)
+            assert path.branch == "around_corner"
+            for other in ([a, b], [a, (a[0], b[1]), b], [a, (b[0], a[1]), b]):
+                other = np.asarray(other, dtype=float)
+                w = float(ifd.piece_weights(cell, other[:-1], other[1:]).sum())
+                assert path.weighted_length == pytest.approx(w, rel=1e-14, abs=0.0)
+
+
+def _snapped_antiparallel(rng):
+    """Two segments 1e-7 to 4.4e-5 rad off antiparallel, which their cell
+    snaps to c = -1, and the fractions of their lengths at two dominated
+    points of the cell."""
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    off = th + rng.choice((-1.0, 1.0)) * rng.uniform(1e-7, 4.4e-5)
+    p0, q0 = rng.uniform(-1.0, 1.0, (2, 2))
+    l0, l1 = rng.uniform(0.3, 2.0, 2)
+    pts1 = [p0, p0 + l0 * np.array([math.cos(th), math.sin(th)])]
+    pts2 = [q0, q0 - l1 * np.array([math.cos(off), math.sin(off)])]
+    return pts1, pts2, np.sort(rng.uniform(0.0, 1.0, 2)), np.sort(rng.uniform(0.0, 1.0, 2))
+
+
+@over_scales
+def test_snapped_antiparallel_cells_take_the_cheaper_corner(s):
+    # a snapped cell's axis lies at infinity on one side, and the corner on
+    # that side is the cheaper one, up to 9e-6 relative below the other and
+    # the straight path.  The corner path lies on the staircase lattice, so
+    # the staircase reaches it up to rounding, never below it
+    rng = np.random.default_rng(25)
+    for _ in range(12):
+        pts1, pts2, fx, fy = _snapped_antiparallel(rng)
+        paths = []
+        for scale in (1.0, s):
+            t1, t2 = _scaled_curve(pts1, scale), _scaled_curve(pts2, scale)
+            cell = ifd.build_cells(t1, t2).cell(0, 0)
+            assert cell.kind == "antiparallel"
+            a = (float(fx[0]) * t1.length, float(fy[0]) * t2.length)
+            b = (float(fx[1]) * t1.length, float(fy[1]) * t2.length)
+            paths.append(ifd.cell_shortest_path(cell, a, b))
+        unit, path = paths
+        assert path.branch == "around_corner" and len(path.vertices) == 3
+        stair = staircase_path(cell, a, b, k=512).weighted_length
+        assert abs(path.weighted_length - stair) <= 1e-12 * stair
+        assert np.array_equal(np.asarray(path.vertices), s * np.asarray(unit.vertices))
 
 
 def test_optimality_against_staircase():
@@ -85,7 +134,7 @@ def test_optimality_against_staircase():
         best = ifd.cell_shortest_path(cell, a, b)
         prev = None
         for k in (16, 32, 64, 128):
-            val = ifd.staircase_fallback_path(cell, a, b, k).weighted_length
+            val = staircase_path(cell, a, b, k).weighted_length
             assert best.weighted_length <= val + 1e-10
             if prev is not None:
                 assert val <= prev + 1e-12
@@ -188,14 +237,26 @@ def test_two_cell_search_branch_across_a_horizontal_edge(s):
     assert mirror.weighted_length == pytest.approx(path.weighted_length, rel=1e-12)
 
 
-def test_two_cell_antiparallel_raises():
-    t1 = ifd.build_curve([(0, 0), (1, 0)])
-    t2 = ifd.build_curve([(1, 1), (0, 1), (0, 2)])
+@over_scales
+def test_two_cell_path_through_an_antiparallel_cell(s):
+    # cell (0, 0) is antiparallel, so it has no clipped axis and the
+    # crossing of the edge y = s is searched.  The cost is flat along the
+    # edge: the antiparallel cell weighs every path from o to the edge alike
+    t1 = _scaled_curve([(0, 0), (1, 0)], s)
+    t2 = _scaled_curve([(1, 1), (0, 1), (0, 2)], s)
     grid = ifd.build_cells(t1, t2)
     assert grid.cell(0, 0).kind == "antiparallel"
-    e = _shared_edge(grid, vertical=False, fixed=1.0)
-    with pytest.raises(AntiparallelCell):
-        ifd.two_cell_path((0.5, 0.5), (0.9, 1.5), e, grid)
+    e = _shared_edge(grid, vertical=False, fixed=s)
+    o, p = (0.5 * s, 0.5 * s), (0.9 * s, 1.5 * s)
+    path = ifd.two_cell_path(o, p, e, grid)
+    scan = min(ifd.cell_shortest_path(grid.cell(0, 0), o, (w, s)).weighted_length
+               + ifd.cell_shortest_path(grid.cell(0, 1), (w, s), p).weighted_length
+               for w in np.linspace(o[0], p[0], 401).tolist())
+    assert path.weighted_length == pytest.approx(scan, rel=1e-12)
+    assert path.weighted_length / s**2 == pytest.approx(1.7811575854159363, rel=1e-12)
+    assert ifd.matching_cost(t1, t2, path.vertices) == pytest.approx(path.weighted_length,
+                                                                     rel=1e-12)
+    assert path.weighted_length <= lattice_oracle(grid, o, p, 48) * (1.0 + 1e-12)
 
 
 def test_two_cell_random_adjacent_cells():
@@ -272,7 +333,7 @@ def test_two_cell_path_checks_its_ends_once(s):
 def test_staircase_k_must_be_a_positive_integer(k):
     cell = _parallel_cell()[1]
     with pytest.raises(ValueError, match="k must be a positive integer"):
-        ifd.staircase_fallback_path(cell, (0, 0), (1, 1), k)
+        staircase_path(cell, (0, 0), (1, 1), k)
 
 
 def test_profile_parallel_step():
@@ -324,7 +385,7 @@ STAIRCASE_PAIR = ([(0, 0), (1, 0.3)], [(0, 0.5), (1.2, 0.9)])
 def _corner_staircase(s, k=64):
     t1, t2 = (_scaled_curve(pts, s) for pts in STAIRCASE_PAIR)
     cell = ifd.build_cells(t1, t2).cell(0, 0)
-    return t1, t2, ifd.staircase_fallback_path(cell, (0.0, 0.0), (t1.length, t2.length), k=k)
+    return t1, t2, staircase_path(cell, (0.0, 0.0), (t1.length, t2.length), k=k)
 
 
 @pytest.mark.parametrize("s", SCALES + (2.0 ** -50,), ids=scale_id)

@@ -15,7 +15,16 @@ from ifd import cli
 from ifd.cli import load_curve, main, render_svg
 from ifd.graphs import MODES
 
-from helpers import ANTIPARALLEL, DUST_PAIR, DUST_PATHS, PARALLEL, curve_pair
+from helpers import (
+    ANTIPARALLEL,
+    ANTIPARALLEL_TURNS,
+    DETOUR,
+    DUST_PAIR,
+    DUST_PATHS,
+    PARALLEL,
+    POLISHED_DETOUR,
+    curve_pair,
+)
 
 
 @pytest.fixture
@@ -204,6 +213,19 @@ def test_optimize_matching_flag(parallel_files, tmp_path):
     report = json.loads(out.read_text())
     assert report["optimized"]["cost"] <= report["optimized"]["input_cost"]
     assert report["optimized"]["cost"] == pytest.approx(2.0, abs=1e-9)
+    # a pair with two antiparallel cells, and a staircase through one of them
+    t1, t2 = curve_pair(ANTIPARALLEL_TURNS)
+    for name, pts in (("t1.json", t1.vertices), ("t2.json", t2.vertices)):
+        (tmp_path / name).write_text(json.dumps({"vertices": pts.tolist()}))
+    staircase.write_text(json.dumps({"path": DETOUR}))
+    code = main(["compute", "--a", str(tmp_path / "t1.json"), "--b", str(tmp_path / "t2.json"),
+                 "--epsilon", "0.25", "--mode", "oracle", "--max-vertices", "20000",
+                 "--optimize-matching", str(staircase), "--out", str(out)])
+    assert code == 0
+    optimized = json.loads(out.read_text())["optimized"]
+    assert optimized["cost"] <= optimized["input_cost"]
+    assert optimized["cost"] == ifd.matching_cost(t1, t2, optimized["path"])
+    assert optimized["cost"] == pytest.approx(POLISHED_DETOUR, rel=1e-12)
 
 
 def test_optimize_matching_polishes_a_dust_back_step(tmp_path):

@@ -97,6 +97,30 @@ def test_g1_always_connected():
         assert ifd.dijkstra(g).reachable
 
 
+def test_g1_edges_come_grouped_by_tail():
+    # each vertex's right and up edges come together, so the search's
+    # adjacency is the graph's own arrays; all right edges first, the order
+    # g1 once had, gives the same search bit for bit
+    rng = np.random.default_rng(42)
+    t1, t2 = random_curve(rng, 3), random_curve(rng, 2)
+    g = ifd.build_g1(t1, t2, ifd.GraphConfig.desk(epsilon=0.5, c_g1=5.0))
+    nx = len(np.unique(g.xs))
+    ny = g.n_vertices // nx
+    assert nx != ny and np.all(np.diff(g.tails) >= 0)
+    adj = g.csr()
+    assert np.shares_memory(adj.indices, g.heads) and np.shares_memory(adj.data, g.weights)
+    order = np.argsort(g.ys[g.heads] != g.ys[g.tails], kind="stable")
+    ids = np.arange(nx * ny).reshape(ny, nx)
+    right, up = ids[:, :-1].ravel(), ids[:-1].ravel()
+    assert np.array_equal(g.tails[order], np.concatenate([right, up]))
+    assert np.array_equal(g.heads[order], np.concatenate([right + 1, up + nx]))
+    old = ifd.MonotoneDigraph(g.xs, g.ys, g.tails[order], g.heads[order], g.weights[order],
+                              g.source, g.sink)
+    new, ref = ifd.dijkstra(g), ifd.dijkstra(old)
+    assert new.distance == ref.distance and new.vertex_ids == ref.vertex_ids
+    assert np.array_equal(new.points, ref.points)
+
+
 def test_grid_ball_lattice():
     h, v = ifd.build_grid_ball((0.5, 0.5), 0.25, 0.25, (1.0, 1.0))
     assert len(h) == 3 and len(v) == 3
@@ -388,14 +412,14 @@ def test_public_names_are_pinned():
         "edge_min", "ellipse_slice",
         "piece_weights", "segment_weighted_length",
         "CellPath", "SimilarityProfile", "cell_shortest_path", "two_cell_path",
-        "partial_similarity_profile", "staircase_fallback_path",
+        "partial_similarity_profile",
         "GraphConfig", "MonotoneDigraph", "ApproxResult", "build_g1", "build_g2",
         "build_grid_ball", "approximate_integral_frechet",
         "PathResult", "dijkstra", "dense_grid_oracle",
         "MonotonePath", "matching_cost", "evaluate_matching", "locally_optimize",
         "max_leash",
     ])
-    assert len(ifd.__all__) == 39
+    assert len(ifd.__all__) == 38
     assert len(set(ifd.__all__)) == len(ifd.__all__)
     for name in ifd.__all__:
         assert getattr(ifd, name, None) is not None, name

@@ -10,10 +10,12 @@ from ifd.integrals import _split
 from ifd.matching import _runs
 
 from helpers import (
-    ANTIPARALLEL,
+    ANTIPARALLEL_TURNS,
+    DETOUR,
     DUST_PAIR,
     DUST_PATHS,
     PARALLEL,
+    POLISHED_DETOUR,
     SCALES,
     curve_pair,
     over_scales,
@@ -120,14 +122,19 @@ def test_locally_optimize_random_staircases():
             assert np.array_equal(scaled.vertices, once.vertices * s)
 
 
-def test_locally_optimize_keeps_antiparallel_subpaths():
-    t1, t2 = curve_pair(ANTIPARALLEL)
-    pts = [(0, 0), (0.5, 0.0), (0.5, 0.5), (1, 1)]
-    out = ifd.locally_optimize(t1, t2, pts)
-    assert np.allclose(out.vertices, pts)
-    assert ifd.matching_cost(t1, t2, out) == pytest.approx(
-        ifd.matching_cost(t1, t2, pts), abs=1e-12
-    )
+def test_locally_optimize_leaves_no_antiparallel_detour():
+    # the staircase detours through the antiparallel cell (0, 1); the polish
+    # used to keep that subpath and stopped at 3.1309274194, and the corner
+    # paths of both antiparallel cells now take it to POLISHED_DETOUR
+    t1, t2 = curve_pair(ANTIPARALLEL_TURNS)
+    grid = ifd.build_cells(t1, t2)
+    assert grid.cell(0, 1).kind == grid.cell(1, 0).kind == "antiparallel"
+    before = ifd.matching_cost(t1, t2, DETOUR)
+    out = ifd.locally_optimize(t1, t2, DETOUR)
+    after = ifd.matching_cost(t1, t2, out)
+    assert after == pytest.approx(POLISHED_DETOUR, rel=1e-12)
+    assert after < 3.13 < before
+    assert np.array_equal(ifd.locally_optimize(t1, t2, out).vertices, out.vertices)
 
 
 # staircases of the transform benchmark corpus, keyed (seed, case), on which
@@ -274,14 +281,13 @@ def test_locally_optimize_improves_leash_through_axis():
 def test_locally_optimize_pointwise_leash_domination():
     # within each replaced cell the new subpath's weights never exceed the
     # original subpath's largest weight (projection onto the axis shrinks
-    # weights pointwise)
+    # weights pointwise); T1 walked backwards gives antiparallel cells
     rng = np.random.default_rng(51)
     t1 = random_curve(rng, 2)
-    t2 = random_curve(rng, 3)
-    grid = ifd.build_cells(t1, t2)
-    if any(c.kind == "antiparallel" for col in grid.cells for c in col):
-        pytest.skip("generator produced an antiparallel cell")
-    for _ in range(5):
+    pairs = [(t1, random_curve(rng, 3)), (t1, ifd.build_curve(t1.vertices[::-1] + 0.2))]
+    antiparallel = 0
+    for t1, t2 in pairs * 5:
+        grid = ifd.build_cells(t1, t2)
         path = random_staircase(rng, (0.0, 0.0), (t1.length, t2.length), steps=4)
         _, p, q, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
         groups = []
@@ -292,6 +298,7 @@ def test_locally_optimize_pointwise_leash_domination():
                 groups.append((key, [(a, b)]))
         for key, segs in groups:
             cell = grid.cell(*key)
+            antiparallel += cell.kind == "antiparallel"
             old_max = max(
                 max(float(cell.weight_at(*a)), float(cell.weight_at(*b)))
                 for a, b in segs
@@ -302,6 +309,7 @@ def test_locally_optimize_pointwise_leash_domination():
                 i = min(int(f * (len(verts) - 1)), len(verts) - 2)
                 q = verts[i] + (f * (len(verts) - 1) - i) * (verts[i + 1] - verts[i])
                 assert float(cell.weight_at(q[0], q[1])) <= old_max + 1e-9
+    assert antiparallel >= 5
 
 
 def test_max_leash_examples():

@@ -70,13 +70,25 @@ def test_parallel_axes():
 
 
 def test_antiparallel_axes_raise():
+    # an antiparallel cell's axis lies at infinity: free_space_axes has no
+    # finite centre to give, and the intercept is +-inf on the side that the
+    # generic -(du + dv)/(1 + c) takes as c -> -1 from above
     t1, t2 = curve_pair(ANTIPARALLEL)
     cell = ifd.build_cells(t1, t2).cell(0, 0)
     assert cell.kind == "antiparallel"
     with pytest.raises(AntiparallelCell):
         ifd.free_space_axes(cell)
-    with pytest.raises(AntiparallelCell):
-        cell.axis_intercept
+    assert math.isinf(cell.axis_intercept)
+    for sign in (1.0, -1.0):
+        cells = []
+        for angle in (1e-2, 1e-3, 1e-5):  # generic, generic, snapped to c = -1
+            a = sign * angle
+            t2 = ifd.build_curve([(1.2, 0.4), (1.2 - math.cos(a), 0.4 + math.sin(a))])
+            cells.append(ifd.build_cells(t1, t2).cell(0, 0))
+        assert [c.kind for c in cells] == ["generic", "generic", "antiparallel"]
+        ks = [c.axis_intercept for c in cells]
+        assert ks[2] == -sign * math.inf
+        assert ks[0] * ks[2] > 0 and ks[1] * ks[2] > 0 and abs(ks[1]) > 5.0 * abs(ks[0])
 
 
 def test_edge_min_examples():

@@ -9,7 +9,6 @@ from ifd.errors import BudgetExceeded
 from ifd.integrals import _tile_weights
 from ifd.shortest_path import (
     Lattice,
-    _staircase_lattice,
     adjacency,
     dense_grid_oracle_path,
     lattice_weights,
@@ -23,6 +22,7 @@ from helpers import (
     PARALLEL,
     PERPENDICULAR,
     SCALES,
+    staircase_lattice,
     bellman_ford,
     curve_pair,
     lattice_oracle,
@@ -30,6 +30,7 @@ from helpers import (
     quadrature_weighted_length,
     random_cell,
     random_curve,
+    staircase_path,
 )
 
 
@@ -346,7 +347,7 @@ def test_staircase_oracle_basics():
     cell = ifd.build_cells(t1, t2).cell(0, 0)
 
     def staircase(a, b, k):
-        return ifd.staircase_fallback_path(cell, a, b, k).weighted_length
+        return staircase_path(cell, a, b, k).weighted_length
 
     for k in (2, 7, 32):
         assert staircase((0, 0), (1, 1), k) == pytest.approx(2.0, abs=1e-12)
@@ -366,7 +367,7 @@ def test_staircase_refinement_monotone():
         b = (cell.x1, cell.y1)
         prev = None
         for k in (8, 16, 32, 64):
-            v = ifd.staircase_fallback_path(cell, a, b, k).weighted_length
+            v = staircase_path(cell, a, b, k).weighted_length
             if prev is not None:
                 assert v <= prev + 1e-12
             prev = v
@@ -491,11 +492,11 @@ def test_lattice_buffers_match_fresh_tiles(name):
 def test_staircase_lattice_of_a_point_weighs_zero():
     grid, cell = random_cell(np.random.default_rng(36))
     a = (0.5 * (cell.x0 + cell.x1), 0.5 * (cell.y0 + cell.y1))
-    for w, _, _ in _lattice_edges(_staircase_lattice(cell, a, a, 5)).values():
+    for w, _, _ in _lattice_edges(staircase_lattice(cell, a, a, 5)).values():
         assert np.all(w == 0.0)
     # a vertical staircase: zero-width right and diagonal steps
     b = (a[0], cell.y1)
-    for w, p, q in _lattice_edges(_staircase_lattice(cell, a, b, 7)).values():
+    for w, p, q in _lattice_edges(staircase_lattice(cell, a, b, 7)).values():
         ref = ifd.segment_weighted_length(grid, p, q)
         assert np.all(np.abs(w - ref) <= 1e-11 * ref)
 
