@@ -83,8 +83,8 @@ def render_svg(t1: PolygonalCurve, t2: PolygonalCurve, overlays=None) -> str:
     """Deterministic SVG of the parameter space.
 
     Layers, in order: cell grid, free-space axes, ellipse slices for each
-    requested threshold, grid-ball outlines, the path.  Fixed element
-    order and 6-decimal coordinates keep the output byte-stable.
+    requested threshold, the path.  Fixed element order and 6-decimal
+    coordinates keep the output byte-stable.
     """
     overlays = overlays or {}
     grid = build_cells(t1, t2)
@@ -137,15 +137,6 @@ def render_svg(t1: PolygonalCurve, t2: PolygonalCurve, overlays=None) -> str:
                         f'<polyline points="{pts}" fill="none" '
                         f'stroke="#33aa55" stroke-width="1"/>'
                     )
-    for cx, cy, r in overlays.get("balls", ()):
-        x0, x1 = max(cx - r, 0.0), min(cx + r, l1)
-        y0, y1 = max(cy - r, 0.0), min(cy + r, l2)
-        if x1 > x0 and y1 > y0:
-            out.append(
-                f'<rect x="{_fmt(px(x0))}" y="{_fmt(py(y1))}" '
-                f'width="{_fmt((x1 - x0) * sc)}" height="{_fmt((y1 - y0) * sc)}" '
-                f'fill="none" stroke="#dd8833" stroke-dasharray="4 3" stroke-width="1"/>'
-            )
     path = overlays.get("path")
     if path is not None:
         verts = getattr(path, "vertices", path)

@@ -32,7 +32,7 @@ from .integrals import segment_weighted_length
 # this module's global so that the wrapped search is the one that runs
 from .integrals import horizontal_strip_weights, vertical_strip_weights  # noqa: F401
 from .matching import MonotonePath
-from .param_space import build_cells, edge_min, free_space_axes
+from .param_space import build_cells, edge_min, free_space_axes, steps_back
 from .shortest_path import (
     _EDGE_BLOCK,
     _check_count,
@@ -137,7 +137,7 @@ class MonotoneDigraph:
         extent = float(max(np.abs(self.xs).max(), np.abs(self.ys).max()))
         for a in range(0, self.n_edges, _EDGE_BLOCK):
             t, h = self.tails[a:a + _EDGE_BLOCK], self.heads[a:a + _EDGE_BLOCK]
-            if min(float((c[h] - c[t]).min()) for c in (self.xs, self.ys)) < -1e-9 * extent:
+            if steps_back(min(float((c[h] - c[t]).min()) for c in (self.xs, self.ys)), extent):
                 raise ValueError("graph contains a non-monotone edge")
         lo, hi = float(self.weights.min()), float(self.weights.max())
         if lo < -1e-12 * max(-lo, hi):
@@ -351,9 +351,11 @@ def _arrangement(h, v, a, iso, snap, cap):
     Every segment is split at its crossings and at the isolated points on
     it; splits that round to one ``snap`` key are one point.  Returns
     ``(coords, tails, heads, ends, iso_ids)``: the vertices in (x key,
-    y key) order, the edges sorted by (tail, head), each oriented right/up
-    with the embedding ``ends[e] = (tail, head)`` of the first piece
-    between its two vertices, and the vertex id of every isolated point.
+    y key) order, the edges sorted by (tail, head), with the embedding
+    ``ends[e] = (tail, head)`` of the first piece between its two vertices,
+    and the vertex id of every isolated point.  Every segment runs from p
+    to q with p <= q and its splits are sorted along it, so every piece,
+    and so every edge, already points right/up.
     Each stage's arrays are released once the next stage holds what it
     needs, so the peak stays a few times the size of the result.  Raises
     ``BudgetExceeded`` when the crossings exceed ``cap``.
@@ -391,10 +393,6 @@ def _arrangement(h, v, a, iso, snap, cap):
     piece += 1
     ends[:, 1] = pts[piece]
     del pts, piece
-    a, b = ends[:, 0], ends[:, 1]
-    back = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
-    ends[back] = ends[back, ::-1]
-    del a, b  # views that would keep flat alive
 
     # vertices: one per snap key, numbered in (x key, y key) order; the
     # sort is stable, so each key's first point in flat represents it

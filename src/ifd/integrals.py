@@ -10,10 +10,12 @@ integrates that root for in-cell pieces (:func:`piece_weights`, framed by
 :func:`_piece_frame`) and for lattice diagonals.
 :func:`segment_weighted_length` weighs any segments (two points, or two
 (n, 2) arrays): :func:`_split` cuts them at the parameter lines, and only
-where a line crosses a segment is it cut.  The one cutting loop is the
-plain-Python :func:`_walk`, which the polish's runs share; a block of more
-than ``_WALK_ALL`` segments first keeps, in one vectorized test, every
-segment that no line crosses as its own piece and walks only the rest.
+where a line crosses a segment is it cut.  A segment's pieces run from its
+own point a to its own point b; only the cuts between them are computed,
+as a + s d.  The one cutting loop is the plain-Python :func:`_walk`, which
+the polish's runs share; a block of more than ``_WALK_ALL`` segments first
+keeps, in one vectorized test, every segment that no line crosses as its
+own piece (a, b) and walks only the rest.
 Lattices have their own kernel, :func:`_tile_weights`: it weighs the
 right, up and diagonal edges of a tile of lattice points from one leash
 length per point; right and up edges keep the difference of two
@@ -154,10 +156,12 @@ def _walk(grid: CellGrid, a, b):
     """Cut each segment a[k] -> b[k] (sequences of float pairs) at the parameter lines, in plain Python.
 
     Returns the pieces as ``(k, p, q, i, j)`` tuples, ordered by segment and
-    along each segment.  The cuts sit at the parameters s = (cut - a) / d of
-    the lines strictly inside a -> b, at the points a + s d; a segment that
-    no line crosses stays the one piece (a + 0 d, a + d).  Each piece goes to
-    the cell (i, j) of its midpoint, the lower/left one on a parameter line.
+    along each segment.  The first piece starts at a and the last ends at
+    b, each as given; the cuts between them are the points a + s d for the
+    parameters s = (cut - a) / d of the lines strictly inside a -> b, those
+    strictly between 0 and 1 and equal ones merged.  So a segment that no
+    line crosses stays the one piece (a, b).  Each piece goes to the cell
+    (i, j) of its midpoint, the lower/left one on a parameter line.
     """
     xc, yc = grid.x_cuts.tolist(), grid.y_cuts.tolist()
     xin, yin = xc[1:-1], yc[1:-1]
@@ -167,15 +171,16 @@ def _walk(grid: CellGrid, a, b):
         dx, dy = bx - ax, by - ay
         fx, ex = (right(xc, ax), left(xc, bx)) if dx >= 0.0 else (right(xc, bx), left(xc, ax))
         fy, ey = (right(yc, ay), left(yc, by)) if dy >= 0.0 else (right(yc, by), left(yc, ay))
-        # the parameters past 0 at which the pieces end, equal ones merged
-        ends = (sorted({0.0, 1.0, *[(c - ax) / dx for c in xc[fx:ex]],
-                        *[(c - ay) / dy for c in yc[fy:ey]]})[1:]
-                if fx < ex or fy < ey else (1.0,))
-        px, py = ax + 0.0 * dx, ay + 0.0 * dy
-        p = (px, py)
-        for s in ends:
-            qx, qy = ax + s * dx, ay + s * dy
-            q = (qx, qy)
+        # the points at which the pieces end: the cuts, then b
+        if fx < ex or fy < ey:
+            cuts = sorted({*[(c - ax) / dx for c in xc[fx:ex]], *[(c - ay) / dy for c in yc[fy:ey]]})
+            ends = [(ax + s * dx, ay + s * dy) for s in cuts if 0.0 < s < 1.0]
+            ends.append((bx, by))
+        else:
+            ends = ((bx, by),)
+        p, px, py = (ax, ay), ax, ay
+        for q in ends:
+            qx, qy = q
             append((k, p, q, left(xin, 0.5 * (px + qx)), left(yin, 0.5 * (py + qy))))
             p, px, py = q, qx, qy
     return out
@@ -184,41 +189,34 @@ def _walk(grid: CellGrid, a, b):
 def _split(grid: CellGrid, a, b):
     """Cut every segment a[k] -> b[k] (a point or an (n, 2) array each) at the parameter lines.
 
-    Returns ``(seg, p, q, i, j)``, one row per piece, ordered by segment and
-    along each segment: the segment index, the piece endpoints and the cell
-    indices, cut as :func:`_walk` cuts.  A block of at most ``_WALK_ALL``
-    segments is walked whole; in a larger one a vectorized test keeps every
-    segment that no parameter line crosses as its one piece, and only the
-    crossing ones are walked.
+    Returns ``(seg, p, q, i, j)``, one row per piece: the segment index, the
+    piece ends and the cell indices, cut as :func:`_walk` cuts.  Each
+    segment's pieces come together and in order along it.  A block of at
+    most ``_WALK_ALL`` segments is walked whole, in segment order; in a
+    larger one a vectorized test keeps every segment that no parameter line
+    crosses as its one piece (a, b), and the walk's pieces of the crossing
+    ones follow.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
-    n = len(a)
-    if n <= _WALK_ALL:
+    if len(a) <= _WALK_ALL:
         return _piece_arrays(_walk(grid, a.tolist(), b.tolist()))
-    cross = np.zeros(n, dtype=bool)
+    cross = np.zeros(len(a), dtype=bool)
     for axis, cuts in ((0, grid.x_cuts), (1, grid.y_cuts)):
         lo = np.minimum(a[:, axis], b[:, axis])
         hi = np.maximum(a[:, axis], b[:, axis])
         cross |= np.searchsorted(cuts, lo, side="right") < np.searchsorted(cuts, hi, side="left")
-    d = b - a
-    p, q = a + 0.0 * d, a + d
+    whole = np.flatnonzero(~cross)
+    p, q = a[whole], b[whole]
     mid = 0.5 * (p + q)
     i = np.searchsorted(grid.x_cuts[1:-1], mid[:, 0], side="left")
     j = np.searchsorted(grid.y_cuts[1:-1], mid[:, 1], side="left")
     walked = np.flatnonzero(cross)
     if not len(walked):
-        return np.arange(n), p, q, i, j
+        return whole, p, q, i, j
     k, *pieces = _piece_arrays(_walk(grid, a[walked].tolist(), b[walked].tolist()))
-    counts = np.ones(n, dtype=np.intp)
-    counts[walked] = np.bincount(k, minlength=len(walked))
-    # each segment's one piece, repeated as often as the walk cut it, then
-    # overwritten, in order, by the walk's pieces
-    at = np.repeat(cross, counts)
-    out = [np.repeat(x, counts, axis=0) for x in (p, q, i, j)]
-    for x, w in zip(out, pieces):
-        x[at] = w
-    return (np.repeat(np.arange(n), counts), *out)
+    return (np.concatenate((whole, walked[k])),
+            *(np.concatenate(x) for x in zip((p, q, i, j), pieces)))
 
 
 def _piece_arrays(pieces):

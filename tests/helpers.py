@@ -182,11 +182,12 @@ def path_weight_sum(graph, ids):
 def reference_split(grid, a, b):
     """Cut every segment a[k] -> b[k] at the parameter lines with one lexsort: ``integrals._split``'s reference.
 
-    Returns ``(seg, p, q, i, j)`` as the library's splitter does.  Every
-    segment's parameters 0, 1 and (cut - a) / d of the lines strictly inside
-    it are sorted by segment and parameter in one batch, duplicates dropped,
-    the points a + s d formed, and each piece put in the cell of its
-    midpoint (lower/left on a parameter line).
+    Returns ``(seg, p, q, i, j)`` in segment order, each segment's pieces
+    as the library's splitter cuts them.  Every segment's parameters 0, 1
+    and (cut - a) / d of the lines strictly inside it are sorted by segment
+    and parameter in one batch, duplicates dropped, the points a + s d
+    formed, except a itself at 0 and b itself at 1, and each piece put in
+    the cell of its midpoint (lower/left on a parameter line).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -211,6 +212,8 @@ def reference_split(grid, a, b):
     keep[1:] = (seg[1:] != seg[:-1]) | (s[1:] != s[:-1])
     seg, s = seg[keep], s[keep]
     pts = a[seg] + s[:, None] * d[seg]
+    pts[s == 0.0] = a[seg[s == 0.0]]
+    pts[s == 1.0] = b[seg[s == 1.0]]
     same = seg[1:] == seg[:-1]  # consecutive cut points of one segment bound a piece
     p, q, seg = pts[:-1][same], pts[1:][same], seg[:-1][same]
     mid = 0.5 * (p + q)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import ifd
-from ifd.integrals import _split
 
 from helpers import (
     PARALLEL,
@@ -23,6 +22,7 @@ from helpers import (
     random_curve,
     random_monotone_pair,
     random_staircase,
+    reference_split,
     staircase_path,
 )
 
@@ -244,7 +244,8 @@ def test_c6_symmetry_and_scaling():
 
 
 def _cell_groups(grid, path):
-    _, p, q, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
+    # the reference cutter keeps the pieces in path order
+    _, p, q, i, j = reference_split(grid, path.vertices[:-1], path.vertices[1:])
     groups = []
     for a, b, key in zip(p, q, zip(i.tolist(), j.tolist())):
         if groups and groups[-1][0] == key:

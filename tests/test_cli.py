@@ -317,9 +317,8 @@ def test_render_svg_layers():
     bare = render_svg(t1, t2)
     assert bare.count("<line") >= 4  # grid plus axis
     assert "<polyline" not in bare
-    with_path = render_svg(t1, t2, {"path": [(0, 0), (1, 1)], "balls": [(0, 0, 0.5)]})
+    with_path = render_svg(t1, t2, {"path": [(0, 0), (1, 1)]})
     assert with_path.count("<polyline") == 1
-    assert with_path.count("stroke-dasharray") == 1
     assert render_svg(t1, t2) == bare
 
 

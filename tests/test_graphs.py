@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -421,6 +422,9 @@ def test_public_names_are_pinned():
     ])
     assert len(ifd.__all__) == 38
     assert len(set(ifd.__all__)) == len(ifd.__all__)
+    # the README states the count
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.search(r"`ifd\.__all__` has (\d+) names", readme)[1] == str(len(ifd.__all__))
     for name in ifd.__all__:
         assert getattr(ifd, name, None) is not None, name
 

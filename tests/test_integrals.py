@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ifd
-from ifd.integrals import _WALK_ALL, _split
+from ifd.integrals import _WALK_ALL, _split, _walk
 
 from helpers import (
     PARALLEL,
@@ -298,14 +298,62 @@ def test_array_form_matches_per_segment_calls():
     np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
     assert np.all(batch[::7] == 0.0)
     assert len(_pieces(g, a[3], b[3])) > 3
-    # the array splitter returns every segment's pieces, in order
+    # the array splitter returns every segment's pieces together and in
+    # order along it, the pieces it cuts from that segment alone
     seg, *batch = _split(g, a, b)
-    single = [_split(g, p, q) for p, q in zip(a, b)]
-    np.testing.assert_array_equal(seg, np.repeat(np.arange(len(a)), [len(s[0]) for s in single]))
-    for k, got in enumerate(batch, start=1):
-        np.testing.assert_array_equal(got, np.concatenate([s[k] for s in single]))
+    for k, (p, q) in enumerate(zip(a, b)):
+        rows = np.flatnonzero(seg == k)
+        assert np.all(np.diff(rows) == 1)
+        for got, want in zip(batch, _split(g, p, q)[1:]):
+            assert got[rows].tobytes() == want.tobytes()
     empty = ifd.segment_weighted_length(g, np.empty((0, 2)), np.empty((0, 2)))
     assert empty.shape == (0,)
+
+
+def _assert_ends_kept(a, b, seg, p, q):
+    """Each segment's first piece starts at a[k] and its last ends at b[k],
+    bit for bit, and its pieces chain without gaps."""
+    for k in range(len(a)):
+        rows = np.flatnonzero(seg == k)
+        assert len(rows) and np.all(np.diff(rows) == 1)
+        assert p[rows[0]].tobytes() == a[k].tobytes() and q[rows[-1]].tobytes() == b[k].tobytes()
+        assert p[rows[1:]].tobytes() == q[rows[:-1]].tobytes()
+
+
+@over_scales
+def test_pieces_keep_their_segment_ends(s):
+    # a piece starts at its segment's own a and ends at its own b; a + d
+    # would end this uncut segment one ulp short of b, at x = 228.680497235602
+    t1 = ifd.build_curve(s * np.array([(0.0, 0.0), (2000.0, 0.0)]))
+    t2 = ifd.build_curve(s * np.array([(0.0, 1.0), (0.0, 2.0)]))
+    a = s * np.array([[0.8818047209967546, 0.0]])
+    b = s * np.array([[228.68049723560202, 0.5]])
+    cases = [(ifd.build_cells(t1, t2), a, b)]
+    # seeded batches on both sides of the small-block bypass: long segments
+    # that cross lines, short ones that mostly do not, zero-length ones, all
+    # four directions, and one start at a -0.0 coordinate
+    rng = np.random.default_rng(27)
+    for n in (1, _WALK_ALL, _WALK_ALL + 1, 4 * _WALK_ALL):
+        c1, c2 = random_curve(rng, 4, scale=s), random_curve(rng, 3, scale=s)
+        ext = np.array([c1.length, c2.length])
+        a = rng.uniform(0.0, 1.0, (n, 2)) * ext
+        b = a + (rng.uniform(0.0, 1.0, (n, 2)) * ext - a) * 10.0 ** rng.uniform(-4, 0, (n, 1))
+        b[1::5] = a[1::5]
+        a[0, 0] = -0.0
+        flip = rng.random(n) < 0.5
+        flip[0] = False
+        a[flip], b[flip] = b[flip], a[flip]
+        cases.append((ifd.build_cells(c1, c2), a, b))
+    crossed = uncut = 0
+    for grid, a, b in cases:
+        seg, p, q, _, _ = _split(grid, a, b)
+        _assert_ends_kept(a, b, seg, p, q)
+        walk = _walk(grid, a.tolist(), b.tolist())
+        _assert_ends_kept(a, b, np.array([w[0] for w in walk]),
+                          np.array([w[1] for w in walk]), np.array([w[2] for w in walk]))
+        counts = np.bincount(seg, minlength=len(a))
+        crossed, uncut = crossed + int((counts > 1).sum()), uncut + int((counts == 1).sum())
+    assert crossed >= 20 and uncut >= 20
 
 
 def test_cutting_builds_no_cells():

@@ -289,7 +289,7 @@ def test_locally_optimize_pointwise_leash_domination():
     for t1, t2 in pairs * 5:
         grid = ifd.build_cells(t1, t2)
         path = random_staircase(rng, (0.0, 0.0), (t1.length, t2.length), steps=4)
-        _, p, q, i, j = _split(grid, path.vertices[:-1], path.vertices[1:])
+        _, p, q, i, j = reference_split(grid, path.vertices[:-1], path.vertices[1:])
         groups = []
         for a, b, key in zip(p, q, zip(i.tolist(), j.tolist())):
             if groups and groups[-1][0] == key:
@@ -410,7 +410,7 @@ def _cut_segments(rng, xc, yc, n):
     """``n`` segments for the splitter, in all four directions: generic ones,
     short in-cell steps, zero-length ones, ones along and out of parameter
     lines, and, first, a short step out of a -0.0 coordinate (which the
-    pieces must start at +0.0, as a + 0.0 d gives)."""
+    first piece keeps, as it keeps every bit of a)."""
     ext = np.array([xc[-1], yc[-1]])
     a = rng.uniform(0.0, 1.0, (n, 2)) * ext
     b = rng.uniform(0.0, 1.0, (n, 2)) * ext
@@ -434,11 +434,12 @@ def _cut_segments(rng, xc, yc, n):
 
 @over_scales
 def test_walk_matches_split_bit_for_bit(s, monkeypatch):
-    # the splitter cuts, orders and assigns pieces bit for bit as the lexsort
-    # reference does, on both sides of the small-block bypass: a block of at
-    # most _WALK_ALL segments is walked whole, a larger one walks exactly the
-    # segments that a parameter line crosses; the sweep's runs are the walk's
-    # pieces of the path, including pieces on and along parameter lines
+    # the splitter cuts and assigns pieces bit for bit as the lexsort
+    # reference does, each segment's pieces together and in order along it,
+    # on both sides of the small-block bypass: a block of at most _WALK_ALL
+    # segments is walked whole, in segment order, a larger one walks exactly
+    # the segments that a parameter line crosses; the sweep's runs are the
+    # walk's pieces of the path, including pieces on and along parameter lines
     from ifd import integrals
 
     walked = []
@@ -460,7 +461,10 @@ def test_walk_matches_split_bit_for_bit(s, monkeypatch):
             a, b = _cut_segments(rng, xc, yc, n)
             walked.clear()
             got = _split(grid, a, b)
-            for g, r in zip(got, reference_split(grid, a, b)):
+            order = np.argsort(got[0], kind="stable")
+            assert n > n_all or np.all(order == np.arange(len(order)))
+            assert np.count_nonzero(np.diff(got[0])) + 1 == len(np.unique(got[0]))
+            for g, r in zip((x[order] for x in got), reference_split(grid, a, b)):
                 assert (g.dtype, g.shape) == (r.dtype, r.shape) and g.tobytes() == r.tobytes()
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             crossing = int((((xc > lo[:, :1]) & (xc < hi[:, :1])).any(axis=1)
