@@ -15,7 +15,10 @@ side of the splitter's small-block bypass (``integrals._WALK_ALL``).
 Last it times ``locally_optimize`` on the same staircases with a step back
 of 1e-10 of the extent at T1's first inner parameter line: one vertical
 step of each staircase moves onto that line and leans back across it,
-float dust that :class:`ifd.MonotonePath` accepts.
+float dust that :class:`ifd.MonotonePath` accepts.  Last, untimed, it
+polishes each staircase again with its inner vertices scaled by
+1 - 1e-12, 1 + 1e-12 and 1 + 3e-12, float dust that must not move the
+polish to another local optimum.
 
 - ``optimize us``: microseconds per ``locally_optimize`` call;
 - ``sweeps``: substitution sweeps per call;
@@ -23,7 +26,9 @@ float dust that :class:`ifd.MonotonePath` accepts.
 - ``cost us``: microseconds per ``matching_cost`` call on a staircase;
 - ``lattice us``: microseconds of ``matching_cost`` on the lattice path;
 - ``dust us``: microseconds per ``locally_optimize`` call on a staircase
-  with the step back.
+  with the step back;
+- ``jump``: the largest relative move of a polished cost under those
+  scalings.
 
 Usage: PYTHONPATH=src python scripts/polish_speed.py [--seed S] [--pairs N] [--repeat N]
 """
@@ -39,6 +44,8 @@ from ifd import matching
 
 SIZES = (2, 4, 6)
 LATTICE_STEPS = 2400
+# factors on the inner staircase vertices whose polish the jump column compares
+SCALINGS = (1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 3e-12)
 
 
 def _curve(rng, n_segments, start, heading):
@@ -129,6 +136,20 @@ def count_sweeps(pairs):
     return sweeps
 
 
+def jump(pairs):
+    """Largest relative move of the polished cost over ``pairs`` when the
+    inner staircase vertices are scaled by each of ``SCALINGS``."""
+    worst = 0.0
+    for t1, t2, stairs in pairs:
+        cost = ifd.matching_cost(t1, t2, ifd.locally_optimize(t1, t2, stairs))
+        for f in SCALINGS:
+            moved = np.array(stairs)
+            moved[1:-1] *= f
+            moved_cost = ifd.matching_cost(t1, t2, ifd.locally_optimize(t1, t2, moved))
+            worst = max(worst, abs(moved_cost - cost) / cost)
+    return worst
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -137,7 +158,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'segments':<9} {'pairs':>6} {'optimize us':>12} {'sweeps':>7} {'us/sweep':>9} {'cost us':>8} "
-          f"{'lattice us':>11} {'dust us':>8}")
+          f"{'lattice us':>11} {'dust us':>8} {'jump':>8}")
     for n in SIZES:
         pairs = cases(args.seed, n, args.pairs)
         polish = best_of(args.repeat, lambda: [ifd.locally_optimize(*c) for c in pairs])
@@ -152,7 +173,8 @@ def main():
         sweeps = count_sweeps(pairs) / len(pairs)
         per_call = polish / len(pairs) * 1e6
         print(f"{n:<9} {len(pairs):>6} {per_call:>12.1f} {sweeps:>7.2f} {per_call / sweeps:>9.1f} "
-              f"{cost / len(pairs) * 1e6:>8.1f} {long_cost * 1e6:>11.1f} {dust / len(pairs) * 1e6:>8.1f}")
+              f"{cost / len(pairs) * 1e6:>8.1f} {long_cost * 1e6:>11.1f} {dust / len(pairs) * 1e6:>8.1f} "
+              f"{jump(pairs):>8.1e}")
 
 
 if __name__ == "__main__":

@@ -26,16 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _check_finite
-from .errors import NotMonotone
+from .errors import NotMonotone, OutOfRange
 from .integrals import _piece_frame, piece_weights
 from .param_space import (
     CellGrid,
     GridEdge,
     ParameterCell,
     ParameterPoint,
+    _clip_slope1,
+    _clipped_axis,
     _level_roots,
     dominates,
-    free_space_axes,
     steps_back,
 )
 
@@ -87,30 +88,42 @@ def _shortest_vertices(cell: ParameterCell, a, b):
     ``a`` and ``b`` are float pairs.  The vertices are a, the axis entry and
     exit (or the corner) and b, raw: nothing is checked and nothing is
     merged, so a and b that miss the dominance order by float dust give a
-    path with steps back of that size.  The callers check and clean.  On
+    path with steps back of that size.  The callers check and clean.  The
+    axis entry and exit lie on the sides of the rectangle spanned by a and
+    b, with those sides' coordinates (``param_space._clip_slope1``).  On
     an antiparallel cell the intercept k is +-inf, so the axis misses
     every rectangle and the path takes the corner on its side.
     """
     (ax, ay), (bx, by) = a, b
     k = cell.axis_intercept
-    # axis line y = x + k against the rectangle spanned by a and b
-    lo = max(ax, ay - k)
-    hi = min(bx, by - k)
-    if lo <= hi:
-        return ((ax, ay), (lo, lo + k), (hi, hi + k), (bx, by)), "through_axis"
+    ell = _clip_slope1(k, ax, bx, ay, by, 0.0)
+    if ell is not None:
+        return ((ax, ay), *ell, (bx, by)), "through_axis"
     # the corner closest to the axis: above-left when the axis passes there, else below-right
     corner = (ax, by) if k > by - ax else (bx, ay)
     return ((ax, ay), corner, (bx, by)), "around_corner"
 
 
-def _checked_pair(a, b):
-    """a and b as :class:`ParameterPoint` floats, checked as :func:`cell_shortest_path` says."""
+def _checked_pair(a, b, cell_a, cell_b):
+    """a and b as :class:`ParameterPoint` floats, checked as :func:`cell_shortest_path` says,
+    a in ``cell_a`` and b in ``cell_b``."""
     ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
     if not all(map(math.isfinite, (ax, ay, bx, by))):
         _check_finite(np.array(((ax, ay), (bx, by))))
-    if steps_back(min(bx - ax, by - ay), max(abs(ax), abs(ay), abs(bx), abs(by))):
+    extent = max(abs(ax), abs(ay), abs(bx), abs(by))
+    if steps_back(min(bx - ax, by - ay), extent):
         raise NotMonotone(f"{ParameterPoint(ax, ay)} does not dominate {ParameterPoint(bx, by)}")
+    _check_in_cell(cell_a, ((ax, ay),), extent)
+    _check_in_cell(cell_b, ((bx, by),), extent)
     return ParameterPoint(ax, ay), ParameterPoint(bx, by)
+
+
+def _check_in_cell(cell: ParameterCell, points, extent: float):
+    """Raise :class:`OutOfRange` on a point of ``points`` outside ``cell`` beyond
+    float dust, 1e-9 of ``extent`` (``param_space.steps_back``)."""
+    for x, y in points:
+        if steps_back(min(x - cell.x0, cell.x1 - x, y - cell.y0, cell.y1 - y), extent):
+            raise OutOfRange(f"{ParameterPoint(x, y)} lies outside cell ({cell.i},{cell.j})")
 
 
 def _cell_path(cell: ParameterCell, a, b) -> CellPath:
@@ -128,15 +141,27 @@ def cell_shortest_path(cell: ParameterCell, a, b) -> CellPath:
     """Shortest weighted monotone path from a to b inside one cell, with its weight.
 
     The checks are this wrapper's: ``ValueError`` names a NaN or infinite
-    point (point 0 is a, point 1 is b), and :class:`NotMonotone` rejects a
-    and b out of the dominance order by more than 1e-9 of their largest
-    |coordinate| (``param_space.steps_back``, the rule of
+    point (point 0 is a, point 1 is b), :class:`NotMonotone` rejects a
+    and b out of the dominance order, and :class:`OutOfRange` a point
+    outside the cell, each by more than 1e-9 of their largest |coordinate|
+    (``param_space.steps_back``, the rule of
     :meth:`~ifd.matching.MonotonePath.from_points`), so the path scales
     with the curves.  Every cell kind has an answer: on an antiparallel
     cell it is the cheaper of the two corner paths.  It merges the
     vertices of ``_shortest_vertices`` with ``_dedupe`` and weighs them.
     """
-    return _cell_path(cell, *_checked_pair(a, b))
+    return _cell_path(cell, *_checked_pair(a, b, cell, cell))
+
+
+def _edge_cells(grid: CellGrid, edge: GridEdge):
+    """The two cells that share ``edge``, lower/left first; ``ValueError`` if two cells do not."""
+    cuts, spans = (grid.x_cuts, grid.n_rows) if edge.vertical else (grid.y_cuts, grid.n_cols)
+    k = int(np.searchsorted(cuts, edge.fixed))
+    if not (0 < k < len(cuts) - 1 and cuts[k] == edge.fixed and 0 <= edge.span_index < spans):
+        raise ValueError(f"{edge} is not shared by two cells")
+    if edge.vertical:
+        return grid.cell(k - 1, edge.span_index), grid.cell(k, edge.span_index)
+    return grid.cell(edge.span_index, k - 1), grid.cell(edge.span_index, k)
 
 
 def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
@@ -147,25 +172,17 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     Otherwise the crossing point on the edge is found by ternary search
     (with a 64-point scan to bracket the minimum first) over the exact
     per-side in-cell optima, which makes the middle piece cross the edge
-    perpendicularly.  o and p are checked once, by the rule of
-    :func:`cell_shortest_path`, and the points on the edge between them are
-    not checked again.  An antiparallel cell has no clipped axis, as in
-    :func:`~ifd.graphs.build_g2`, so a crossing that touches one is always
-    searched.  The on-edge and axis-end tolerances are relative to the
-    parameter extent, so the path scales with the curves.
+    perpendicularly.  ``ValueError`` rejects an edge that two cells do not
+    share.  o and p are checked once, o in the lower/left cell and p in the
+    other, by the rules of :func:`cell_shortest_path`, and the points on
+    the edge between them are not checked again.  An antiparallel cell's
+    axis misses it, so a crossing that touches one is always searched.
+    The on-edge and axis-end tolerances are relative to the parameter
+    extent, so the path scales with the curves.
     """
-    o, p = _checked_pair(o, p)
-    mid = 0.5 * (edge.lo + edge.hi)
-    if edge.vertical:
-        i_lo, _ = grid.locate(edge.fixed, mid)
-        cell_o = grid.cell(i_lo, edge.span_index)
-        cell_p = grid.cell(min(i_lo + 1, grid.n_cols - 1), edge.span_index)
-    else:
-        _, j_lo = grid.locate(mid, edge.fixed)
-        cell_o = grid.cell(edge.span_index, j_lo)
-        cell_p = grid.cell(edge.span_index, min(j_lo + 1, grid.n_rows - 1))
-    ell_o, ell_p = (None if c.kind == "antiparallel" else free_space_axes(c).ell
-                    for c in (cell_o, cell_p))
+    cell_o, cell_p = _edge_cells(grid, edge)
+    o, p = _checked_pair(o, p, cell_o, cell_p)
+    ell_o, ell_p = _clipped_axis(cell_o), _clipped_axis(cell_p)
     scale = max(grid.extent)
 
     def on_edge(q):
@@ -266,10 +283,13 @@ class SimilarityProfile:
 def partial_similarity_profile(cell: ParameterCell, path) -> SimilarityProfile:
     """Exact partial-similarity profile of a path that stays within one cell.
 
-    Raises ``ValueError`` naming the first vertex with a NaN or infinite coordinate.
+    Raises ``ValueError`` naming the first vertex with a NaN or infinite
+    coordinate, and :class:`OutOfRange` on a vertex outside the cell by more
+    than 1e-9 of the largest |coordinate| (``param_space.steps_back``).
     """
     vertices = np.asarray(getattr(path, "vertices", path), dtype=float)
     _check_finite(vertices)
+    _check_in_cell(cell, vertices.tolist(), float(np.abs(vertices).max(initial=0.0)))
     t0, p, step, _, _, l1len = _piece_frame(cell, vertices[:-1], vertices[1:])
     pieces = tuple(zip(t0.tolist(), p.tolist(), step.tolist(), l1len.tolist()))
     total = 0.0

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import MODES, GraphConfig, approximate_integral_frechet
 from .matching import MonotonePath, _check_in_rectangle, locally_optimize, matching_cost
-from .param_space import _cross, _level_roots, build_cells, free_space_axes
+from .param_space import _clipped_axis, _cross, _level_roots, build_cells
 
 __all__ = ["main", "run", "load_curve", "render_svg", "build_report"]
 
@@ -118,11 +118,9 @@ def render_svg(t1: PolygonalCurve, t2: PolygonalCurve, overlays=None) -> str:
         )
     for col in grid.cells:
         for cell in col:
-            if cell.kind == "antiparallel":
-                continue
-            axes = free_space_axes(cell)
-            if axes.ell is not None:
-                p, q = axes.ell
+            ell = _clipped_axis(cell)
+            if ell is not None:
+                p, q = ell
                 out.append(
                     f'<line x1="{_fmt(px(p.x))}" y1="{_fmt(py(p.y))}" '
                     f'x2="{_fmt(px(q.x))}" y2="{_fmt(py(q.y))}" '

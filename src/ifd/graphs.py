@@ -32,7 +32,10 @@ from .integrals import segment_weighted_length
 # this module's global so that the wrapped search is the one that runs
 from .integrals import horizontal_strip_weights, vertical_strip_weights  # noqa: F401
 from .matching import MonotonePath
-from .param_space import build_cells, edge_min, free_space_axes, steps_back
+from .param_space import _clipped_axis, build_cells, edge_min, steps_back
+# imported only for perfbench's tracer, as the strip wrappers are:
+# build_g2 clips its axes with _clipped_axis
+from .param_space import free_space_axes  # noqa: F401
 from .shortest_path import (
     _EDGE_BLOCK,
     _check_count,
@@ -445,7 +448,7 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     axes, iso = [], [(0.0, 0.0), (l1, l2)]
     for col in grid.cells:
         for cell in col:
-            ell = None if cell.kind == "antiparallel" else free_space_axes(cell).ell
+            ell = _clipped_axis(cell)
             if ell is None:
                 continue
             p, q = ell
@@ -484,11 +487,11 @@ def build_g2(t1: PolygonalCurve, t2: PolygonalCurve, cfg: GraphConfig) -> Monoto
     # the source and sink connectors, each from its corner to the nearer end
     # of its corner cell's axis, lie on the boundary: _clip_slope1 puts that
     # end exactly on x = 0 or y = 0 at the source, and exactly on x = l1 or
-    # within an ulp of y = l2 at the sink; each becomes the ball-line row on
-    # the side whose coordinate the end shares with the corner
+    # y = l2 at the sink; each becomes the ball-line row on the side whose
+    # coordinate the end shares with the corner
     for cell, end, (cx, cy) in ((grid.cell(0, 0), 0, (0.0, 0.0)),
                                 (grid.cell(grid.n_cols - 1, grid.n_rows - 1), 1, (l1, l2))):
-        ell = None if cell.kind == "antiparallel" else free_space_axes(cell).ell
+        ell = _clipped_axis(cell)
         if ell is not None and math.dist((cx, cy), ell[end]) > snap:
             x, y = ell[end]
             if abs(x - cx) <= abs(y - cy):

@@ -11,8 +11,9 @@ integrates that root for in-cell pieces (:func:`piece_weights`, framed by
 :func:`segment_weighted_length` weighs any segments (two points, or two
 (n, 2) arrays): :func:`_split` cuts them at the parameter lines, and only
 where a line crosses a segment is it cut.  A segment's pieces run from its
-own point a to its own point b; only the cuts between them are computed,
-as a + s d.  The one cutting loop is the plain-Python :func:`_walk`, which
+own point a to its own point b; each cut between them lies on its line,
+with that line's coordinate, and only its other coordinate is computed, as
+a + s d.  The one cutting loop is the plain-Python :func:`_walk`, which
 the polish's runs share; a block of more than ``_WALK_ALL`` segments first
 keeps, in one vectorized test, every segment that no line crosses as its
 own piece (a, b) and walks only the rest.
@@ -157,9 +158,12 @@ def _walk(grid: CellGrid, a, b):
 
     Returns the pieces as ``(k, p, q, i, j)`` tuples, ordered by segment and
     along each segment.  The first piece starts at a and the last ends at
-    b, each as given; the cuts between them are the points a + s d for the
-    parameters s = (cut - a) / d of the lines strictly inside a -> b, those
-    strictly between 0 and 1 and equal ones merged.  So a segment that no
+    b, each as given; the cuts between them are at the parameters
+    s = (cut - a) / d of the lines strictly inside a -> b, those strictly
+    between 0 and 1 and equal ones merged.  A cut takes its line's
+    coordinate as it is (both, where an x-line and a y-line share s), and
+    only the other one is a + s d, so consecutive cuts may step back by one
+    ulp there: float dust to every dominance check.  A segment that no
     line crosses stays the one piece (a, b).  Each piece goes to the cell
     (i, j) of its midpoint, the lower/left one on a parameter line.
     """
@@ -171,10 +175,12 @@ def _walk(grid: CellGrid, a, b):
         dx, dy = bx - ax, by - ay
         fx, ex = (right(xc, ax), left(xc, bx)) if dx >= 0.0 else (right(xc, bx), left(xc, ax))
         fy, ey = (right(yc, ay), left(yc, by)) if dy >= 0.0 else (right(yc, by), left(yc, ay))
-        # the points at which the pieces end: the cuts, then b
+        # the points at which the pieces end: the cuts, each on its line, then b
         if fx < ex or fy < ey:
-            cuts = sorted({*[(c - ax) / dx for c in xc[fx:ex]], *[(c - ay) / dy for c in yc[fy:ey]]})
-            ends = [(ax + s * dx, ay + s * dy) for s in cuts if 0.0 < s < 1.0]
+            xs = {(c - ax) / dx: c for c in xc[fx:ex]}
+            ys = {(c - ay) / dy: c for c in yc[fy:ey]}
+            ends = [(xs.get(s, ax + s * dx), ys.get(s, ay + s * dy))
+                    for s in sorted(xs.keys() | ys.keys()) if 0.0 < s < 1.0]
             ends.append((bx, by))
         else:
             ends = ((bx, by),)

@@ -172,11 +172,10 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     A replaced subpath can run along a cell boundary, in which case the
     next sweep may cut the path differently and shave a little more, so
     the substitution repeats until the sweep reproduces its input exactly;
-    returning that fixpoint makes the transform idempotent.  Two paths that
-    differ by rounding at a vertex on a parameter line can map onto each
-    other instead; a sweep that reproduces the path from two sweeps earlier
-    returns that path, which is then a fixpoint of two sweeps and again
-    idempotent.
+    returning that fixpoint makes the transform idempotent.  The cuts of
+    :func:`integrals._walk` and the axis ends of ``_shortest_vertices``
+    carry their line's coordinate exactly, so rounding cannot move a vertex
+    across a line between sweeps; the cap of 32 sweeps is only a guard.
 
     The call checks its path once on entry, by the rules of
     :meth:`MonotonePath.from_points` and the rectangle, and its result once
@@ -193,13 +192,11 @@ def locally_optimize(t1: PolygonalCurve, t2: PolygonalCurve, path) -> MonotonePa
     p = [tuple(v) for v in path.vertices.tolist()]
     grid = build_cells(t1, t2)
     memo = {}
-    before = p
     for _ in range(32):
         new = _substitute_once(grid, p, memo)
-        # a fixpoint, or two paths a rounding apart that map onto each other
-        if new == p or new == before:
-            return MonotonePath.from_points(new)
-        before, p = p, new
+        if new == p:
+            break
+        p = new
     return MonotonePath.from_points(p)
 
 

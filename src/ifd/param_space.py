@@ -309,14 +309,30 @@ def build_cells(t1: PolygonalCurve, t2: PolygonalCurve) -> CellGrid:
     return CellGrid(t1, t2)
 
 
-def _clip_slope1(k: float, x0, x1, y0, y1):
-    """Clip y = x + k to a rectangle; returns sorted endpoints or None."""
-    lo = max(x0, y0 - k)
-    hi = min(x1, y1 - k)
-    if lo > hi + _CLIP_TOL * max(abs(x1), abs(y1)):
+def _clip_slope1(k: float, x0, x1, y0, y1, tol: float):
+    """Clip the line y = x + k to [x0, x1] x [y0, y1]: its (lower, upper) ends as float pairs, or None.
+
+    Each end carries the coordinate of its side as it is; the other one is
+    computed from k and clamped into the rectangle, so an end at a corner
+    is the corner.  The line misses when its lower end lies past its upper
+    one by more than ``tol`` in x; within ``tol`` both ends are the lower
+    one.  An infinite k misses every rectangle.
+    """
+    lo = (x0, max(y0, x0 + k)) if x0 >= y0 - k else (y0 - k, y0)
+    hi = (x1, min(y1, x1 + k)) if x1 <= y1 - k else (y1 - k, y1)
+    if lo[0] > hi[0] + tol:
         return None
-    hi = max(lo, hi)
-    return ParameterPoint(lo, lo + k), ParameterPoint(hi, hi + k)
+    return lo, (hi if hi[0] >= lo[0] else lo)
+
+
+def _clipped_axis(cell: ParameterCell):
+    """The cell's axis clipped to the cell as two :class:`ParameterPoint`, or None where it misses.
+
+    The clip tolerance is 1e-12 of the far corner, so shared corners belong
+    to both cells' axes; an antiparallel cell's axis, at infinity, misses.
+    """
+    ell = _clip_slope1(cell.axis_intercept, cell.x0, cell.x1, cell.y0, cell.y1, _cell_tol(cell))
+    return None if ell is None else (ParameterPoint(*ell[0]), ParameterPoint(*ell[1]))
 
 
 def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
@@ -349,8 +365,7 @@ def free_space_axes(cell: ParameterCell) -> FreeSpaceAxes:
         # u and v span the plane, so the unconstrained minimum is exactly 0;
         # evaluating the quadratic at a far-away center would lose precision
         w_center = 0.0
-    ell = _clip_slope1(k, cell.x0, cell.x1, cell.y0, cell.y1)
-    return FreeSpaceAxes(center=center, slope=slope, w_center=w_center, ell=ell)
+    return FreeSpaceAxes(center=center, slope=slope, w_center=w_center, ell=_clipped_axis(cell))
 
 
 def _cell_tol(cell: ParameterCell) -> float:

@@ -186,8 +186,10 @@ def reference_split(grid, a, b):
     as the library's splitter cuts them.  Every segment's parameters 0, 1
     and (cut - a) / d of the lines strictly inside it are sorted by segment
     and parameter in one batch, duplicates dropped, the points a + s d
-    formed, except a itself at 0 and b itself at 1, and each piece put in
-    the cell of its midpoint (lower/left on a parameter line).
+    formed, a cut's coordinate on its line replaced by the line's own
+    (both where an x-line and a y-line share the parameter), a itself
+    written at 0 and b itself at 1, and each piece put in the cell of its
+    midpoint (lower/left on a parameter line).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -195,6 +197,8 @@ def reference_split(grid, a, b):
     d = b - a
     ids = np.arange(n)
     segs, params = [ids, ids], [np.zeros(n), np.ones(n)]
+    # each parameter's axis (-1 for the ends) and its line's coordinate
+    axes, lines = [np.full(2 * n, -1)], [np.zeros(2 * n)]
     for axis, cuts in ((0, grid.x_cuts), (1, grid.y_cuts)):
         lo = np.minimum(a[:, axis], b[:, axis])
         hi = np.maximum(a[:, axis], b[:, axis])
@@ -204,14 +208,20 @@ def reference_split(grid, a, b):
         idx = first[k] + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
         segs.append(k)
         params.append((cuts[idx] - a[k, axis]) / d[k, axis])
+        axes.append(np.full(len(k), axis))
+        lines.append(cuts[idx])
     seg = np.concatenate(segs)
     s = np.concatenate(params)
     order = np.lexsort((s, seg))
     seg, s = seg[order], s[order]
+    axis, line = np.concatenate(axes)[order], np.concatenate(lines)[order]
     keep = np.ones(len(seg), dtype=bool)
     keep[1:] = (seg[1:] != seg[:-1]) | (s[1:] != s[:-1])
+    at = np.cumsum(keep) - 1  # each parameter's row among the kept ones
     seg, s = seg[keep], s[keep]
     pts = a[seg] + s[:, None] * d[seg]
+    for ax in (0, 1):
+        pts[at[axis == ax], ax] = line[axis == ax]
     pts[s == 0.0] = a[seg[s == 0.0]]
     pts[s == 1.0] = b[seg[s == 1.0]]
     same = seg[1:] == seg[:-1]  # consecutive cut points of one segment bound a piece
@@ -246,15 +256,15 @@ def reference_sweep(grid, p):
 
 
 def reference_polish(t1, t2, path):
-    """(path, sweeps) of :func:`reference_sweep` iterated as ``locally_optimize`` iterates."""
+    """(path, sweeps) of :func:`reference_sweep` iterated as ``locally_optimize`` iterates:
+    until a sweep reproduces its input, at most 32 sweeps."""
     p = ifd.MonotonePath.from_points(path)
     grid = ifd.build_cells(t1, t2)
-    before = p
     for sweeps in range(1, 33):
         new = reference_sweep(grid, p)
-        if np.array_equal(new.vertices, p.vertices) or np.array_equal(new.vertices, before.vertices):
+        if np.array_equal(new.vertices, p.vertices):
             return new, sweeps
-        before, p = p, new
+        p = new
     return p, 32
 
 

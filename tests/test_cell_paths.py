@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ifd
-from ifd.errors import NotMonotone
+from ifd.errors import NotMonotone, OutOfRange
 
 from helpers import (
     ANTIPARALLEL,
@@ -327,6 +327,62 @@ def test_two_cell_path_checks_its_ends_once(s):
     for dust in (1e-12, 1e-11):
         path = ifd.two_cell_path(((1e-4 + dust) * s, 2e-5 * s), p, edge, grid)
         assert path.weighted_length == pytest.approx(exact.weighted_length, rel=1e-9)
+
+
+# T1 = (0,0)-(1,0)-(2,0.5) and T2 = (0,1)-(1,1.3)-(2,1): a 2 x 2 grid of cells
+BENT = ([(0, 0), (1, 0), (2, 0.5)], [(0, 1), (1, 1.3), (2, 1)])
+
+
+@over_scales
+def test_two_cell_path_needs_an_edge_two_cells_share(s):
+    # an edge on the outer boundary borders one cell: x = 0 was taken as
+    # shared by cells 0 and 1, x = |T1| took the last cell twice.  An edge
+    # off the parameter lines, or with no such segment, borders none
+    grid = ifd.build_cells(*(_scaled_curve(c, s) for c in BENT))
+    l1, l2 = grid.extent
+    o, p = (0.1 * s, 0.1 * s), (0.9 * s, 0.9 * s)
+    outer = [_shared_edge(grid, vertical=True, fixed=0.0), _shared_edge(grid, vertical=True, fixed=l1),
+             _shared_edge(grid, vertical=False, fixed=0.0), _shared_edge(grid, vertical=False, fixed=l2)]
+    inner = _shared_edge(grid, vertical=True, fixed=s)
+    off = [ifd.GridEdge(True, 0.5 * s, inner.lo, inner.hi, 0),
+           ifd.GridEdge(True, s, inner.lo, inner.hi, 2), ifd.GridEdge(True, s, inner.lo, inner.hi, -1)]
+    for edge in outer + off:
+        with pytest.raises(ValueError, match="is not shared by two cells"):
+            ifd.two_cell_path(o, p, edge, grid)
+    path = ifd.two_cell_path((0.5 * s, 0.2 * s), (1.5 * s, 0.8 * s), inner, grid)
+    assert ifd.matching_cost(grid.t1, grid.t2, [(0.0, 0.0), *path.vertices, (l1, l2)]) == pytest.approx(
+        ifd.matching_cost(grid.t1, grid.t2, [(0.0, 0.0), (0.5 * s, 0.2 * s)])
+        + path.weighted_length
+        + ifd.matching_cost(grid.t1, grid.t2, [(1.5 * s, 0.8 * s), (l1, l2)]), rel=1e-12)
+
+
+@over_scales
+def test_points_outside_their_cell_raise(s):
+    # a = (1.5, 1.5) and b = (2, 2) lie in cell (1, 1): weighed in cell
+    # (0, 0)'s frame they gave 1.4983 where the straight path costs 0.7618.
+    # A point past its cell by float dust, 1e-9 of the largest |coordinate|,
+    # still passes, as in every dominance check
+    grid = ifd.build_cells(*(_scaled_curve(c, s) for c in BENT))
+    cell = grid.cell(0, 0)
+    a, b = (1.5 * s, 1.5 * s), (2.0 * s, 2.0 * s)
+    with pytest.raises(OutOfRange, match=r"outside cell \(0,0\)"):
+        ifd.cell_shortest_path(cell, a, b)
+    with pytest.raises(OutOfRange, match=r"outside cell \(0,0\)"):
+        ifd.partial_similarity_profile(cell, [a, b])
+    path = ifd.cell_shortest_path(grid.cell(1, 1), a, b)
+    v = np.asarray(path.vertices)
+    assert path.weighted_length == pytest.approx(
+        ifd.segment_weighted_length(grid, v[:-1], v[1:]).sum(), rel=1e-12)
+    assert path.weighted_length <= ifd.segment_weighted_length(grid, a, b) < 0.7619 * s * s
+    edge = _shared_edge(grid, vertical=True, fixed=s)
+    with pytest.raises(OutOfRange, match=r"outside cell \(0,0\)"):
+        ifd.two_cell_path((0.5 * s, 1.2 * s), (1.5 * s, 1.3 * s), edge, grid)
+    with pytest.raises(OutOfRange, match=r"outside cell \(1,0\)"):
+        ifd.two_cell_path((0.5 * s, 0.2 * s), (1.5 * s, 1.3 * s), edge, grid)
+    dust = (1.0 + 1e-11) * s
+    ifd.cell_shortest_path(cell, (0.2 * s, 0.2 * s), (dust, 0.5 * s))
+    ifd.partial_similarity_profile(cell, [(0.2 * s, 0.2 * s), (dust, 0.5 * s)])
+    ifd.two_cell_path((dust, 0.2 * s), (1.5 * s, 0.8 * s), edge, grid)
 
 
 @pytest.mark.parametrize("k", [0, -2, 2.5, math.nan, math.inf, True], ids=repr)

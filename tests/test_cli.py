@@ -443,7 +443,8 @@ def test_lattice_speed_runs_once():
 def test_polish_speed_runs_once():
     # one timed pass reaches locally_optimize, its sweep count, matching_cost
     # on the staircases, matching_cost on one long lattice path per size and
-    # locally_optimize on the staircases with a step back of float dust
+    # locally_optimize on the staircases with a step back of float dust; the
+    # jump column, the polish's move under 1e-12 scalings, stays rounding
     src = os.path.dirname(os.path.dirname(ifd.__file__))
     script = Path(__file__).resolve().parents[1] / "scripts" / "polish_speed.py"
     out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--pairs", "2"],
@@ -452,11 +453,12 @@ def test_polish_speed_runs_once():
     assert out.returncode == 0, out.stderr
     header, *lines = out.stdout.splitlines()
     assert header.split() == ["segments", "pairs", "optimize", "us", "sweeps", "us/sweep",
-                              "cost", "us", "lattice", "us", "dust", "us"]
+                              "cost", "us", "lattice", "us", "dust", "us", "jump"]
     rows = [line.split() for line in lines]
     assert [row[:2] for row in rows] == [["2", "2"], ["4", "2"], ["6", "2"]]
-    assert all(len(row) == 8 for row in rows)
-    assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:])
+    assert all(len(row) == 9 for row in rows)
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:8])
+    assert all(0.0 <= float(row[8]) <= 1e-9 for row in rows)
 
 
 def test_g2_memory_runs_once():

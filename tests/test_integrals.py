@@ -421,3 +421,40 @@ def test_segment_weighted_length_rejects_non_finite_points(s, bad):
             if n == 1:
                 with pytest.raises(ValueError, match="segment 0 has a non-finite coordinate"):
                     ifd.segment_weighted_length(grid, tuple(ends[0, :2]), tuple(ends[0, 2:]))
+
+
+@over_scales
+def test_walk_cuts_lie_on_their_lines(s):
+    # every interior cut carries the coordinate of the line it crosses bit
+    # for bit, both coordinates where an x-line and a y-line cross at one
+    # parameter; only the other coordinate is a + s d, so consecutive piece
+    # ends may step back by one ulp there, float dust to the dominance rule
+    rng = np.random.default_rng(28)
+    shared = 0
+    for _ in range(30):
+        t1, t2 = random_curve(rng, 5, scale=s), random_curve(rng, 4, scale=s)
+        grid = ifd.build_cells(t1, t2)
+        xc, yc = t1.cum_length.tolist(), t2.cum_length.tolist()
+        ext = np.array([t1.length, t2.length])
+        a = rng.uniform(0.0, 1.0, (20, 2)) * ext
+        b = rng.uniform(0.0, 1.0, (20, 2)) * ext
+        # segments through the inner grid corners, where both lines cross at once
+        corners = np.array([(x, y) for x in xc[1:-1] for y in yc[1:-1]])
+        through = corners[rng.integers(len(corners), size=20)]
+        t = rng.uniform(0.1, 0.9, (20, 1))
+        d = rng.uniform(-1.0, 1.0, (20, 2)) * ext
+        a, b = np.vstack((a, through - t * d)), np.vstack((b, through + (1.0 - t) * d))
+        pieces = _walk(grid, a.tolist(), b.tolist())
+        for k, ((ax, ay), (bx, by)) in enumerate(zip(a.tolist(), b.tolist())):
+            ends = [q for seg, _, q, _, _ in pieces if seg == k][:-1]
+            for (x, y) in ends:
+                assert x in xc or y in yc
+            for axis, (lo, hi), cuts in ((0, (ax, bx), xc), (1, (ay, by), yc)):
+                for c in cuts:
+                    if min(lo, hi) < c < max(lo, hi) and 0.0 < (c - lo) / (hi - lo) < 1.0:
+                        assert any(e[axis] == c for e in ends)
+            shared += sum(x in xc and y in yc for x, y in ends)
+            path = np.array([(ax, ay), *ends, (bx, by)])
+            steps = np.diff(path, axis=0) * np.sign(path[-1] - path[0])
+            assert steps.min(initial=0.0) >= -1e-9 * np.abs(path).max()
+    assert shared >= 20

@@ -138,8 +138,10 @@ def test_locally_optimize_leaves_no_antiparallel_detour():
 
 
 # staircases of the transform benchmark corpus, keyed (seed, case), on which
-# the sweeps alternated between two paths a rounding apart until they ran
-# out; each with T1, T2, the staircase and the cost returned then
+# the sweeps alternated between two paths a rounding apart while cuts and
+# axis ends were a rounding off their lines; each with T1, T2, the staircase
+# and the cost returned then.  With every such point on its line, each
+# reaches a fixpoint
 CYCLING = {
     (7, 78): (
         [
@@ -236,12 +238,12 @@ def test_locally_optimize_stops_on_a_two_sweep_cycle(monkeypatch, key):
     sweep = matching._substitute_once
 
     def counted(grid, verts, memo):
-        sweeps.append(len(verts))
-        return sweep(grid, verts, memo)
+        sweeps.append((verts, sweep(grid, verts, memo)))
+        return sweeps[-1][1]
 
     monkeypatch.setattr(matching, "_substitute_once", counted)
     out = ifd.locally_optimize(t1, t2, stairs)
-    assert len(sweeps) < 32
+    assert len(sweeps) < 32 and sweeps[-1][0] == sweeps[-1][1]
     again = ifd.locally_optimize(t1, t2, out)
     np.testing.assert_array_equal(again.vertices, out.vertices)
     assert ifd.matching_cost(t1, t2, out) == pytest.approx(cost, rel=1e-15, abs=0.0)
@@ -435,7 +437,8 @@ def _cut_segments(rng, xc, yc, n):
 @over_scales
 def test_walk_matches_split_bit_for_bit(s, monkeypatch):
     # the splitter cuts and assigns pieces bit for bit as the lexsort
-    # reference does, each segment's pieces together and in order along it,
+    # reference does, each cut on its line with the line's coordinate and
+    # each segment's pieces together and in order along it,
     # on both sides of the small-block bypass: a block of at most _WALK_ALL
     # segments is walked whole, in segment order, a larger one walks exactly
     # the segments that a parameter line crosses; the sweep's runs are the
@@ -563,3 +566,35 @@ def test_back_steps_at_a_parameter_line_polish(s, seed, back, share):
     ref, _ = reference_polish(t1, t2, path.vertices)
     assert out.vertices.tobytes() == ref.vertices.tobytes()
     assert ifd.matching_cost(t1, t2, out) <= ifd.matching_cost(t1, t2, path) * (1.0 + 1e-9)
+
+
+@over_scales
+def test_polish_is_a_fixpoint_that_dust_does_not_move(s):
+    # every polish ends because a sweep reproduced its input, so one more
+    # sweep leaves it as it is; scaling the inner staircase vertices by
+    # 1e-12 moves the polished cost by rounding only, not to another local
+    # optimum; and no polish is dearer than its input.  Every third T2 is T1
+    # reversed, so its cells are antiparallel
+    from ifd import matching
+
+    rng = np.random.default_rng(70)
+    for k in range(150):
+        t1 = random_curve(rng, int(rng.integers(2, 7)), scale=s)
+        if k % 3:
+            t2 = random_curve(rng, int(rng.integers(2, 7)), scale=s)
+        else:
+            t2 = ifd.build_curve(t1.vertices[::-1] + 0.2 * s)
+        grid = ifd.build_cells(t1, t2)
+        stairs = random_staircase(rng, (0.0, 0.0), (t1.length, t2.length),
+                                  steps=int(rng.integers(2, 7))).vertices
+        out = ifd.locally_optimize(t1, t2, stairs)
+        verts = [tuple(v) for v in out.vertices.tolist()]
+        assert matching._substitute_once(grid, verts, {}) == verts
+        cost = ifd.matching_cost(t1, t2, out)
+        assert cost <= ifd.matching_cost(t1, t2, stairs) * (1.0 + 1e-12)
+        for f in (1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 3e-12):
+            moved = stairs.copy()
+            moved[1:-1] *= f
+            moved_cost = ifd.matching_cost(t1, t2, ifd.locally_optimize(t1, t2, moved))
+            assert moved_cost == pytest.approx(cost, rel=1e-9, abs=0.0)
+            assert moved_cost <= ifd.matching_cost(t1, t2, moved) * (1.0 + 1e-12)

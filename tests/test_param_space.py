@@ -12,6 +12,7 @@ from helpers import (
     PERPENDICULAR,
     SCALES,
     curve_pair,
+    over_scales,
     random_cell,
     random_curve,
 )
@@ -353,3 +354,41 @@ def test_ellipse_slice_levels(delta):
     else:
         sl = ifd.ellipse_slice(cell, delta)
         assert sl.is_full and not sl.is_empty and sl.contains((0.5, 0.5))
+
+
+@over_scales
+def test_clipped_axis_ends_carry_their_sides(s):
+    # an end of a clipped axis lies on a side of its cell with that side's
+    # coordinate bit for bit (the lower end on the left or bottom side, the
+    # upper one on the right or top side, or on the lower end where the axis
+    # only grazes a corner), and so does an in-cell path's axis entry and
+    # exit on the rectangle spanned by its ends; an antiparallel cell's axis
+    # lies at infinity and misses its cell
+    from ifd.cell_paths import _shortest_vertices
+    from ifd.param_space import _clipped_axis
+
+    rng = np.random.default_rng(29)
+    ends = entries = 0
+    for _ in range(40):
+        t1, t2 = random_curve(rng, 4, scale=s), random_curve(rng, 4, scale=s)
+        for col in ifd.build_cells(t1, t2).cells:
+            for cell in col:
+                ell = _clipped_axis(cell)
+                if ell is None:
+                    continue
+                (lx, ly), (hx, hy) = ell
+                assert lx == cell.x0 or ly == cell.y0
+                assert hx == cell.x1 or hy == cell.y1 or (hx, hy) == (lx, ly)
+                assert ell == ifd.free_space_axes(cell).ell
+                ends += 1
+                a = (float(rng.uniform(cell.x0, lx)), float(rng.uniform(cell.y0, ly)))
+                b = (float(rng.uniform(hx, cell.x1)), float(rng.uniform(hy, cell.y1)))
+                verts, branch = _shortest_vertices(cell, a, b)
+                if branch == "through_axis":
+                    (ex, ey), (fx, fy) = verts[1:3]
+                    assert ex == a[0] or ey == a[1]
+                    assert fx == b[0] or fy == b[1]
+                    entries += 1
+    assert ends >= 100 and entries >= 100
+    t1, t2 = curve_pair(ANTIPARALLEL)
+    assert _clipped_axis(ifd.build_cells(t1.scaled(s), t2.scaled(s)).cell(0, 0)) is None
