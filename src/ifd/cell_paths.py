@@ -36,7 +36,6 @@ from .param_space import (
     _clip_slope1,
     _clipped_axis,
     _level_roots,
-    dominates,
     steps_back,
 )
 
@@ -191,7 +190,8 @@ def two_cell_path(o, p, edge: GridEdge, grid: CellGrid) -> CellPath:
     if ell_o is not None and ell_p is not None:
         c_o = ell_o[1]  # top-right endpoint of the first cell's clipped axis
         c_p = ell_p[0]  # bottom-left endpoint of the second cell's clipped axis
-        if on_edge(c_o) and on_edge(c_p) and dominates(c_o, c_p, tol=1e-12 * scale):
+        tol = 1e-12 * scale  # c_o dominates c_p up to tol
+        if on_edge(c_o) and on_edge(c_p) and c_o.x <= c_p.x + tol and c_o.y <= c_p.y + tol:
             verts = _dedupe([o, c_o, c_p, p])
             # the piece along the shared edge evaluates identically in either cell
             length = (

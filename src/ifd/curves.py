@@ -61,9 +61,6 @@ class PolygonalCurve:
         i = np.clip(np.searchsorted(self.cum_length, s, side="right") - 1, 0, self.n_segments - 1)
         return self.vertices[i] + (s - self.cum_length[i])[..., None] * self.directions[i]
 
-    def scaled(self, factor: float) -> "PolygonalCurve":
-        return build_curve(self.vertices * factor)
-
 
 @dataclass(frozen=True)
 class CurveStats:
@@ -82,16 +79,28 @@ def _check_finite(rows, what="point"):
         raise ValueError(f"{what} {bad[0]} has a non-finite coordinate: {rows[bad[0]].tolist()}")
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as an (n, 2) float array; an empty input gives n = 0.
+
+    Raises ``ValueError`` on more than two axes or a last axis other than 2.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    if not 1 <= pts.ndim <= 2 or pts.shape[-1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got shape {pts.shape}")
+    return pts.reshape(-1, 2)
+
+
 def build_curve(points) -> PolygonalCurve:
     """Build a :class:`PolygonalCurve` from a point sequence.
 
     Consecutive points closer than 1e-12 times the bounding-box diagonal
-    are collapsed.  Raises ``ValueError`` on a NaN or infinite coordinate
-    and :class:`TooFewVertices` if fewer than two distinct points remain.
+    are collapsed.  Raises ``ValueError`` on points not of shape (n, 2) or
+    with a NaN or infinite coordinate, and :class:`TooFewVertices` if fewer
+    than two distinct points remain.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        pts = pts.reshape(-1, 2)
+    pts = _as_points(points)
     _check_finite(pts)
     if len(pts) < 2:
         raise TooFewVertices(f"need at least 2 points, got {len(pts)}")

@@ -19,7 +19,7 @@ from .cell_paths import _dedupe, _shortest_vertices
 # perfbench's tracer wraps this name in this module's namespace; it is
 # imported only for that, since the sweep below calls _shortest_vertices
 from .cell_paths import cell_shortest_path  # noqa: F401
-from .curves import _EVAL_SLACK, PolygonalCurve, _check_finite
+from .curves import _EVAL_SLACK, PolygonalCurve, _as_points, _check_finite
 from .errors import NotMonotone, OutOfRange
 from .integrals import _split, _walk, segment_weighted_length
 from .param_space import build_cells, steps_back, weight
@@ -44,12 +44,12 @@ class MonotonePath:
     def from_points(cls, points):
         """Validate and wrap a point sequence.
 
-        Raises ``ValueError`` on a NaN or infinite coordinate and
-        :class:`NotMonotone` on a step back beyond 1e-9 of the largest
-        |coordinate|; smaller steps back are float dust and are clamped to
-        zero.
+        Raises ``ValueError`` on points not of shape (n, 2) or with a NaN or
+        infinite coordinate, and :class:`NotMonotone` on a step back beyond
+        1e-9 of the largest |coordinate|; smaller steps back are float dust
+        and are clamped to zero.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        pts = _as_points(points)
         if len(pts) == 0:
             raise NotMonotone("empty path")
         extent = float(np.abs(pts).max())  # NaN if any coordinate is

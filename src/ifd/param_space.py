@@ -55,11 +55,6 @@ class ParameterPoint(NamedTuple):
     y: float
 
 
-def dominates(a, b, tol: float = 0.0) -> bool:
-    """True if ``a <= b`` componentwise (xy-dominance), up to ``tol``."""
-    return a[0] <= b[0] + tol and a[1] <= b[1] + tol
-
-
 def steps_back(step: float, extent: float) -> bool:
     """Whether a coordinate ``step`` between path points goes back beyond
     float dust, 1e-9 of ``extent`` (the largest |coordinate| of the points):
@@ -227,9 +222,6 @@ class CellGrid:
         points outside the rectangle go to the nearest cell."""
         return (int(np.searchsorted(self.x_cuts[1:-1], x, side="left")),
                 int(np.searchsorted(self.y_cuts[1:-1], y, side="left")))
-
-    def cell_at(self, p) -> ParameterCell:
-        return self.cell(*self.locate(p[0], p[1]))
 
     def edges(self) -> Iterator[GridEdge]:
         """All cell-boundary edges, including the ones on the outer boundary."""

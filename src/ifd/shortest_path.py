@@ -52,10 +52,6 @@ class PathResult:
     vertex_ids: tuple
     points: np.ndarray
 
-    @property
-    def reachable(self) -> bool:
-        return math.isfinite(self.distance)
-
 
 class Adjacency(NamedTuple):
     """Compressed sparse rows: vertex ``v``'s out-edges are the slice

@@ -460,3 +460,7 @@ DUST_PATHS = (
 
 def curve_pair(pair):
     return ifd.build_curve(pair[0]), ifd.build_curve(pair[1])
+
+
+def scaled(curve, factor):
+    return ifd.build_curve(curve.vertices * factor)

@@ -23,6 +23,7 @@ from helpers import (
     random_monotone_pair,
     random_staircase,
     reference_split,
+    scaled,
     staircase_path,
 )
 
@@ -230,11 +231,11 @@ def test_c6_symmetry_and_scaling():
     sigma = cfg.epsilon * st.mu / (cfg.c_g1 * (st.len1 + st.len2))
     mesh_tol = 4.0 * sigma * (st.len1 + st.len2)
     for s in (0.5, 3.0):
-        s1, s2 = t1.scaled(s), t2.scaled(s)
+        s1, s2 = scaled(t1, s), scaled(t2, s)
         scaled_cost = ifd.matching_cost(s1, s2, s * path.vertices)
         assert scaled_cost == pytest.approx(s * s * base_cost, rel=1e-9)
-        scaled = ifd.approximate_integral_frechet(s1, s2, cfg)
-        assert abs(scaled.value / (s * s) - fwd.value) <= mesh_tol
+        res = ifd.approximate_integral_frechet(s1, s2, cfg)
+        assert abs(res.value / (s * s) - fwd.value) <= mesh_tol
     _line("C6 symmetry and scaling",
           f"|F(T1,T2)-F(T2,T1)| rel {abs(fwd.value - bwd.value) / fwd.value:.2e}, "
           f"pipeline scaling within mesh tol {mesh_tol:.2e}")

@@ -19,6 +19,7 @@ from helpers import (
     random_monotone_pair,
     random_staircase,
     scale_id,
+    scaled,
     staircase_path,
 )
 
@@ -477,7 +478,7 @@ def test_profile_is_scale_free(s):
 def test_cell_entries_reject_non_finite_points(s, bad):
     # cell_shortest_path and partial_similarity_profile name the first bad
     # point, instead of weighing NaN or calling it out of dominance order
-    t1, t2 = (c.scaled(s) for c in curve_pair(PERPENDICULAR))
+    t1, t2 = (scaled(c, s) for c in curve_pair(PERPENDICULAR))
     cell = ifd.build_cells(t1, t2).cell(0, 0)
     for coord in range(4):
         pts = s * np.array([(0.1, 0.2), (0.5, 0.6)])

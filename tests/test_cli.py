@@ -130,6 +130,22 @@ def test_malformed_curve_file(tmp_path, capsys):
     assert main(["compute", "--a", str(single), "--b", str(ok), "--epsilon", "0.25"]) == 2
 
 
+def test_points_of_the_wrong_shape_are_an_input_error(parallel_files, tmp_path, capsys):
+    # three columns were read two numbers at a time, so (0,0,0)-(1,1,1) against
+    # (0,1)-(1,1) reported an integral of 0.5, and a path file with neither
+    # key failed to reshape
+    a, b = parallel_files
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 1, 1]]}))
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text(json.dumps({"points": [[0, 0], [1, 1]]}))
+    for argv in (["--a", str(wide), "--b", b, "--mode", "oracle"],
+                 ["--a", a, "--b", b, "--optimize-matching", str(wide)],
+                 ["--a", a, "--b", b, "--optimize-matching", str(keyless)]):
+        assert main(["compute", "--epsilon", "0.25", *argv]) == 2, argv
+        assert "must have shape (n, 2)" in capsys.readouterr().err, argv
+
+
 @pytest.mark.parametrize("flag", ["--epsilon", "--c-g1", "--c-radius", "--c-mesh"])
 def test_nan_configuration_is_an_input_error(parallel_files, flag, capsys):
     a, b = parallel_files
@@ -428,63 +444,44 @@ def test_render_demo_draws_slices(tmp_path):
         assert 'stroke="#33aa55"' in (tmp_path / f"{name}.svg").read_text(), name
 
 
-def test_lattice_speed_runs_once():
-    # --help never reaches the library calls; one timed pass does
+def test_measure_runs_once():
+    # --help never reaches the library calls; one timed pass of every table
+    # does: the C6 g2 build, search and trace; the lattice weights and dp of
+    # grid's three calls; locally_optimize with its sweep count, matching_cost
+    # on the staircases and on a g1 path, the dust polish and the jump column,
+    # the polish's move under 1e-12 scalings, which stays rounding; and band's
+    # g1, its g2 budget and the dense oracle
     src = os.path.dirname(os.path.dirname(ifd.__file__))
-    script = Path(__file__).resolve().parents[1] / "scripts" / "lattice_speed.py"
-    out = subprocess.run([sys.executable, str(script), "--repeat", "1"],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    rows = [line.split()[0] for line in out.stdout.splitlines()[1:]]
-    assert rows == ["g1", "g1", "oracle"]
-
-
-def test_polish_speed_runs_once():
-    # one timed pass reaches locally_optimize, its sweep count, matching_cost
-    # on the staircases, matching_cost on one long lattice path per size and
-    # locally_optimize on the staircases with a step back of float dust; the
-    # jump column, the polish's move under 1e-12 scalings, stays rounding
-    src = os.path.dirname(os.path.dirname(ifd.__file__))
-    script = Path(__file__).resolve().parents[1] / "scripts" / "polish_speed.py"
-    out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--pairs", "2"],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    header, *lines = out.stdout.splitlines()
-    assert header.split() == ["segments", "pairs", "optimize", "us", "sweeps", "us/sweep",
-                              "cost", "us", "lattice", "us", "dust", "us", "jump"]
-    rows = [line.split() for line in lines]
-    assert [row[:2] for row in rows] == [["2", "2"], ["4", "2"], ["6", "2"]]
-    assert all(len(row) == 9 for row in rows)
-    assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in rows for v in row[2:8])
-    assert all(0.0 <= float(row[8]) <= 1e-9 for row in rows)
-
-
-def test_g2_memory_runs_once():
-    # one timed and one traced build and search of the C6 g2 at epsilon 0.25
-    src = os.path.dirname(os.path.dirname(ifd.__file__))
-    script = Path(__file__).resolve().parents[1] / "scripts" / "g2_memory.py"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "measure.py"
     out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--epsilons", "0.25"],
                          env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.splitlines()[1:]]
-    assert [row[:3] for row in rows] == [["0.25", "201614", "402326"]]
-    assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in rows[0][3:7])
+    tables = {}
+    for line in out.stdout.splitlines():
+        if line.startswith("["):
+            rows = tables[line.strip("[]")] = []
+        else:
+            rows.append(line.split())
+    assert list(tables) == ["g2", "lattice", "polish", "band"]
 
+    g2 = tables["g2"][1:]
+    assert [row[:3] for row in g2] == [["0.25", "201614", "402326"]]
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in g2[0][3:7])
 
-def test_band_experiment_runs_once():
-    # one pair at one epsilon reaches graph_stats, the g2 budget and the dense oracle
-    src = os.path.dirname(os.path.dirname(ifd.__file__))
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_band_experiment.py"
-    out = subprocess.run([sys.executable, str(script), "--pairs", "1", "--epsilons", "0.25"],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.splitlines()[1:]]
-    assert len(rows) == 1 and rows[0][:2] == ["0.25", "0"]
-    assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in rows[0][2:5])
+    assert [row[0] for row in tables["lattice"][1:]] == ["g1", "g1", "oracle"]
+
+    header, *polish = tables["polish"]
+    assert header == ["segments", "pairs", "optimize", "us", "sweeps", "us/sweep",
+                      "cost", "us", "lattice", "us", "dust", "us", "jump"]
+    assert [row[:2] for row in polish] == [[str(n), "20"] for n in range(2, 7)]
+    assert all(len(row) == 9 for row in polish)
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in polish for v in row[2:8])
+    assert all(0.0 <= float(row[8]) <= 1e-9 for row in polish)
+
+    band = tables["band"][1:]
+    assert [row[:2] for row in band] == [["0.25", str(k)] for k in range(6)]
+    assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in band for v in row[2:5])
 
 
 def test_scripts_show_help():

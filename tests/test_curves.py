@@ -27,6 +27,22 @@ def test_too_few_vertices():
         ifd.build_curve([(1, 2), (1, 2), (1, 2)])
 
 
+@pytest.mark.parametrize("points", [[(0, 0, 0), (1, 1, 1)], [[(0, 0), (1, 1)]], [0, 0, 1, 1], 3.0],
+                         ids=["three-columns", "three-axes", "flat", "scalar"])
+def test_points_of_the_wrong_shape_are_rejected(points):
+    # three columns were read two numbers at a time: (0,0,0), (1,1,1) became
+    # the points (0, 0), (0, 1), (1, 1)
+    with pytest.raises(ValueError, match=r"must have shape \(n, 2\)"):
+        ifd.build_curve(points)
+    with pytest.raises(ValueError, match=r"must have shape \(n, 2\)"):
+        ifd.MonotonePath.from_points(points)
+    # an empty input and a single point keep their errors
+    with pytest.raises(TooFewVertices):
+        ifd.build_curve([])
+    with pytest.raises(TooFewVertices):
+        ifd.build_curve((1, 2))
+
+
 def test_non_finite_coordinates():
     # a NaN or infinite vertex is named, not mistaken for coinciding points
     for bad in (np.nan, np.inf, -np.inf):

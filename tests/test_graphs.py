@@ -24,6 +24,7 @@ from helpers import (
     quadrature_weighted_length,
     random_curve,
     reference_arrangement,
+    scaled,
     seg_intersections,
 )
 
@@ -95,7 +96,7 @@ def test_g1_always_connected():
         t1 = random_curve(rng, int(rng.integers(1, 4)))
         t2 = random_curve(rng, int(rng.integers(1, 4)))
         g = ifd.build_g1(t1, t2, ifd.GraphConfig.desk(epsilon=0.5, c_g1=5.0))
-        assert ifd.dijkstra(g).reachable
+        assert math.isfinite(ifd.dijkstra(g).distance)
 
 
 def test_g1_edges_come_grouped_by_tail():
@@ -228,7 +229,7 @@ def test_g2_identical_curves_zero():
         # snap-rounded vertices step back by ~5e-14 of the extent, which an
         # absolute monotonicity tolerance rejected at this scale
         s = 1e6
-        big = ifd.build_g2(t.scaled(s), t.scaled(s), cfg)
+        big = ifd.build_g2(scaled(t, s), scaled(t, s), cfg)
         assert big.n_vertices == g.n_vertices
         assert big.n_edges == g.n_edges
         assert ifd.dijkstra(big).distance / (s * s) <= 1e-9
@@ -280,7 +281,7 @@ def test_g2_composition_audit():
         if abs(bx - ax) <= 1e-10 or abs(by - ay) <= 1e-10:
             continue  # lattice line
         assert abs((by - ay) - (bx - ax)) <= 1e-10, "slope-one edge expected"
-        cell = grid.cell_at(((ax + bx) / 2, (ay + by) / 2))
+        cell = grid.cell(*grid.locate((ax + bx) / 2, (ay + by) / 2))
         k = cell.axis_intercept
         assert abs((ay - ax) - k) <= 1e-10
 
@@ -603,7 +604,7 @@ def test_g2_matches_reference_arrangement(case, s, monkeypatch):
     # with the reference's first-seen vertices mapped to it by coordinates,
     # vertices, edges, weights and distance stay the reference's, bit for bit
     (a, b), cfg = _G2_CASES[case]
-    t1, t2 = ifd.build_curve(a).scaled(s), ifd.build_curve(b).scaled(s)
+    t1, t2 = scaled(ifd.build_curve(a), s), scaled(ifd.build_curve(b), s)
     g = ifd.build_g2(t1, t2, cfg)
     with monkeypatch.context() as m:
         m.setattr(graphs, "_arrangement", reference_arrangement)
@@ -625,8 +626,8 @@ def test_g2_matches_reference_arrangement(case, s, monkeypatch):
     assert g.weights.tobytes() == ref.weights[order].tobytes()
     r, r_ref = ifd.dijkstra(g), ifd.dijkstra(ref)
     assert repr(r.distance) == repr(r_ref.distance)
-    assert r.reachable == (case != "isolated points")
-    if r.reachable:
+    assert math.isfinite(r.distance) == (case != "isolated points")
+    if math.isfinite(r.distance):
         assert r.vertex_ids[0] == g.source and r.vertex_ids[-1] == g.sink
         assert path_weight_sum(g, r.vertex_ids) == r.distance
 
@@ -687,7 +688,7 @@ def test_g2_is_a_planar_arrangement(case, s):
     # one vertex per snap key, one edge per vertex pair, and every edge a
     # maximal piece: no other vertex within snap of its interior
     (a, b), cfg = _PLANAR_CASES[case]
-    t1, t2 = ifd.build_curve(a).scaled(s), ifd.build_curve(b).scaled(s)
+    t1, t2 = scaled(ifd.build_curve(a), s), scaled(ifd.build_curve(b), s)
     g = ifd.build_g2(t1, t2, cfg)
     snap = 1e-12 * max(ifd.build_cells(t1, t2).extent)
     keys = np.rint(np.stack((g.xs, g.ys), axis=1) / snap)
@@ -772,11 +773,45 @@ def test_g2_scale_invariant(pair):
     cfg = pair[2]
     base = ifd.approximate_integral_frechet(t1, t2, cfg)
     for s in (1e-8, 1e6):
-        s1, s2 = t1.scaled(s), t2.scaled(s)
+        s1, s2 = scaled(t1, s), scaled(t2, s)
         res = ifd.approximate_integral_frechet(s1, s2, cfg)
         assert res.graph_stats["g2"]["vertices"] == base.graph_stats["g2"]["vertices"]
         assert res.value / (s * s) == pytest.approx(base.value, rel=1e-12, abs=0.0)
         assert ifd.matching_cost(s1, s2, res.path) == pytest.approx(res.value, rel=1e-9, abs=0.0)
+
+
+_TURN = np.array([[math.cos(0.7), math.sin(0.7)], [-math.sin(0.7), math.cos(0.7)]])
+# moves of both curves that leave the exact integral Frechet distance where it is
+INVARIANCES = {
+    "swap": lambda a, b: (b, a),
+    "reverse": lambda a, b: (a[::-1], b[::-1]),
+    "rotate": lambda a, b: (a @ _TURN, b @ _TURN),
+    "translate": lambda a, b: (a + (1e3, -1e3), b + (1e3, -1e3)),
+}
+INVARIANCE_CONFIGS = {
+    "g1": ifd.GraphConfig(epsilon=0.25, c_g1=10.0, c_radius=62.0, c_mesh=8.0,
+                          max_vertices=4_000_000, mode="g1"),
+    "oracle": ifd.GraphConfig.desk(0.25, mode="oracle"),
+    "g2": ifd.GraphConfig.desk(0.25, c_radius=2.0, c_mesh=1.0, max_vertices=3_000_000, mode="g2"),
+}
+
+
+@pytest.mark.parametrize("mode", list(INVARIANCE_CONFIGS))
+def test_values_keep_the_invariances_of_the_exact_distance(mode):
+    # C5 pairs 0-7 of the acceptance suite; each graph is built on the moved
+    # curves' own parameter space, which these moves leave unchanged (up to
+    # reversal and the swap), so the value moves by rounding only: 4.3e-15
+    # at most under swap, reverse and rotate, 1.5e-13 under translate
+    rng = np.random.default_rng(105)
+    cfg = INVARIANCE_CONFIGS[mode]
+    for k in range(8):
+        t1 = random_curve(rng, int(rng.integers(2, 7)), equalize=True)
+        t2 = random_curve(rng, int(rng.integers(2, 7)), equalize=True)
+        base = ifd.approximate_integral_frechet(t1, t2, cfg).value
+        for name, move in INVARIANCES.items():
+            a, b = move(t1.vertices, t2.vertices)
+            value = ifd.approximate_integral_frechet(ifd.build_curve(a), ifd.build_curve(b), cfg).value
+            assert abs(value - base) <= 1e-12 * base, (k, name, value, base)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=str)

@@ -19,6 +19,7 @@ from helpers import (
     random_cell,
     random_curve,
     random_monotone_pair,
+    scaled,
 )
 
 # int_0^1 sqrt(t^2+1) dt, frozen from the adaptive-Simpson oracle (tol 1e-12)
@@ -209,9 +210,9 @@ def test_scale_covariance():
         segs = np.array([s for s in segs if s is not None], dtype=float)
         base = ifd.segment_weighted_length(g, segs[:, 0], segs[:, 1])
         for s in (0.5, 3.0, 1e-10, 1e-8, 1e6):
-            g2 = ifd.build_cells(t1.scaled(s), t2.scaled(s))
-            scaled = ifd.segment_weighted_length(g2, s * segs[:, 0], s * segs[:, 1])
-            np.testing.assert_allclose(scaled / (s * s), base, rtol=1e-12, atol=0.0)
+            g2 = ifd.build_cells(scaled(t1, s), scaled(t2, s))
+            got = ifd.segment_weighted_length(g2, s * segs[:, 0], s * segs[:, 1])
+            np.testing.assert_allclose(got / (s * s), base, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=80, deadline=None)

@@ -23,6 +23,7 @@ from helpers import (
     random_staircase,
     reference_polish,
     reference_split,
+    scaled,
 )
 
 LPATH_COST = 2.295587149392638  # two arsinh integrals, frozen via quadrature
@@ -50,7 +51,7 @@ def test_paths_outside_the_rectangle_raise(s):
     # vertex within 1e-9 of a curve's length outside [0, |T1|] x [0, |T2|]
     # is accepted, one farther out raises instead of being weighed by
     # extrapolation
-    t1, t2 = (c.scaled(s) for c in curve_pair(PARALLEL))
+    t1, t2 = (scaled(c, s) for c in curve_pair(PARALLEL))
     for far in ([(0, 0), (5, 5), (9, 9)], [(0, 0), (1, 1.1)], [(-0.1, 0), (1, 1)]):
         for fn in (ifd.matching_cost, ifd.locally_optimize):
             with pytest.raises(OutOfRange):
@@ -118,8 +119,8 @@ def test_locally_optimize_random_staircases():
         # exactly; absolute sweep tolerances merged 4 of these paths'
         # vertices at s = 2^-45
         for s in (2.0**-45, 2.0**20):
-            scaled = ifd.locally_optimize(t1.scaled(s), t2.scaled(s), path.vertices * s)
-            assert np.array_equal(scaled.vertices, once.vertices * s)
+            rescaled = ifd.locally_optimize(scaled(t1, s), scaled(t2, s), path.vertices * s)
+            assert np.array_equal(rescaled.vertices, once.vertices * s)
 
 
 def test_locally_optimize_leaves_no_antiparallel_detour():
@@ -530,7 +531,7 @@ DUST_COSTS = (4.070111569441545, 4.070111569441545, 4.596748139005365)
 def test_dust_back_steps_polish(s, k):
     # MonotonePath and matching_cost accept a step back of float dust, and so
     # does the polish: it checks the path on entry and exit, not each in-cell run
-    t1, t2 = (c.scaled(s) for c in curve_pair(DUST_PAIR))
+    t1, t2 = (scaled(c, s) for c in curve_pair(DUST_PAIR))
     path = s * np.asarray(DUST_PATHS[k])
     before = ifd.matching_cost(t1, t2, path)
     after = ifd.matching_cost(t1, t2, ifd.locally_optimize(t1, t2, path))

@@ -22,6 +22,7 @@ from helpers import (
     PARALLEL,
     PERPENDICULAR,
     SCALES,
+    scaled,
     staircase_lattice,
     bellman_ford,
     curve_pair,
@@ -93,7 +94,7 @@ def test_path_weights_sum_to_distance():
     # g2 at every scale: the path re-integrates to its distance
     for s in SCALES:
         for pair in (PARALLEL, PERPENDICULAR, IDENTICAL, ARRANGEMENT_PAIR):
-            t1, t2 = (c.scaled(s) for c in curve_pair(pair))
+            t1, t2 = (scaled(c, s) for c in curve_pair(pair))
             g = ifd.build_g2(t1, t2, ifd.GraphConfig.desk(epsilon=0.25))
             r = ifd.dijkstra(g)
             assert path_weight_sum(g, r.vertex_ids) == r.distance
@@ -204,7 +205,7 @@ def test_sweep_matches_scipy_dijkstra():
                 r = ifd.dijkstra(g, source=source, target=target)
                 assert r.distance == dist[target] == bf[target]
                 assert r.vertex_ids == ids
-                unreachable += not r.reachable
+                unreachable += not math.isfinite(r.distance)
     assert unreachable > 0
 
     t1, t2 = curve_pair(ARRANGEMENT_PAIR)
