@@ -444,34 +444,36 @@ def test_render_demo_draws_slices(tmp_path):
         assert 'stroke="#33aa55"' in (tmp_path / f"{name}.svg").read_text(), name
 
 
-def test_measure_runs_once():
-    # --help never reaches the library calls; one timed pass of every table
-    # does: the C6 g2 build, search and trace; the lattice weights and dp of
-    # grid's three calls; locally_optimize with its sweep count, matching_cost
-    # on the staircases and on a g1 path, the dust polish and the jump column,
-    # the polish's move under 1e-12 scalings, which stays rounding; and band's
-    # g1, its g2 budget and the dense oracle
+def _measure(table):
+    # --help never reaches the library calls; one timed pass of a table does
     src = os.path.dirname(os.path.dirname(ifd.__file__))
     script = Path(__file__).resolve().parents[1] / "scripts" / "measure.py"
-    out = subprocess.run([sys.executable, str(script), "--repeat", "1", "--epsilons", "0.25"],
+    out = subprocess.run([sys.executable, str(script), table, "--repeat", "1", "--epsilons", "0.25"],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    tables = {}
-    for line in out.stdout.splitlines():
-        if line.startswith("["):
-            rows = tables[line.strip("[]")] = []
-        else:
-            rows.append(line.split())
-    assert list(tables) == ["g2", "lattice", "polish", "band"]
+    title, *rows = out.stdout.splitlines()
+    assert title == f"[{table}]"
+    return [row.split() for row in rows]
 
-    g2 = tables["g2"][1:]
+
+def test_g2_memory_runs_once():
+    # the C6 g2 build, search and trace
+    g2 = _measure("g2")[1:]
     assert [row[:3] for row in g2] == [["0.25", "201614", "402326"]]
     assert all(math.isfinite(float(v)) and float(v) > 0.0 for v in g2[0][3:7])
 
-    assert [row[0] for row in tables["lattice"][1:]] == ["g1", "g1", "oracle"]
 
-    header, *polish = tables["polish"]
+def test_lattice_speed_runs_once():
+    # the lattice weights and dp of grid's three calls
+    assert [row[0] for row in _measure("lattice")[1:]] == ["g1", "g1", "oracle"]
+
+
+def test_polish_speed_runs_once():
+    # locally_optimize with its sweep count, matching_cost on the staircases
+    # and on a g1 path, the dust polish and the jump column, the polish's move
+    # under 1e-12 scalings, which stays rounding
+    header, *polish = _measure("polish")
     assert header == ["segments", "pairs", "optimize", "us", "sweeps", "us/sweep",
                       "cost", "us", "lattice", "us", "dust", "us", "jump"]
     assert [row[:2] for row in polish] == [[str(n), "20"] for n in range(2, 7)]
@@ -479,7 +481,10 @@ def test_measure_runs_once():
     assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in polish for v in row[2:8])
     assert all(0.0 <= float(row[8]) <= 1e-9 for row in polish)
 
-    band = tables["band"][1:]
+
+def test_band_experiment_runs_once():
+    # band's g1, its g2 budget and the dense oracle
+    band = _measure("band")[1:]
     assert [row[:2] for row in band] == [["0.25", str(k)] for k in range(6)]
     assert all(math.isfinite(float(v)) and float(v) > 0.0 for row in band for v in row[2:5])
 
